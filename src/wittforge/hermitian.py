@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import _linalg
 from .config import DEFAULT_LIMITS, SearchLimits
 from .errors import DomainError
-from .qarith import Rational, as_fraction, squarefree_part
+from .qarith import Rational, as_fraction, rational_from_json, squarefree_part
 from .quadform import QuadForm
 from .quat import Quat, QuaternionAlgebra, algebra_from_json, algebra_to_json, \
     anticommutant, elem_from_json, elem_to_json, pure_with_square
@@ -199,7 +199,7 @@ def from_json(data: dict) -> SkewHermForm:
     entries = tuple(elem_from_json(q, expected=alg) for q in data["entries"])
     if "multipliers" in data:
         try:
-            mults = tuple(Fraction(str(m)) for m in data["multipliers"])
+            mults = tuple(rational_from_json(m) for m in data["multipliers"])
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"bad multiplier: {exc}") from None
         if len(mults) != len(entries) or any(m == 0 for m in mults):

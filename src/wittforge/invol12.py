@@ -14,7 +14,6 @@ invariant of a 12-dimensional difference of norm forms and once as a cup
 product over a common quadratic splitting field, and the two must agree.
 """
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,7 +36,7 @@ from .hermitian import (
 )
 from .hermitian import from_json as herm_from_json
 from .hermitian import to_json as herm_to_json
-from .qarith import Rational, as_fraction, factor, is_local_square, squarefree_part
+from .qarith import is_local_square, squarefree_part
 from .quadform import (
     QuadForm,
     diagonal,
@@ -222,56 +221,38 @@ def _require_aligned(p: ProductPresentation,
                       "description cannot be repaired in place")
 
 
-def _candidate_square_classes(psi: QuadForm) -> list[int]:
-    primes = {2}
-    for entry in psi.entries:
-        for n in (entry.numerator, entry.denominator):
-            primes.update(q for q, _ in factor(abs(n)))
-    cands = set()
-    for r in range(len(primes) + 1):
-        for sub in itertools.combinations(sorted(primes), r):
-            prod = 1
-            for q in sub:
-                prod *= q
-            cands.update((prod, -prod))
-    cands.discard(1)
-    return sorted(cands, key=lambda d: (abs(d), d < 0))
-
-
 def decompose_split12(psi: QuadForm,
                       limits: SearchLimits = DEFAULT_LIMITS,
                       ) -> PfisterDecomposition:
     """Split a 12-dim form with trivial e1, e2 into three scaled binary
-    Pfister blocks times a common <<d>>.
+    Pfister blocks times a common <<d>>, always with d = -1.
 
-    The candidate d ranges over signed products of the primes dividing the
-    entries of psi (and 2); a d that works makes psi hyperbolic over the
-    corresponding quadratic extension, which is testable place by place.
-    Exhausting the candidates is reported as a failed search, never as a
-    proof that no decomposition exists.
+    Trivial e1 and e2 put psi in I^3.  Over Q, I^3 is detected by the
+    signatures at the real places, and Q(sqrt -1) has none, so psi becomes
+    hyperbolic there: <<-1>> = <1, 1> always divides psi, and no other
+    candidate d ever needs to be tried.  The division itself is a search
+    and may still run out of budget.
     """
     if psi.dim != 12:
         raise DomainError("decomposition wants a dim 12 form")
     if e1(psi) != 1 or not e2(psi).is_zero():
         raise DomainError("decomposition wants trivial e1 and e2")
-    for d in _candidate_square_classes(psi):
-        if not is_hyperbolic_over(psi, d):
-            continue
-        tau = divide_by_binary(psi, d, limits)
-        entries = sorted(tau.entries,
-                         key=lambda f: (max(abs(f.numerator), f.denominator),
-                                        f < 0))
-        alphas = tuple(entries[i] for i in (0, 2, 4))
-        betas = [squarefree_part(-entries[i] * entries[i + 1])
-                 for i in (0, 2, 4)]
-        # e2(psi) = (b1 b2 b3, d) vanishes, so moving the square class of
-        # b1 b2 onto the third slot changes nothing mod <<d>>
-        assert brauer_from_symbol(betas[0] * betas[1] * betas[2], d).is_zero()
-        betas[2] = squarefree_part(betas[0] * betas[1])
-        dec = PfisterDecomposition(d, alphas, tuple(betas))
-        assert isometric(dec.reconstruction(), psi), (psi, dec)
-        return dec
-    raise BoundExceeded("decomposition not found within search space")
+    d = -1
+    assert is_hyperbolic_over(psi, d), psi
+    tau = divide_by_binary(psi, d, limits)
+    entries = sorted(tau.entries,
+                     key=lambda f: (max(abs(f.numerator), f.denominator),
+                                    f < 0))
+    alphas = tuple(entries[i] for i in (0, 2, 4))
+    betas = [squarefree_part(-entries[i] * entries[i + 1])
+             for i in (0, 2, 4)]
+    # e2(psi) = (b1 b2 b3, d) vanishes, so moving the square class of
+    # b1 b2 onto the third slot changes nothing mod <<d>>
+    assert brauer_from_symbol(betas[0] * betas[1] * betas[2], d).is_zero()
+    betas[2] = squarefree_part(betas[0] * betas[1])
+    dec = PfisterDecomposition(d, alphas, tuple(betas))
+    assert isometric(dec.reconstruction(), psi), (psi, dec)
+    return dec
 
 
 def additive_decomposition(p: ProductPresentation,

@@ -26,18 +26,56 @@ def as_fraction(x: Rational) -> Fraction:
     return Fraction(x)
 
 
+def rational_from_json(x) -> Fraction:
+    """The rational a JSON value spells exactly: an int or a string such as
+    "-3" or "5/8".  Floats are refused rather than read as the decimal they
+    print as, since 1.1 is not 11/10 in binary."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise DomainError(f"expected an exact rational string or integer, "
+                          f"got {type(x).__name__} {x!r}")
+    return Fraction(x)
+
+
+# Deterministic Miller-Rabin on the first 13 prime bases is proven correct
+# below this bound (Sorenson and Webster, 2015); above it is_prime refuses.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Primality of n, exact below MILLER_RABIN_BOUND.
+
+    Trial division by the bases settles everything below 43^2, which
+    covers the places seen on nearly every call; larger n go through the
+    strong probable prime test to all 13 bases.  Raises BoundExceeded
+    from MILLER_RABIN_BOUND on, where no base set is proven.
+    """
     if n < 2:
         return False
-    if n < 4:
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+        if p * p > n:
+            return True
+    if n < 43 * 43:
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n >= MILLER_RABIN_BOUND:
+        raise BoundExceeded(f"primality of {n} is not decided above "
+                            f"{MILLER_RABIN_BOUND}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -10,6 +10,7 @@ BoundExceeded; nothing here is approximate.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import gcd, isqrt
 from typing import Iterable, Sequence
@@ -26,6 +27,7 @@ from .qarith import (
     hilbert_symbol,
     is_local_square,
     is_square,
+    rational_from_json,
     sqrt_mod_squarefree,
     square_class_product,
     squarefree_part,
@@ -34,7 +36,11 @@ from .qarith import (
 
 @dataclass(frozen=True)
 class QuadForm:
-    """A regular diagonal form <d1, ..., dn>, entries nonzero rationals."""
+    """A regular diagonal form <d1, ..., dn>, entries nonzero rationals.
+
+    The square classes of the entries and the invariants built from them
+    are computed on first use and then kept on the (immutable) form.
+    """
 
     entries: tuple[Fraction, ...]
 
@@ -58,6 +64,31 @@ class QuadForm:
     def bilinear(self, v: Sequence[Rational], w: Sequence[Rational]) -> Fraction:
         return sum((e * as_fraction(x) * as_fraction(y)
                     for e, x, y in zip(self.entries, v, w)), Fraction(0))
+
+    @cached_property
+    def square_classes(self) -> tuple[int, ...]:
+        """The signed squarefree class a_j of each entry."""
+        return tuple(squarefree_part(e) for e in self.entries)
+
+    @cached_property
+    def prefix_classes(self) -> tuple[int, ...]:
+        """The square classes of a_1 ... a_j for j = 1..n; the last one is
+        the determinant class.  For squarefree x, y the class of xy is
+        (x/g)(y/g) with g = gcd(x, y), so nothing is factored here."""
+        out, prefix = [], 1
+        for a in self.square_classes:
+            g = gcd(prefix, a)
+            prefix = (prefix // g) * (a // g)
+            out.append(prefix)
+        return tuple(out)
+
+    @cached_property
+    def hasse(self) -> BrauerClass:
+        """sum_j (a_1 ... a_{j-1}, a_j); see hasse_class."""
+        total = ZERO
+        for p, a in zip(self.prefix_classes, self.square_classes[1:]):
+            total = total + brauer_from_symbol(p, a)
+        return total
 
 
 def diagonal(*entries: Rational) -> QuadForm:
@@ -101,9 +132,9 @@ def hyperbolic(m: int = 1) -> QuadForm:
 # --- invariants -----------------------------------------------------------
 
 def det_class(q: QuadForm) -> int:
-    # factored entry by entry: the product can be far beyond the trial
-    # division budget even when every entry is within it
-    return square_class_product(*q.entries) if q.dim else 1
+    # the running product of the entries' square classes: the product of
+    # the entries themselves can be far beyond the trial division budget
+    return q.prefix_classes[-1] if q.dim else 1
 
 
 def e1(q: QuadForm) -> int:
@@ -120,11 +151,13 @@ def signature(q: QuadForm) -> int:
 
 
 def hasse_class(q: QuadForm) -> BrauerClass:
-    """Hasse-Witt invariant, packaged as a Brauer class."""
-    total = ZERO
-    for a, b in combinations(q.entries, 2):
-        total = total + brauer_from_symbol(a, b)
-    return total
+    """Hasse-Witt invariant sum_{i<j} (a_i, a_j), packaged as a Brauer class.
+
+    Grouping the pairs by their second index and using bilinearity in the
+    first slot gives sum_j (a_1 ... a_{j-1}, a_j): n - 1 symbols instead of
+    n(n - 1)/2.  Computed once per form and kept on it.
+    """
+    return q.hasse
 
 
 def _clifford_correction(dim: int, det: int) -> BrauerClass:
@@ -176,9 +209,10 @@ def _support_places(q: QuadForm) -> list:
 
 
 def _local_hasse(q: QuadForm, v) -> int:
+    # the prefix form of hasse_class, one Hilbert symbol per entry
     eps = 1
-    for a, b in combinations(q.entries, 2):
-        eps *= hilbert_symbol(a, b, v)
+    for p, a in zip(q.prefix_classes, q.square_classes[1:]):
+        eps *= hilbert_symbol(p, a, v)
     return eps
 
 
@@ -373,7 +407,7 @@ def isotropic_vector(q: QuadForm,
     """An exact nonzero vector with q(v) = 0, primitive integral entries."""
     if q.dim == 0 or not is_isotropic(q):
         raise DomainError("form is anisotropic over Q")
-    s = [squarefree_part(e) for e in q.entries]
+    s = list(q.square_classes)
     t = [_sqrt_fraction(e / sf) for e, sf in zip(q.entries, s)]
     y = _int_isotropic(s, limits)
     v = _primitive(Fraction(yi) / ti for yi, ti in zip(y, t))
@@ -520,12 +554,17 @@ def _anisotropic_rep(dim0: int, d: int, c: BrauerClass, sig: int,
     if abs(sig) != dim0:
         # an indefinite form in five or more variables is isotropic
         return None
+    # definite: <eps, ..., eps> + a definite quaternary, whose invariants
+    # come from peeling the units off one at a time
     eps = 1 if sig > 0 else -1
-    d2, c2 = _peel_unit(dim0, d, c, eps)
-    sub = _anisotropic_rep(dim0 - 1, d2, c2, sig - eps, limits)
+    d4, c4 = d, c
+    for dim in range(dim0, 4, -1):
+        d4, c4 = _peel_unit(dim, d4, c4, eps)
+    sub = _quaternary_rep(d4, c4, 4 * eps, limits)
     if sub is None:
         return None
-    return _accepted(direct_sum(diagonal(eps), sub), d, c, sig)
+    units = diagonal(*[eps] * (dim0 - 4))
+    return _accepted(direct_sum(units, sub), d, c, sig)
 
 
 def witt_decompose(q: QuadForm,
@@ -619,7 +658,7 @@ def divide_by_binary(q: QuadForm, d: Rational,
     if not is_hyperbolic_over(q, sd):
         raise DomainError(f"form stays non-hyperbolic over Q(sqrt {sd})")
     slots: list[Fraction] = []
-    r = QuadForm(tuple(Fraction(squarefree_part(e)) for e in q.entries))
+    r = QuadForm(tuple(Fraction(a) for a in q.square_classes))
     while r.dim:
         c = r.entries[0]
         slots.append(c)
@@ -628,7 +667,7 @@ def divide_by_binary(q: QuadForm, d: Rational,
         pad = (w.total_dim - 4 - w.kernel.dim) // 2
         assert pad >= 0, (q, sd, r)
         r = direct_sum(w.kernel, hyperbolic(pad)) if pad else w.kernel
-        r = QuadForm(tuple(Fraction(squarefree_part(e)) for e in r.entries))
+        r = QuadForm(tuple(Fraction(a) for a in r.square_classes))
     tau = QuadForm(tuple(slots))
     assert isometric(tensor(tau, diagonal(1, -sd)), q), (q, sd, tau)
     return tau
@@ -647,7 +686,7 @@ def from_json(data: dict) -> QuadForm:
     if not isinstance(raw, list):
         raise DomainError("'entries' must be a list")
     try:
-        entries = tuple(Fraction(str(x)) for x in raw)
+        entries = tuple(rational_from_json(x) for x in raw)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"bad rational in entries: {exc}") from None
     return QuadForm(entries)

@@ -15,7 +15,7 @@ from . import _linalg
 from .cohomology import BrauerClass, brauer_from_symbol, find_quaternion_symbol
 from .config import DEFAULT_LIMITS, SearchLimits
 from .errors import BoundExceeded, DomainError
-from .qarith import Rational, as_fraction, squarefree_part
+from .qarith import Rational, as_fraction, rational_from_json, squarefree_part
 from .quadform import QuadForm, diagonal, direct_sum, is_isotropic, \
     isotropic_vector, neg, represent_value
 
@@ -304,8 +304,8 @@ def algebra_from_json(data) -> QuaternionAlgebra:
     if not isinstance(data, dict) or "a" not in data or "b" not in data:
         raise DomainError("an algebra is {\"a\": ..., \"b\": ...}")
     try:
-        return QuaternionAlgebra(Fraction(str(data["a"])),
-                                 Fraction(str(data["b"])))
+        return QuaternionAlgebra(rational_from_json(data["a"]),
+                                 rational_from_json(data["b"]))
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"bad algebra parameter: {exc}") from None
 
@@ -325,7 +325,7 @@ def elem_from_json(data, expected: QuaternionAlgebra | None = None) -> Quat:
     if not isinstance(coords, list) or len(coords) != 4:
         raise DomainError("coords must be four rationals")
     try:
-        coeffs = tuple(Fraction(str(c)) for c in coords)
+        coeffs = tuple(rational_from_json(c) for c in coords)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"bad rational in quaternion: {exc}") from None
     return Quat(alg, coeffs)

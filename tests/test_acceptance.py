@@ -1,19 +1,25 @@
 """Budgeted end-to-end property suite.
 
-Nine desk-scale checks, one test per property, each with a fixed seed and a
-wall-clock budget asserted at the end.  Run with -v for one pass/fail line
-per property; -s additionally shows the measured times.  These are the
-checks a release must pass; the narrower unit files pin implementation
-details instead.
+Desk-scale checks, one test per property, each with a fixed seed and a
+wall-clock budget asserted at the end.  The last three are scaling guards:
+inputs whose cost grew with the size of an entry, the dimension or the
+number of primes until they hung or overflowed the stack.  Run with -v
+for one pass/fail line per property; -s additionally shows the measured
+times.  These are the checks a release must pass; the narrower unit files
+pin implementation details instead.
 """
 
+import io
 import itertools
+import json
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 from random import Random
 
 from wittforge import invol12, sampling
+from wittforge.cli import main as cli_main
 from wittforge.cohomology import brauer_from_symbol
+from wittforge.errors import BoundExceeded
 from wittforge.hermitian import disc_adjoint, skew_form, to_quadratic_form
 from wittforge.invol12 import (
     M3H,
@@ -226,3 +232,50 @@ def test_hermitian_discriminant_transport():
             form = sampling.random_skew_form(rng, alg, rng.randrange(1, 4))
             quad = to_quadratic_form(form)
             assert disc_adjoint(form) == e1(quad), form
+
+
+def _cli_report(tmp_path, argv, payload) -> tuple[int, dict | None]:
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli_main(argv + [str(path)])
+    return code, json.loads(out.getvalue()) if code == 0 else None
+
+
+def test_invariants_of_a_large_prime_entry(tmp_path):
+    # 2^61 - 1 is past trial division; Miller-Rabin settles it
+    with _budget("invariants with entry 2^61 - 1", 5):
+        code, report = _cli_report(
+            tmp_path, ["qf", "invariants"],
+            {"entries": ["2305843009213693951", "1"]})
+    assert code == 0
+    assert report["outputs"]["e1"] == "-2305843009213693951"
+    assert report["outputs"]["witt_index"] == 0
+
+
+def test_invariants_of_a_dim_1000_definite_form(tmp_path):
+    with _budget("invariants at dim 1000", 5):
+        code, report = _cli_report(tmp_path, ["qf", "invariants"],
+                                   {"entries": ["1"] * 1000})
+    assert code == 0
+    outputs = report["outputs"]
+    assert outputs["dim"] == outputs["signature"] == 1000
+    assert outputs["witt_index"] == 0
+    assert outputs["e1"] == "1" and outputs["e2"] == [] and outputs["e3"] == 1
+
+
+def test_decompose_split12_with_25_primes():
+    rng = Random(110)
+    answered = 0
+    for _ in range(8):
+        psi = sampling.split12_with_primes(rng, 25)
+        with _budget("decompose12 at 25 primes", 5):
+            try:
+                dec = decompose_split12(psi)
+            except BoundExceeded:
+                continue
+        assert dec.d == -1, psi
+        assert isometric(dec.reconstruction(), psi), psi
+        answered += 1
+    assert answered, "no 25-prime instance answered"

@@ -200,6 +200,28 @@ def test_bad_rational_is_malformed_input(tmp_path, capsys):
     assert json.loads(err)["error"] == "malformed-input"
 
 
+def test_json_floats_are_malformed_input(tmp_path, capsys):
+    # 1.1 is not 11/10 in binary; only strings and integers are exact
+    path = _write(tmp_path, "form.json", {"entries": [1.1, 1]})
+    code, out, err = _run(capsys, "qf", "invariants", path)
+    assert code == 2 and out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "malformed-input"
+    assert "float" in diagnostic["message"]
+    pres = {"a0": {"split": {"entries": ["1"] * 6}},
+            "h": {"alg": {"a": -1.0, "b": "-1"},
+                  "i": {"alg": {"a": "-1", "b": "-1"},
+                        "coords": ["0", "1", "0", "0"]}}}
+    code, out, err = _run(capsys, "alg", "f3",
+                          _write(tmp_path, "pres.json", pres))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "malformed-input"
+    # integers stay exact and are accepted as before
+    code, out, _ = _run(capsys, "qf", "invariants",
+                        _write(tmp_path, "ints.json", {"entries": [1, -1]}))
+    assert code == 0 and json.loads(out)["outputs"]["witt_index"] == 1
+
+
 def test_bad_symbol_pair_is_malformed_input(capsys):
     code, out, err = _run(capsys, "alg", "exists", "--h1=-1", "--h2=2,3")
     assert code == 2 and out == ""

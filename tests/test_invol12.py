@@ -7,11 +7,13 @@ code beyond the symbol layer, so their agreement is a real cross-check.
 """
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wittforge import sampling
 from wittforge.cohomology import ZERO, brauer_from_symbol
 from wittforge.errors import DomainError
 from wittforge.hermitian import skew_form
@@ -224,6 +226,17 @@ def test_decompose_split12_preconditions():
     assert not e2(psi).is_zero()
     with pytest.raises(DomainError):
         decompose_split12(psi)
+
+
+def test_decompose_split12_always_divides_by_minus_one():
+    # trivial e1 and e2 put psi in I^3, which dies over Q(sqrt -1)
+    rng = Random(202)
+    for k in range(2, 17):
+        for _ in range(3):
+            psi = sampling.split12_with_primes(rng, k)
+            dec = decompose_split12(psi)
+            assert dec.d == -1, (k, psi)
+            assert isometric(dec.reconstruction(), psi), (k, psi)
 
 
 def test_pfister_decomposition_validates_beta_product():

@@ -7,6 +7,7 @@ implementation is reused in the oracle.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from wittforge.errors import BoundExceeded, DomainError
 from wittforge.qarith import (
+    MILLER_RABIN_BOUND,
     REAL,
     factor,
     hilbert_symbol,
@@ -23,6 +25,7 @@ from wittforge.qarith import (
     legendre,
     padic_valuation,
     ramified_places,
+    rational_from_json,
     squarefree_part,
 )
 
@@ -96,6 +99,55 @@ def test_factor_refuses_unfactored_cofactor():
 
 def test_is_prime_small():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def _trial_division_is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    # straddles the switch from trial division to Miller-Rabin at 43^2
+    for n in range(-3, 20000):
+        assert is_prime(n) == _trial_division_is_prime(n), n
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # each is the least composite passing the strong test to the first
+    # k prime bases, for k = 1, 2, 3, 4, 5, 6, 7, 9, 12; the base 41
+    # catches the last, and the k = 13 one is where the proof stops
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747,
+              3474749660383, 341550071728321, 3825123056546413051,
+              318665857834031151167461):
+        assert not is_prime(n), n
+    for n in (561, 41041, 825265, 2**67 - 1, (10**7 + 19) * (10**7 + 79)):
+        assert not is_prime(n), n
+
+
+def test_is_prime_large_primes():
+    for n in (2**31 - 1, 2**61 - 1, 10**18 + 9, 10**24 + 7):
+        assert n < MILLER_RABIN_BOUND and is_prime(n), n
+
+
+def test_is_prime_refuses_above_its_proven_range():
+    with pytest.raises(BoundExceeded):
+        is_prime(MILLER_RABIN_BOUND)       # itself a strong pseudoprime
+    with pytest.raises(BoundExceeded):
+        is_prime(2**89 - 1)
+
+
+def test_factor_accepts_a_large_prime_cofactor():
+    assert factor(2 * (2**61 - 1)) == ((2, 1), (2**61 - 1, 1))
+
+
+def test_rational_from_json():
+    assert rational_from_json("-5/8") == Fraction(-5, 8)
+    assert rational_from_json(" 3 ") == 3
+    assert rational_from_json(-7) == -7
+    for bad in (1.1, 2.0, True, None, [1], {"n": 1}):
+        with pytest.raises(DomainError):
+            rational_from_json(bad)
+    with pytest.raises(ValueError):
+        rational_from_json("sqrt2")
 
 
 def test_is_square():

@@ -7,6 +7,7 @@ Witt invariance across every dimension residue.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +15,12 @@ from hypothesis import strategies as st
 
 from wittforge.cohomology import ZERO, H3Class, brauer_from_symbol
 from wittforge.errors import DomainError
-from wittforge.qarith import REAL, squarefree_part
+from wittforge.qarith import (REAL, hilbert_symbol, square_class_product,
+                              squarefree_part)
 from wittforge.quadform import (
     QuadForm,
+    _local_hasse,
+    _support_places,
     clifford_class,
     det_class,
     diagonal,
@@ -195,6 +199,16 @@ def test_computed_values_are_represented(q, v):
     assert q(w) == c
 
 
+def test_witt_decompose_long_definite_form():
+    # one unit is peeled per dimension; doing that by recursion overflowed
+    # the interpreter stack well before dim 1000
+    for sign in (1, -1):
+        q = diagonal(*[sign] * 1000)
+        w = witt_decompose(q)
+        assert w.index == 0 and w.kernel.dim == 1000
+        assert isometric(w.kernel, q)
+
+
 def test_witt_decompose_frozen():
     w = witt_decompose(diagonal(1, 1, -2))
     assert w.index == 1
@@ -300,3 +314,54 @@ def test_json_roundtrip():
         from_json({"entries": "nope"})
     with pytest.raises(DomainError):
         from_json({"entries": ["x"]})
+
+
+# --- Hasse class in n - 1 symbols, cached per form ------------------------
+
+hasse_forms = st.lists(
+    st.one_of(st.sampled_from([1, -1, 2, -3, 6, Fraction(-5, 4)]),
+              st.fractions(min_value=-60, max_value=60, max_denominator=12)
+              .filter(lambda f: f != 0)),
+    min_size=0, max_size=30,
+).map(lambda xs: diagonal(*xs))
+
+
+def _pairwise_hasse(q: QuadForm):
+    """The textbook definition, sum over all pairs i < j of (a_i, a_j)."""
+    total = ZERO
+    for a, b in combinations(q.entries, 2):
+        total = total + brauer_from_symbol(a, b)
+    return total
+
+
+def _pairwise_local_hasse(q: QuadForm, v) -> int:
+    eps = 1
+    for a, b in combinations(q.entries, 2):
+        eps *= hilbert_symbol(a, b, v)
+    return eps
+
+
+@given(hasse_forms)
+@settings(max_examples=80, deadline=None)
+def test_hasse_class_matches_pairwise_definition(q):
+    cls = hasse_class(q)
+    assert cls == _pairwise_hasse(q), q
+    for v in _support_places(q) + [11]:
+        eps = _local_hasse(q, v)
+        assert eps == _pairwise_local_hasse(q, v), (q, v)
+        assert (eps == -1) == cls.is_ramified_at(v), (q, v)
+
+
+@given(hasse_forms)
+@settings(max_examples=60, deadline=None)
+def test_equal_forms_carry_equal_cached_invariants(q):
+    invariants = (e1(q), hasse_class(q), clifford_class(q), signature(q))
+    twin = QuadForm(tuple(q.entries))
+    assert twin == q and hash(twin) == hash(q)
+    assert (e1(twin), hasse_class(twin), clifford_class(twin),
+            signature(twin)) == invariants
+    assert twin.square_classes == q.square_classes == tuple(
+        squarefree_part(e) for e in q.entries)
+    if q.dim:
+        assert det_class(q) == square_class_product(*q.entries)
+    assert isometric(q, twin)
