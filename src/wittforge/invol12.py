@@ -45,7 +45,6 @@ from .quadform import (
     e1,
     e2,
     e3,
-    is_hyperbolic_over,
     isometric,
     neg,
     pfister,
@@ -230,15 +229,15 @@ def decompose_split12(psi: QuadForm,
     Trivial e1 and e2 put psi in I^3.  Over Q, I^3 is detected by the
     signatures at the real places, and Q(sqrt -1) has none, so psi becomes
     hyperbolic there: <<-1>> = <1, 1> always divides psi, and no other
-    candidate d ever needs to be tried.  The division itself is a search
-    and may still run out of budget.
+    candidate d ever needs to be tried.  divide_by_binary checks that
+    hyperbolicity itself; the division is a search and may still run out
+    of budget.
     """
     if psi.dim != 12:
         raise DomainError("decomposition wants a dim 12 form")
     if e1(psi) != 1 or not e2(psi).is_zero():
         raise DomainError("decomposition wants trivial e1 and e2")
     d = -1
-    assert is_hyperbolic_over(psi, d), psi
     tau = divide_by_binary(psi, d, limits)
     entries = sorted(tau.entries,
                      key=lambda f: (max(abs(f.numerator), f.denominator),

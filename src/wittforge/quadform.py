@@ -22,6 +22,7 @@ from .errors import BoundExceeded, DomainError
 from .qarith import (
     REAL,
     Rational,
+    _hilbert_core,
     as_fraction,
     factor,
     hilbert_symbol,
@@ -38,8 +39,8 @@ from .qarith import (
 class QuadForm:
     """A regular diagonal form <d1, ..., dn>, entries nonzero rationals.
 
-    The square classes of the entries and the invariants built from them
-    are computed on first use and then kept on the (immutable) form.
+    The square classes of the entries are computed on first use and then
+    kept on the (immutable) form; every invariant is built from them.
     """
 
     entries: tuple[Fraction, ...]
@@ -67,28 +68,8 @@ class QuadForm:
 
     @cached_property
     def square_classes(self) -> tuple[int, ...]:
-        """The signed squarefree class a_j of each entry."""
+        """The signed squarefree class of each entry."""
         return tuple(squarefree_part(e) for e in self.entries)
-
-    @cached_property
-    def prefix_classes(self) -> tuple[int, ...]:
-        """The square classes of a_1 ... a_j for j = 1..n; the last one is
-        the determinant class.  For squarefree x, y the class of xy is
-        (x/g)(y/g) with g = gcd(x, y), so nothing is factored here."""
-        out, prefix = [], 1
-        for a in self.square_classes:
-            g = gcd(prefix, a)
-            prefix = (prefix // g) * (a // g)
-            out.append(prefix)
-        return tuple(out)
-
-    @cached_property
-    def hasse(self) -> BrauerClass:
-        """sum_j (a_1 ... a_{j-1}, a_j); see hasse_class."""
-        total = ZERO
-        for p, a in zip(self.prefix_classes, self.square_classes[1:]):
-            total = total + brauer_from_symbol(p, a)
-        return total
 
 
 def diagonal(*entries: Rational) -> QuadForm:
@@ -131,10 +112,20 @@ def hyperbolic(m: int = 1) -> QuadForm:
 
 # --- invariants -----------------------------------------------------------
 
+def _class_mul(x: int, y: int) -> int:
+    # the square class of xy for signed squarefree x, y: (x/g)(y/g) with
+    # g = gcd(x, y), so a running product of classes is never factored
+    g = gcd(x, y)
+    return (x // g) * (y // g)
+
+
 def det_class(q: QuadForm) -> int:
     # the running product of the entries' square classes: the product of
     # the entries themselves can be far beyond the trial division budget
-    return q.prefix_classes[-1] if q.dim else 1
+    d = 1
+    for a in q.square_classes:
+        d = _class_mul(d, a)
+    return d
 
 
 def e1(q: QuadForm) -> int:
@@ -155,9 +146,13 @@ def hasse_class(q: QuadForm) -> BrauerClass:
 
     Grouping the pairs by their second index and using bilinearity in the
     first slot gives sum_j (a_1 ... a_{j-1}, a_j): n - 1 symbols instead of
-    n(n - 1)/2.  Computed once per form and kept on it.
+    n(n - 1)/2.  The running product a_1 ... a_{j-1} is carried as a square
+    class and never factored; the sum is evaluated place by place, and only
+    the real place, 2 and the primes of the entries' square classes can
+    ramify.
     """
-    return q.hasse
+    return BrauerClass(frozenset(v for v in _support_places(q)
+                                 if _local_hasse(q, v) == -1))
 
 
 def _clifford_correction(dim: int, det: int) -> BrauerClass:
@@ -199,20 +194,26 @@ def e3(q: QuadForm) -> H3Class:
 # --- isotropy over Q ------------------------------------------------------
 
 def _support_places(q: QuadForm) -> list:
+    # every place where a symbol (x, y) of square classes of products of
+    # entries can ramify; the factorizations are the ones squarefree_part
+    # made of the same integers, so they come from factor's cache
     primes = {2}
     for e in q.entries:
-        for p, _ in factor(abs(e.numerator)):
-            primes.add(p)
-        for p, _ in factor(e.denominator):
-            primes.add(p)
+        primes.update(p for p, k in factor(abs(e.numerator * e.denominator))
+                      if k % 2)
     return [REAL] + sorted(primes)
 
 
 def _local_hasse(q: QuadForm, v) -> int:
-    # the prefix form of hasse_class, one Hilbert symbol per entry
-    eps = 1
-    for p, a in zip(q.prefix_classes, q.square_classes[1:]):
-        eps *= hilbert_symbol(p, a, v)
+    # the prefix form of hasse_class, one Hilbert symbol per entry; v is a
+    # checked place and every argument a signed squarefree int
+    if not q.dim:
+        return 1
+    a = q.square_classes
+    eps, prefix = 1, a[0]
+    for x in a[1:]:
+        eps *= _hilbert_core(prefix, x, v)
+        prefix = _class_mul(prefix, x)
     return eps
 
 

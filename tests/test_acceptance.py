@@ -1,9 +1,10 @@
 """Budgeted end-to-end property suite.
 
 Desk-scale checks, one test per property, each with a fixed seed and a
-wall-clock budget asserted at the end.  The last three are scaling guards:
+wall-clock budget asserted at the end.  The last four are scaling guards:
 inputs whose cost grew with the size of an entry, the dimension or the
-number of primes until they hung or overflowed the stack.  Run with -v
+number of primes until they hung, overflowed the stack or ran out of the
+factoring budget.  Run with -v
 for one pass/fail line per property; -s additionally shows the measured
 times.  These are the checks a release must pass; the narrower unit files
 pin implementation details instead.
@@ -18,7 +19,7 @@ from random import Random
 
 from wittforge import invol12, sampling
 from wittforge.cli import main as cli_main
-from wittforge.cohomology import brauer_from_symbol
+from wittforge.cohomology import brauer_from_symbol, brauer_sum
 from wittforge.errors import BoundExceeded
 from wittforge.hermitian import disc_adjoint, skew_form, to_quadratic_form
 from wittforge.invol12 import (
@@ -40,6 +41,7 @@ from wittforge.quadform import (
     direct_sum,
     e1,
     e2,
+    hasse_class,
     isometric,
     neg,
     pfister,
@@ -54,6 +56,8 @@ from wittforge.quat import (
     pure_with_square,
 )
 from wittforge.ramlattice import analyze_obstruction, obstruction_check
+
+from split12 import split12_with_primes
 
 
 @contextmanager
@@ -269,7 +273,7 @@ def test_decompose_split12_with_25_primes():
     rng = Random(110)
     answered = 0
     for _ in range(8):
-        psi = sampling.split12_with_primes(rng, 25)
+        psi = split12_with_primes(rng, 25)
         with _budget("decompose12 at 25 primes", 5):
             try:
                 dec = decompose_split12(psi)
@@ -279,3 +283,20 @@ def test_decompose_split12_with_25_primes():
         assert isometric(dec.reconstruction(), psi), psi
         answered += 1
     assert answered, "no 25-prime instance answered"
+
+
+def test_hasse_class_with_entries_near_a_million():
+    # products of two or more entries are past the trial division budget,
+    # so the running product in the n - 1 symbol sum must never be factored
+    def pairwise(q):
+        return brauer_sum(brauer_from_symbol(a, b)
+                          for a, b in itertools.combinations(q.entries, 2))
+
+    two = diagonal(1000003, 1000033, 1)
+    six = diagonal(999983, -999979, 999961, 999953, -999931, 999917)
+    with _budget("Hasse class, entries near 10^6", 2):
+        assert hasse_class(two) == brauer_from_symbol(1000003, 1000033)
+        # at dim 6 the Clifford correction is (-1, -1), free of the det
+        for q in (direct_sum(two, diagonal(1, 1, -1)), six):
+            assert hasse_class(q) == pairwise(q)
+            assert e2(q) == pairwise(q) + brauer_from_symbol(-1, -1)

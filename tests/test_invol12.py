@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittforge import sampling
 from wittforge.cohomology import ZERO, brauer_from_symbol
 from wittforge.errors import DomainError
 from wittforge.hermitian import skew_form
@@ -59,6 +58,9 @@ from wittforge.quat import (
     pure,
     pure_with_square,
 )
+
+from split12 import split12_with_primes
+
 
 H_HAMILTON = algebra(-1, -1)
 
@@ -233,7 +235,7 @@ def test_decompose_split12_always_divides_by_minus_one():
     rng = Random(202)
     for k in range(2, 17):
         for _ in range(3):
-            psi = sampling.split12_with_primes(rng, k)
+            psi = split12_with_primes(rng, k)
             dec = decompose_split12(psi)
             assert dec.d == -1, (k, psi)
             assert isometric(dec.reconstruction(), psi), (k, psi)

@@ -325,6 +325,18 @@ hasse_forms = st.lists(
     min_size=0, max_size=30,
 ).map(lambda xs: diagonal(*xs))
 
+# one prime near 10^6 per entry, so products of several entries are past
+# the trial division budget while each entry is within it
+LARGE_PRIMES = [999917, 999931, 999953, 999979, 999983,
+                1000003, 1000033, 1000037, 1000039]
+large_prime_forms = st.lists(
+    st.one_of(st.sampled_from([1, -1, 2, -3, Fraction(-5, 4)]),
+              st.builds(lambda p, c: p * c, st.sampled_from(LARGE_PRIMES),
+                        st.sampled_from([1, -1, 3, -2, Fraction(1, 4),
+                                         Fraction(-7, 9)]))),
+    min_size=0, max_size=30,
+).map(lambda xs: diagonal(*xs))
+
 
 def _pairwise_hasse(q: QuadForm):
     """The textbook definition, sum over all pairs i < j of (a_i, a_j)."""
@@ -341,8 +353,8 @@ def _pairwise_local_hasse(q: QuadForm, v) -> int:
     return eps
 
 
-@given(hasse_forms)
-@settings(max_examples=80, deadline=None)
+@given(st.one_of(hasse_forms, large_prime_forms))
+@settings(max_examples=120, deadline=None)
 def test_hasse_class_matches_pairwise_definition(q):
     cls = hasse_class(q)
     assert cls == _pairwise_hasse(q), q
