@@ -25,7 +25,7 @@ from . import hermitian, invol12, quadform, ramlattice, sampling
 from .cohomology import BrauerClass
 from .config import DEFAULT_LIMITS
 from .errors import BoundExceeded, DomainError
-from .qarith import ramified_places
+from .qarith import ramified_places, rational_from_json
 from .quat import algebra
 from .quadform import (QuadForm, direct_sum, e1, e2, e3, isometric, pfister,
                        scale, signature, witt_decompose, witt_equivalent)
@@ -48,7 +48,9 @@ def _load(path: str, decode):
     text = _read_source(path)
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer literal past the interpreter's
+        # digit limit for int()
         raise _LoadError(f"{path}: not JSON: {exc}") from exc
     try:
         return decode(data)
@@ -58,7 +60,7 @@ def _load(path: str, decode):
 
 def _rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return rational_from_json(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise _LoadError(f"not a rational number: {text!r}") from exc
 

@@ -26,13 +26,34 @@ def as_fraction(x: Rational) -> Fraction:
     return Fraction(x)
 
 
+# Entries are refused past this many decimal digits, or past this decimal
+# exponent, before any arithmetic: "1e400000" would otherwise be built as
+# an exact 400001-digit integer and then trial-divided.
+MAX_ENTRY_DIGITS = 1000
+_ENTRY_BOUND = 10 ** MAX_ENTRY_DIGITS
+
+
+def _oversized(text: str) -> bool:
+    if sum(ch.isdigit() for ch in text) > MAX_ENTRY_DIGITS:
+        return True
+    _, marker, exponent = text.upper().partition("E")
+    try:
+        return bool(marker) and abs(int(exponent)) > MAX_ENTRY_DIGITS
+    except ValueError:
+        return False    # malformed, and Fraction refuses it
+
+
 def rational_from_json(x) -> Fraction:
     """The rational a JSON value spells exactly: an int or a string such as
-    "-3" or "5/8".  Floats are refused rather than read as the decimal they
-    print as, since 1.1 is not 11/10 in binary."""
+    "-3", "5/8" or "1.5e3".  Floats are refused rather than read as the
+    decimal they print as, since 1.1 is not 11/10 in binary; so is any
+    entry with more than MAX_ENTRY_DIGITS digits or a larger exponent."""
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise DomainError(f"expected an exact rational string or integer, "
                           f"got {type(x).__name__} {x!r}")
+    if (abs(x) >= _ENTRY_BOUND if isinstance(x, int) else _oversized(x)):
+        raise DomainError(f"entry exceeds {MAX_ENTRY_DIGITS} digits or "
+                          f"exponent {MAX_ENTRY_DIGITS}")
     return Fraction(x)
 
 
@@ -91,8 +112,9 @@ def check_place(v: Place) -> Place:
 def factor(n: int, bound: int = DEFAULT_LIMITS.factor_bound) -> tuple[tuple[int, int], ...]:
     """Prime factorization of a positive integer as ((p, e), ...), p ascending.
 
-    Trial division only; a surviving cofactor above bound**2 means a prime
-    factor may have been missed, so we refuse rather than guess.
+    Trial division, then a surviving cofactor above bound**2 must be a
+    prime or the square of one; otherwise a prime factor may have been
+    missed, so we refuse rather than guess.
     """
     if n <= 0:
         raise DomainError("factor() wants a positive integer")
@@ -108,9 +130,13 @@ def factor(n: int, bound: int = DEFAULT_LIMITS.factor_bound) -> tuple[tuple[int,
             m //= p
             e += 1
         out.append((p, e))
-    if m > 1:
-        if m > bound * bound and not is_prime(m):
+    if m > bound * bound:
+        r = isqrt(m)
+        if r * r == m and is_prime(r):
+            return (*out, (r, 2))
+        if not is_prime(m):
             raise BoundExceeded(f"cofactor {m} not factored within bound {bound}")
+    if m > 1:
         out.append((m, 1))
     return tuple(out)
 
@@ -286,7 +312,11 @@ def ramified_places(a: Rational, b: Rational) -> frozenset[Place]:
 def is_local_square(a: Rational, v: Place) -> bool:
     """Whether a is a square in the completion at v."""
     check_place(v)
-    s = squarefree_part(a)
+    return _local_square_core(squarefree_part(a), v)
+
+
+def _local_square_core(s: int, v: Place) -> bool:
+    # s signed squarefree and v a checked place, so nothing is factored
     if s == 1:
         return True
     if v == REAL:

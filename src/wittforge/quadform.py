@@ -23,6 +23,7 @@ from .qarith import (
     REAL,
     Rational,
     _hilbert_core,
+    _local_square_core,
     as_fraction,
     factor,
     hilbert_symbol,
@@ -151,19 +152,33 @@ def hasse_class(q: QuadForm) -> BrauerClass:
     the real place, 2 and the primes of the entries' square classes can
     ramify.
     """
-    return BrauerClass(frozenset(v for v in _support_places(q)
-                                 if _local_hasse(q, v) == -1))
+    return _hasse_plus(q, 1)
+
+
+def _hasse_plus(q: QuadForm, b: int) -> BrauerClass:
+    # the Hasse class plus the symbol (-1, b), b a signed squarefree int
+    # whose primes divide the entries: every place where either ramifies
+    # is a support place, and no argument is factored again
+    return BrauerClass(frozenset(
+        v for v in _support_places(q)
+        if _local_hasse(q, v) * _hilbert_core(-1, b, v) == -1))
+
+
+def _correction_slot(dim: int, det: int) -> int:
+    # the Clifford correction in dimension dim is the symbol (-1, b)
+    n = dim % 8
+    if n in (3, 4):
+        return -det
+    if n in (5, 6):
+        return -1
+    if n in (7, 0) and dim > 0:
+        return det
+    return 1
 
 
 def _clifford_correction(dim: int, det: int) -> BrauerClass:
-    n = dim % 8
-    if n in (3, 4):
-        return brauer_from_symbol(-1, -det)
-    if n in (5, 6):
-        return brauer_from_symbol(-1, -1)
-    if n in (7, 0) and dim > 0:
-        return brauer_from_symbol(-1, det)
-    return ZERO
+    b = _correction_slot(dim, det)
+    return ZERO if b == 1 else brauer_from_symbol(-1, b)
 
 
 def clifford_class(q: QuadForm) -> BrauerClass:
@@ -173,7 +188,7 @@ def clifford_class(q: QuadForm) -> BrauerClass:
     The correction uses the determinant class d, not the signed discriminant;
     pinned by C0(<1,1,1>) = (-1,-1) and C(<1,1,1,-1>) split.
     """
-    return hasse_class(q) + _clifford_correction(q.dim, det_class(q))
+    return _hasse_plus(q, _correction_slot(q.dim, det_class(q)))
 
 
 def e2(q: QuadForm) -> BrauerClass:
@@ -226,14 +241,16 @@ def is_isotropic(q: QuadForm) -> bool:
         return is_square(-q.entries[0] * q.entries[1])
     if n >= 5:
         return abs(signature(q)) < n
+    # d is a signed squarefree int over the support places, so the
+    # symbols and local squares below take it as it is
     d = det_class(q)
     for v in _support_places(q):
         eps = _local_hasse(q, v)
         if n == 3:
-            if hilbert_symbol(-1, -d, v) != eps:
+            if _hilbert_core(-1, -d, v) != eps:
                 return False
         else:
-            if is_local_square(d, v) and eps != hilbert_symbol(-1, -1, v):
+            if _local_square_core(d, v) and eps != _hilbert_core(-1, -1, v):
                 return False
     return True
 

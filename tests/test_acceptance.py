@@ -1,10 +1,10 @@
 """Budgeted end-to-end property suite.
 
 Desk-scale checks, one test per property, each with a fixed seed and a
-wall-clock budget asserted at the end.  The last four are scaling guards:
-inputs whose cost grew with the size of an entry, the dimension or the
-number of primes until they hung, overflowed the stack or ran out of the
-factoring budget.  Run with -v
+wall-clock budget asserted at the end.  The tests from the large prime
+entry on are scaling guards: inputs whose cost grew with the size of an
+entry, the dimension or the number of primes until they hung, overflowed
+the stack or ran out of the factoring budget.  Run with -v
 for one pass/fail line per property; -s additionally shows the measured
 times.  These are the checks a release must pass; the narrower unit files
 pin implementation details instead.
@@ -37,11 +37,13 @@ from wittforge.invol12 import (
 )
 from wittforge.qarith import ramified_places, squarefree_part
 from wittforge.quadform import (
+    clifford_class,
     diagonal,
     direct_sum,
     e1,
     e2,
     hasse_class,
+    is_isotropic,
     isometric,
     neg,
     pfister,
@@ -300,3 +302,38 @@ def test_hasse_class_with_entries_near_a_million():
         for q in (direct_sum(two, diagonal(1, 1, -1)), six):
             assert hasse_class(q) == pairwise(q)
             assert e2(q) == pairwise(q) + brauer_from_symbol(-1, -1)
+
+
+def test_clifford_class_and_isotropy_with_entries_near_a_million():
+    # the determinant class p q is past the trial division budget, so the
+    # dimension correction and the local criteria must take it unfactored
+    p, q = 1000003, 1000033
+    with _budget("Clifford class and isotropy, det near 10^12", 2):
+        for c in (1, -1):
+            form = diagonal(p, q, c)
+            # dim 3: the correction (-1, -pqc) split by bilinearity
+            correction = brauer_sum(brauer_from_symbol(-1, x)
+                                    for x in (-c, p, q))
+            assert clifford_class(form) == hasse_class(form) + correction
+            # <p, q, c> is isotropic iff (-pc, -qc) splits
+            assert is_isotropic(form) == brauer_from_symbol(
+                -p * c, -q * c).is_zero()
+        assert is_isotropic(diagonal(p, q, 1, -1))
+        assert not is_isotropic(diagonal(p, q, 1, 1))
+        assert clifford_class(diagonal(p, q, 1, 1)) == (
+            hasse_class(diagonal(p, q, 1, 1))
+            + brauer_sum(brauer_from_symbol(-1, x) for x in (-1, p, q)))
+
+
+# pairs whose witness once left a prime-square cofactor past the trial
+# division bound in factor (the survey workload's known defects)
+PRIME_SQUARE_PAIRS = (((-1, -2), (-7, -15)), ((-2, 13), (-15, -7)),
+                      ((-10, 15), (-13, -7)), ((15, -13), (6, 11)))
+
+
+def test_existence_witnesses_through_prime_square_cofactors():
+    with _budget("existence through prime-square cofactors", 5):
+        for s1, s2 in PRIME_SQUARE_PAIRS:
+            outcome = exists_involution(algebra(*s1), algebra(*s2))
+            assert outcome.status == "witness", (s1, s2)
+            assert has_trivial_invariants(outcome.presentation), (s1, s2)

@@ -9,7 +9,11 @@ the exit codes 0 success / 1 selftest failure / 2 malformed input /
 
 import io
 import json
+import os
+import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,9 @@ TOTALLY_RAMIFIED_SLOTS = {"slots": [[[1, 0, 0, 0], [0, 1, 0, 0]],
 
 # <<5>> tensor <29, -18, 44, -5, 38, 44>, a valid decompose12 input
 SPLIT12_ENTRIES = [29, -145, -18, 90, 44, -220, -5, 25, 38, -190, 44, -220]
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _run(capsys, *argv):
@@ -179,6 +186,31 @@ def test_obstruction_rejects_dependent_monomials(tmp_path, capsys):
     assert json.loads(err)["error"] == "domain"
 
 
+def _stdout(*args, stdin=""):
+    # a fresh interpreter, with the package from this checkout first
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]]
+                               if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          input=stdin, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_obstruction_table_survives_python_O():
+    # no work the table needs may sit inside an assert
+    slots = json.dumps(TOTALLY_RAMIFIED_SLOTS)
+    for args, stdin in (
+            (["-m", "wittforge.cli", "val", "obstruction", "-"], slots),
+            ([str(ROOT / "scripts" / "obstruction_table.py"),
+              "--limit", "0"], "")):
+        plain = _stdout(*args, stdin=stdin)
+        assert plain.count("separated") >= 560
+        assert _stdout("-O", *args, stdin=stdin) == plain
+
+
 def test_missing_file_is_malformed_input(capsys):
     code, out, err = _run(capsys, "qf", "invariants", "/no/such/file.json")
     assert code == 2 and out == ""
@@ -220,6 +252,41 @@ def test_json_floats_are_malformed_input(tmp_path, capsys):
     code, out, _ = _run(capsys, "qf", "invariants",
                         _write(tmp_path, "ints.json", {"entries": [1, -1]}))
     assert code == 0 and json.loads(out)["outputs"]["witt_index"] == 1
+
+
+def test_oversized_entries_are_malformed_input(tmp_path, capsys):
+    # refused before the exact number is built, so they fail fast
+    oversized = ({"entries": ["1e400000", "1"]},
+                 {"entries": ["1", "9" * 1001]},
+                 {"entries": [10 ** 1000, 1]})
+    for payload in oversized:
+        start = time.perf_counter()
+        code, out, err = _run(capsys, "qf", "invariants",
+                              _write(tmp_path, "big.json", payload))
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "malformed-input"
+    path = _form_file(tmp_path, [1, -5])
+    for argv in (["qf", "hyper-over", path, "--d", "5e-400000"],
+                 ["alg", "exists", "--h1=-1,1e400000", "--h2=2,3"]):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2 and out == ""
+    # an integer literal past int()'s digit limit is no JSON the
+    # loader can read
+    path = tmp_path / "long.json"
+    path.write_text('{"entries": [1' + "0" * 5000 + ', 1]}')
+    code, out, err = _run(capsys, "qf", "invariants", str(path))
+    assert code == 2 and json.loads(err)["error"] == "malformed-input"
+
+
+def test_square_of_a_large_prime_entry(tmp_path, capsys):
+    # 1000003^2 leaves a cofactor above the trial division bound that is
+    # the square of a prime, so its square class is 1
+    code, out, _ = _run(capsys, "qf", "invariants",
+                        _form_file(tmp_path, [1000003 ** 2, 1]))
+    assert code == 0
+    outputs = json.loads(out)["outputs"]
+    assert outputs["e1"] == "-1" and outputs["witt_index"] == 0
 
 
 def test_bad_symbol_pair_is_malformed_input(capsys):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from wittforge.errors import BoundExceeded, DomainError
 from wittforge.qarith import (
+    MAX_ENTRY_DIGITS,
     MILLER_RABIN_BOUND,
     REAL,
     factor,
@@ -137,6 +138,28 @@ def test_is_prime_refuses_above_its_proven_range():
 
 def test_factor_accepts_a_large_prime_cofactor():
     assert factor(2 * (2**61 - 1)) == ((2, 1), (2**61 - 1, 1))
+
+
+def test_factor_accepts_a_prime_square_cofactor():
+    p = 1000003
+    assert factor(p * p) == ((p, 2),)
+    assert factor(12 * 97149539891 ** 2) == ((2, 2), (3, 1), (97149539891, 2))
+    assert squarefree_part(-3 * p * p) == -3
+    # the square of a composite cofactor stays refused
+    with pytest.raises(BoundExceeded):
+        factor((10007 * 10009) ** 2, bound=100)
+
+
+def test_rational_from_json_caps_entry_size():
+    cap = MAX_ENTRY_DIGITS
+    assert rational_from_json("9" * cap) == 10 ** cap - 1
+    assert rational_from_json(10 ** cap - 1) == 10 ** cap - 1
+    assert rational_from_json(f"-1e{cap}") == -10 ** cap
+    assert rational_from_json(f"1E-{cap}") == Fraction(1, 10 ** cap)
+    for bad in ("9" * (cap + 1), f"1e{cap + 1}", "1e400000", "2.5e-400000",
+                "1/" + "3" * (cap + 1), 10 ** cap, -10 ** cap):
+        with pytest.raises(DomainError):
+            rational_from_json(bad)
 
 
 def test_rational_from_json():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittforge.cohomology import ZERO, H3Class, brauer_from_symbol
+from wittforge.cohomology import ZERO, H3Class, brauer_from_symbol, brauer_sum
 from wittforge.errors import DomainError
 from wittforge.qarith import (REAL, hilbert_symbol, square_class_product,
                               squarefree_part)
@@ -329,13 +329,13 @@ hasse_forms = st.lists(
 # the trial division budget while each entry is within it
 LARGE_PRIMES = [999917, 999931, 999953, 999979, 999983,
                 1000003, 1000033, 1000037, 1000039]
-large_prime_forms = st.lists(
-    st.one_of(st.sampled_from([1, -1, 2, -3, Fraction(-5, 4)]),
-              st.builds(lambda p, c: p * c, st.sampled_from(LARGE_PRIMES),
-                        st.sampled_from([1, -1, 3, -2, Fraction(1, 4),
-                                         Fraction(-7, 9)]))),
-    min_size=0, max_size=30,
-).map(lambda xs: diagonal(*xs))
+large_prime_entries = st.one_of(
+    st.sampled_from([1, -1, 2, -3, Fraction(-5, 4)]),
+    st.builds(lambda p, c: p * c, st.sampled_from(LARGE_PRIMES),
+              st.sampled_from([1, -1, 3, -2, Fraction(1, 4),
+                               Fraction(-7, 9)])))
+large_prime_forms = st.lists(large_prime_entries, min_size=0, max_size=30,
+                             ).map(lambda xs: diagonal(*xs))
 
 
 def _pairwise_hasse(q: QuadForm):
@@ -362,6 +362,33 @@ def test_hasse_class_matches_pairwise_definition(q):
         eps = _local_hasse(q, v)
         assert eps == _pairwise_local_hasse(q, v), (q, v)
         assert (eps == -1) == cls.is_ramified_at(v), (q, v)
+
+
+def _textbook_clifford(q: QuadForm):
+    """Pairwise Hasse class plus the correction (-1, -1), (-1, -det) or
+    (-1, det), the det slot split entry by entry so nothing past the
+    trial division budget is factored."""
+    n = q.dim % 8
+    slots = ([-1, *q.entries] if n in (3, 4) else [-1] if n in (5, 6)
+             else list(q.entries) if n in (7, 0) else [])
+    return _pairwise_hasse(q) + brauer_sum(brauer_from_symbol(-1, x)
+                                           for x in slots)
+
+
+@given(st.one_of(hasse_forms, large_prime_forms))
+@settings(max_examples=120, deadline=None)
+def test_clifford_class_matches_textbook_definition(q):
+    assert clifford_class(q) == _textbook_clifford(q), q
+
+
+@given(st.lists(large_prime_entries, min_size=3, max_size=3))
+@settings(max_examples=80, deadline=None)
+def test_ternary_isotropy_matches_its_quaternion_algebra(entries):
+    # <a, b, c> is isotropic iff (-ac, -bc) splits; expanded bilinearly
+    a, b, c = entries
+    split = brauer_sum(brauer_from_symbol(x, y)
+                       for x in (-1, a, c) for y in (-1, b, c))
+    assert is_isotropic(diagonal(a, b, c)) == split.is_zero(), entries
 
 
 @given(hasse_forms)

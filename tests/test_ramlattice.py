@@ -16,6 +16,7 @@ from wittforge.errors import DomainError
 from wittforge.ramlattice import (
     GAMMA_D,
     GAMMA_F,
+    TWO_GAMMA_F,
     ArmatureDecomposition,
     ValueLattice,
     all_armature_decompositions,
@@ -27,6 +28,7 @@ from wittforge.ramlattice import (
     slots_to_json,
     value_group_of_symbol,
 )
+from wittforge.ramlattice import _coset_lattice
 
 E1, E2, E3, E4 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
 ZERO = (0, 0, 0, 0)
@@ -183,6 +185,41 @@ def test_standard_basis_pair_obstruction():
     assert all(c.separated for c in report.checks)
     assert all(c.intersection == two_gamma_f for c in report.checks)
     assert obstruction_check(BASIS_D) is True
+
+
+def test_every_splitting_meets_in_two_gamma_f_by_hnf():
+    # the exact lattice intersection of every splitting, which
+    # analyze_obstruction no longer computes: its rows must be what the
+    # per-subgroup certificate concludes
+    report = analyze_obstruction(BASIS_D)
+    decs = all_armature_decompositions()
+    assert [c.splitting for c in report.checks] == decs
+    assert TWO_GAMMA_F == GAMMA_F.scaled(2)
+    for dec, check in zip(decs, report.checks):
+        for part, gens in ((dec.s, dec.s_gens()), (dec.t, dec.t_gens())):
+            assert _coset_lattice(part) == ValueLattice.value_group(*gens)
+        norm_hp = _coset_lattice(dec.s).scaled(2)
+        norm_h = _coset_lattice(dec.t).scaled(2)
+        assert TWO_GAMMA_F.is_sublattice_of(norm_hp)
+        ones = sorted(v for v in dec.t if v != ZERO)
+        pure_val = armature_valuation(
+            [None, ZERO, ZERO, ZERO], [ZERO, *ones])
+        assert any(x % 2 for x in pure_val)
+        norm_val = tuple(2 * x for x in pure_val)
+        assert norm_h.contains(norm_val)
+        assert not TWO_GAMMA_F.contains(norm_val)
+        inter = norm_hp.intersection(norm_h)
+        assert inter == TWO_GAMMA_F
+        assert check.intersection == inter and check.separated
+
+
+def test_totally_ramified_slot_sets_share_one_table():
+    # the table depends on the splittings of (Z/2)^4, never on the slots
+    other = [[(1, 1, 0, 0), (0, -1, 2, 1)], [(3, 0, 1, 0), (-1, 2, 1, 1)]]
+    first, second = analyze_obstruction(BASIS_D), analyze_obstruction(other)
+    assert first.slots != second.slots
+    assert first.checks == second.checks
+    assert second.obstructed and not second.split_factor
 
 
 def test_single_decomposition_detail():
