@@ -23,7 +23,6 @@ from random import Random
 
 from . import hermitian, invol12, quadform, ramlattice, sampling
 from .cohomology import BrauerClass
-from .config import DEFAULT_LIMITS
 from .errors import BoundExceeded, DomainError
 from .qarith import ramified_places, rational_from_json
 from .quat import algebra
@@ -90,7 +89,7 @@ def _cmd_qf_invariants(args) -> tuple[dict, int]:
     in_i2 = q.dim % 2 == 0 and det == 1
     cls = e2(q) if in_i2 else None
     in_i3 = in_i2 and cls.is_zero()
-    wd = witt_decompose(q, DEFAULT_LIMITS)
+    wd = witt_decompose(q)
     outputs = {
         "dim": q.dim,
         "e1": str(det),
@@ -105,7 +104,7 @@ def _cmd_qf_invariants(args) -> tuple[dict, int]:
 
 def _cmd_qf_decompose12(args) -> tuple[dict, int]:
     psi = _load(args.form, quadform.from_json)
-    dec = invol12.decompose_split12(psi, DEFAULT_LIMITS)
+    dec = invol12.decompose_split12(psi)
     outputs = {
         "d": str(dec.d),
         "alphas": [str(a) for a in dec.alphas],
@@ -129,8 +128,8 @@ def _cmd_qf_hyper_over(args) -> tuple[dict, int]:
 
 def _cmd_alg_f3(args) -> tuple[dict, int]:
     p = _load(args.presentation, invol12.presentation_from_json)
-    via_norms = invol12.f3_via_norms(p, DEFAULT_LIMITS)
-    via_symbol = invol12.f3_via_symbol(p, DEFAULT_LIMITS)
+    via_norms = invol12.f3_via_norms(p)
+    via_symbol = invol12.f3_via_symbol(p)
     outputs = {
         "f3_norms": via_norms.bit,
         "f3_symbol": via_symbol.bit,
@@ -146,7 +145,7 @@ def _cmd_alg_exists(args) -> tuple[dict, int]:
     a1, b1 = _symbol_pair(args.h1)
     a2, b2 = _symbol_pair(args.h2)
     h1, h2 = algebra(a1, b1), algebra(a2, b2)
-    outcome = invol12.exists_involution(h1, h2, DEFAULT_LIMITS)
+    outcome = invol12.exists_involution(h1, h2)
     pres = outcome.presentation
     outputs = {
         "status": outcome.status,
@@ -161,8 +160,8 @@ def _cmd_alg_exists(args) -> tuple[dict, int]:
 
 def _cmd_alg_additive(args) -> tuple[dict, int]:
     p = _load(args.presentation, invol12.presentation_from_json)
-    pairs = invol12.additive_decomposition(p, DEFAULT_LIMITS)
-    group = invol12.decomposition_group(p, DEFAULT_LIMITS)
+    pairs = invol12.additive_decomposition(p)
+    group = invol12.decomposition_group(p)
     outputs = {
         "pairs": [[_class_json(h), _class_json(q)] for h, q in pairs],
         "group": [_class_json(c) for c in group],
@@ -197,11 +196,17 @@ def _cmd_val_obstruction(args) -> tuple[dict, int]:
 
 # --- selftest ---------------------------------------------------------------
 
+def _require(fact: bool, *detail) -> None:
+    # raise, not assert: a failing suite must fail under python -O too
+    if not fact:
+        raise AssertionError(*detail)
+
+
 def _suite_reciprocity(rng: Random, count: int) -> int:
     for _ in range(count):
         a = sampling.nonzero_int(rng, 10 ** 4)
         b = sampling.nonzero_int(rng, 10 ** 4)
-        assert len(ramified_places(a, b)) % 2 == 0, (a, b)
+        _require(len(ramified_places(a, b)) % 2 == 0, (a, b))
     return count
 
 
@@ -210,7 +215,7 @@ def _suite_witt_identity(rng: Random, count: int) -> int:
         lam, mu, nu = (sampling.square_class(rng) for _ in range(3))
         lhs = pfister(lam, mu * nu)
         rhs = direct_sum(pfister(lam, mu), scale(mu, pfister(lam, nu)))
-        assert witt_equivalent(lhs, rhs), (lam, mu, nu)
+        _require(witt_equivalent(lhs, rhs), (lam, mu, nu))
     return count
 
 
@@ -218,8 +223,8 @@ def _suite_hermitian_disc(rng: Random, count: int) -> int:
     for _ in range(count):
         alg = sampling.split_algebra(rng)
         form = sampling.random_skew_form(rng, alg, rng.randrange(1, 4))
-        quad = hermitian.to_quadratic_form(form, DEFAULT_LIMITS)
-        assert hermitian.disc_adjoint(form) == e1(quad), form
+        quad = hermitian.to_quadratic_form(form)
+        _require(hermitian.disc_adjoint(form) == e1(quad), form)
     return count
 
 
@@ -228,14 +233,14 @@ def _suite_decompose12(rng: Random, count: int) -> int:
     cases = max(1, count // 10)
     for _ in range(cases):
         psi, _, _ = sampling.split12_instance(rng)
-        dec = invol12.decompose_split12(psi, DEFAULT_LIMITS)
-        assert isometric(dec.reconstruction(), psi), psi
+        dec = invol12.decompose_split12(psi)
+        _require(isometric(dec.reconstruction(), psi), psi)
     return cases
 
 
 def _suite_obstruction(rng: Random, count: int) -> int:
     slots = (((1, 0, 0, 0), (0, 1, 0, 0)), ((0, 0, 1, 0), (0, 0, 0, 1)))
-    assert ramlattice.obstruction_check(slots)
+    _require(ramlattice.obstruction_check(slots))
     return 1
 
 

@@ -9,7 +9,7 @@ the cup product (a) . [Q] has an explicit closed form.
 from dataclasses import dataclass
 from typing import Iterable
 
-from .config import DEFAULT_LIMITS
+from .config import HEIGHT_BOUND
 from .errors import BoundExceeded, DomainError
 from .qarith import (
     REAL,
@@ -69,8 +69,7 @@ def _signed_squarefree_by_height(limit: int):
             yield -n
 
 
-def find_quaternion_symbol(cls: BrauerClass,
-                           height_bound: int | None = None) -> tuple[int, int]:
+def find_quaternion_symbol(cls: BrauerClass) -> tuple[int, int]:
     """A symbol (a, b) representing cls, with signed squarefree entries.
 
     The first slot is fixed from the ramification set (product of the finite
@@ -79,17 +78,16 @@ def find_quaternion_symbol(cls: BrauerClass,
     support by Dirichlet.  Entries may involve primes outside the ramified
     set; that is unavoidable for sets like {17, 89}.
     """
-    bound = height_bound if height_bound is not None else DEFAULT_LIMITS.height_bound
     if cls.is_zero():
         return (1, 1)
     a = 1
     for v in cls.ramified:
         a *= -1 if v == REAL else v
-    for b in _signed_squarefree_by_height(bound):
+    for b in _signed_squarefree_by_height(HEIGHT_BOUND):
         if ramified_places(a, b) == cls.ramified:
             return (a, b)
-    raise BoundExceeded(
-        f"no symbol with |b| <= {bound} for ramification {set(cls.ramified)}")
+    raise BoundExceeded(f"no symbol with |b| <= {HEIGHT_BOUND} for "
+                        f"ramification {set(cls.ramified)}")
 
 
 @dataclass(frozen=True)

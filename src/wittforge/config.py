@@ -1,12 +1,20 @@
-"""Search budgets.
+"""Search budgets: two module constants, fixed for the life of a process.
 
-Heights are measured on integers after clearing denominators, so the bounds
-below are plain ints.  The environment variable WITTFORGE_SEARCH_BOUND
-overrides the witness height bound without touching call sites.
+HEIGHT_BOUND caps the height of every enumeration that looks for a
+witness: the sup-norm of candidate integer vectors and the absolute value
+of candidate signed squarefree slots.  Heights are measured on integers
+after clearing denominators, so it is a plain int.  It is 10**4 unless the
+environment variable WITTFORGE_SEARCH_BOUND holds a positive integer, and
+it is read once, when this module is first imported; a value that is not a
+positive integer is ignored.
+
+FACTOR_BOUND caps trial division in qarith.factor.
+
+A search that runs past either cap raises BoundExceeded rather than
+silently answering "no".
 """
 
 import os
-from dataclasses import dataclass
 
 
 def _env_height_bound(default: int = 10**4) -> int:
@@ -20,17 +28,5 @@ def _env_height_bound(default: int = 10**4) -> int:
     return value if value > 0 else default
 
 
-@dataclass(frozen=True)
-class SearchLimits:
-    """Budgets for the constructive searches.
-
-    height_bound caps the sup-norm of candidate vectors in isotropy and
-    representation searches; factor_bound caps trial division.  Both searches
-    raise BoundExceeded rather than silently returning "no".
-    """
-
-    height_bound: int = _env_height_bound()
-    factor_bound: int = 10**6
-
-
-DEFAULT_LIMITS = SearchLimits()
+HEIGHT_BOUND = _env_height_bound()
+FACTOR_BOUND = 10**6

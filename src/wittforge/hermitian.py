@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg
-from .config import DEFAULT_LIMITS, SearchLimits
 from .errors import DomainError
 from .qarith import Rational, as_fraction, rational_from_json, squarefree_part
 from .quadform import QuadForm
@@ -80,8 +79,7 @@ def disc_adjoint(form: SkewHermForm) -> int:
     return squarefree_part(prod * (-1) ** form.rank)
 
 
-def rescale_entry(form: SkewHermForm, idx: int,
-                  limits: SearchLimits = DEFAULT_LIMITS) -> SkewHermForm:
+def rescale_entry(form: SkewHermForm, idx: int) -> SkewHermForm:
     """Replace entry q by c q, c the square of an anticommuting element.
 
     <q> = <u q u-bar> = <(u^2) q> for invertible pure u with uq = -qu, so the
@@ -89,7 +87,7 @@ def rescale_entry(form: SkewHermForm, idx: int,
     """
     if not 0 <= idx < form.rank:
         raise DomainError(f"no entry {idx} in a rank {form.rank} form")
-    u = anticommutant(form.alg, form.entries[idx], limits)
+    u = anticommutant(form.alg, form.entries[idx])
     c = Fraction(squarefree_part(u.square_scalar()))
     entries = list(form.entries)
     entries[idx] = entries[idx] * c
@@ -123,11 +121,10 @@ def twist_last_entry(form: SkewHermForm, c: Rational) -> SkewHermForm:
 
 # --- transport to a quadratic form when the algebra splits -----------------
 
-def _split_module_basis(alg: QuaternionAlgebra,
-                        limits: SearchLimits) -> tuple[Quat, Quat]:
+def _split_module_basis(alg: QuaternionAlgebra) -> tuple[Quat, Quat]:
     """A basis (e, nu e) of the left ideal He for a rank 1 idempotent e."""
-    mu = pure_with_square(alg, 1, limits)
-    nu = anticommutant(alg, mu, limits)
+    mu = pure_with_square(alg, 1)
+    nu = anticommutant(alg, mu)
     e = (alg.one() + mu) * Fraction(1, 2)
     return e, nu * e
 
@@ -147,8 +144,7 @@ _S = _linalg.mat([[0, 1], [-1, 0]])
 _S_INV = _linalg.mat([[0, -1], [1, 0]])
 
 
-def to_quadratic_form(form: SkewHermForm,
-                      limits: SearchLimits = DEFAULT_LIMITS) -> QuadForm:
+def to_quadratic_form(form: SkewHermForm) -> QuadForm:
     """The 2n-dimensional quadratic form adjoint to the same involution,
     available when the algebra splits.  Well defined up to a scalar, which
     no even-dimensional discriminant ever sees.
@@ -160,7 +156,7 @@ def to_quadratic_form(form: SkewHermForm,
     """
     if not form.alg.is_split():
         raise DomainError("transport needs a split algebra")
-    basis = _split_module_basis(form.alg, limits)
+    basis = _split_module_basis(form.alg)
     n = form.rank
     gram = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
     for t, q in enumerate(form.entries):

@@ -25,7 +25,7 @@ from .cohomology import (
     brauer_from_symbol,
     cup_h3,
 )
-from .config import DEFAULT_LIMITS, SearchLimits
+from .config import HEIGHT_BOUND
 from .errors import BoundExceeded, DomainError
 from .hermitian import (
     SkewHermForm,
@@ -181,9 +181,7 @@ def is_aligned(p: ProductPresentation) -> bool:
     return p.disc_symbol() == p.hrho.alg.brauer()
 
 
-def repair_decomposition(p: ProductPresentation,
-                         limits: SearchLimits = DEFAULT_LIMITS,
-                         ) -> ProductPresentation:
+def repair_decomposition(p: ProductPresentation) -> ProductPresentation:
     """Move (d, d0) from the degree 6 component onto the quaternion one.
 
     For a split degree 6 factor with (d, d0) = [A0] = 0, twisting the last
@@ -196,7 +194,7 @@ def repair_decomposition(p: ProductPresentation,
         raise DomainError("repair needs a split degree 6 factor")
     if p.disc_symbol() != p.a0.brauer():
         raise DomainError("repair applies when (d, d0) is the degree 6 class")
-    u = anticommutant(p.hrho.alg, p.hrho.i_elem, limits)
+    u = anticommutant(p.hrho.alg, p.hrho.i_elem)
     c = squarefree_part(u.square_scalar())
     carrier = scaled_form(p.hrho.alg, p.hrho.i_elem, p.a0.form.entries)
     twisted = twist_last_entry(carrier, c)
@@ -206,8 +204,7 @@ def repair_decomposition(p: ProductPresentation,
     return repaired
 
 
-def _require_aligned(p: ProductPresentation,
-                     limits: SearchLimits) -> ProductPresentation:
+def _require_aligned(p: ProductPresentation) -> ProductPresentation:
     # f3 formulas assume (d, d0) = [H]; the other trivial component is
     # reachable by repair only when the degree 6 factor is split
     if not has_trivial_invariants(p):
@@ -215,14 +212,12 @@ def _require_aligned(p: ProductPresentation,
     if is_aligned(p):
         return p
     if isinstance(p.a0, Split6):
-        return repair_decomposition(p, limits)
+        return repair_decomposition(p)
     raise DomainError("(d, d0) matches the degree 6 class and the hermitian "
                       "description cannot be repaired in place")
 
 
-def decompose_split12(psi: QuadForm,
-                      limits: SearchLimits = DEFAULT_LIMITS,
-                      ) -> PfisterDecomposition:
+def decompose_split12(psi: QuadForm) -> PfisterDecomposition:
     """Split a 12-dim form with trivial e1, e2 into three scaled binary
     Pfister blocks times a common <<d>>, always with d = -1.
 
@@ -238,7 +233,7 @@ def decompose_split12(psi: QuadForm,
     if e1(psi) != 1 or not e2(psi).is_zero():
         raise DomainError("decomposition wants trivial e1 and e2")
     d = -1
-    tau = divide_by_binary(psi, d, limits)
+    tau = divide_by_binary(psi, d)
     entries = sorted(tau.entries,
                      key=lambda f: (max(abs(f.numerator), f.denominator),
                                     f < 0))
@@ -255,7 +250,6 @@ def decompose_split12(psi: QuadForm,
 
 
 def additive_decomposition(p: ProductPresentation,
-                           limits: SearchLimits = DEFAULT_LIMITS,
                            ) -> list[tuple[BrauerClass, BrauerClass]]:
     """The three (H_i, Q_i) = ((a_i d0, d), (a_i, b_i d)) symbol pairs of a
     hermitian presentation <q1, q2, q3>, where a_i = q_i^2 and b_i is a
@@ -268,7 +262,7 @@ def additive_decomposition(p: ProductPresentation,
     out = []
     for q in p.a0.h.entries:
         a = squarefree_part(q.square_scalar())
-        b = complement_slot(base, a, witness=q, limits=limits)
+        b = complement_slot(base, a, witness=q)
         h_i = brauer_from_symbol(a * d0, d)
         q_i = brauer_from_symbol(a, b * d)
         # (a, b) = [H'] makes each pair sum to [H'] + (d, d0) on the nose
@@ -277,35 +271,27 @@ def additive_decomposition(p: ProductPresentation,
     return out
 
 
-def decomposition_group(p: ProductPresentation,
-                        limits: SearchLimits = DEFAULT_LIMITS,
-                        ) -> list[BrauerClass]:
+def decomposition_group(p: ProductPresentation) -> list[BrauerClass]:
     """The eight classes {0, [A], H_i, Q_i} attached to the additive
     decomposition, in a fixed order."""
-    pairs = additive_decomposition(p, limits)
+    pairs = additive_decomposition(p)
     out = [ZERO, p.a_class()]
     for h_i, q_i in pairs:
         out.extend((h_i, q_i))
     return out
 
 
-def _norm_form_of_class(cls: BrauerClass,
-                        limits: SearchLimits) -> QuadForm:
-    return algebra_from_class(cls, limits).norm_form()
-
-
-def f3_via_norms(p: ProductPresentation,
-                 limits: SearchLimits = DEFAULT_LIMITS) -> H3Class:
+def f3_via_norms(p: ProductPresentation) -> H3Class:
     """f3 as the Arason invariant of n_Q - n_H - <d> n_{H'}.
 
     Q is a quaternion representative of the full degree 12 class; the
     difference form is 12-dimensional and lands in I^3 because the three
     classes sum to zero, which is asserted rather than trusted.
     """
-    p = _require_aligned(p, limits)
+    p = _require_aligned(p)
     h_alg = p.hrho.alg
     # a symbol representative of [A]; finding one is the index <= 2 check
-    q_alg = algebra_from_class(p.a_class(), limits)
+    q_alg = algebra_from_class(p.a_class())
     if isinstance(p.a0, M3H):
         hp_norm = p.a0.h.alg.norm_form()
     else:
@@ -317,17 +303,16 @@ def f3_via_norms(p: ProductPresentation,
     return e3(phi)
 
 
-def _common_splitting_class(ram: frozenset, bound: int) -> int:
+def _common_splitting_class(ram: frozenset) -> int:
     # c must stay a nonsquare at every listed place; sign first, then height
-    for n in range(1, bound + 1):
+    for n in range(1, HEIGHT_BOUND + 1):
         for c in (squarefree_part(n), -squarefree_part(n)):
             if c != 1 and all(not is_local_square(c, v) for v in ram):
                 return c
     raise BoundExceeded("no common splitting field within the search bound")
 
 
-def f3_via_symbol(p: ProductPresentation,
-                  limits: SearchLimits = DEFAULT_LIMITS) -> H3Class:
+def f3_via_symbol(p: ProductPresentation) -> H3Class:
     """f3 as the cup product (d e) . [Q] over a common splitting field.
 
     A square class c that is a local nonsquare at every place where H, H'
@@ -335,7 +320,7 @@ def f3_via_symbol(p: ProductPresentation,
     e is the complementary slot with H = (c, e).  The same cup against [H']
     must give the same bit, and does, which is asserted on every call.
     """
-    p = _require_aligned(p, limits)
+    p = _require_aligned(p)
     h_alg = p.hrho.alg
     q_class = p.a_class()
     hp_class = p.a0.brauer()
@@ -344,8 +329,8 @@ def f3_via_symbol(p: ProductPresentation,
         e = 1
     else:
         ram = h_alg.brauer().ramified | hp_class.ramified | q_class.ramified
-        c = _common_splitting_class(ram, limits.height_bound)
-        e = complement_slot(h_alg, c, limits=limits)
+        c = _common_splitting_class(ram)
+        e = complement_slot(h_alg, c)
     out = cup_h3(d * e, q_class)
     assert out == cup_h3(d * e, hp_class), (p, e)
     return out
@@ -360,8 +345,8 @@ class ExistsOutcome:
     presentation: ProductPresentation | None = None
 
 
-def exists_involution(h1: QuaternionAlgebra, h2: QuaternionAlgebra,
-                      limits: SearchLimits = DEFAULT_LIMITS) -> ExistsOutcome:
+def exists_involution(h1: QuaternionAlgebra,
+                      h2: QuaternionAlgebra) -> ExistsOutcome:
     """Search for an orthogonal involution with trivial e1 and e2 on the
     degree 12 algebra M3(h1 x h2).
 
@@ -372,12 +357,12 @@ def exists_involution(h1: QuaternionAlgebra, h2: QuaternionAlgebra,
     aligned, never merely trivial.
     """
     try:
-        wit = common_value_witness(h1, h2, limits)
+        wit = common_value_witness(h1, h2)
         if wit is None:
             return ExistsOutcome("provably-none")
         q, j = wit
-        q1, q2, q3 = three_pure_product(h1, q, limits)
-        i_elem = anticommutant(h2, j, limits)
+        q1, q2, q3 = three_pure_product(h1, q)
+        i_elem = anticommutant(h2, j)
     except BoundExceeded:
         return ExistsOutcome("unknown")
     pres = ProductPresentation(M3H(skew_form(h1, q1, q2, q3)),

@@ -11,7 +11,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import Union
 
-from .config import DEFAULT_LIMITS
+from .config import FACTOR_BOUND
 from .errors import BoundExceeded, DomainError
 
 Rational = Union[int, Fraction]
@@ -109,7 +109,7 @@ def check_place(v: Place) -> Place:
 
 
 @lru_cache(maxsize=None)
-def factor(n: int, bound: int = DEFAULT_LIMITS.factor_bound) -> tuple[tuple[int, int], ...]:
+def factor(n: int, bound: int = FACTOR_BOUND) -> tuple[tuple[int, int], ...]:
     """Prime factorization of a positive integer as ((p, e), ...), p ascending.
 
     Trial division, then a surviving cofactor above bound**2 must be a
@@ -246,13 +246,12 @@ def sqrt_mod_prime(a: int, p: int) -> int:
     return r
 
 
-def sqrt_mod_squarefree(a: int, m: int,
-                        bound: int = DEFAULT_LIMITS.factor_bound) -> int:
+def sqrt_mod_squarefree(a: int, m: int) -> int:
     """A square root of a mod m for squarefree m > 0, by CRT over factors."""
     if m == 1:
         return 0
     root, mod = 0, 1
-    for p, _ in factor(m, bound):
+    for p, _ in factor(m):
         rp = sqrt_mod_prime(a, p)
         # lift the pair (root mod mod, rp mod p) to mod*p
         inv = pow(mod % p, -1, p)

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .cohomology import (ZERO, BrauerClass, H3Class, _signed_squarefree_by_height,
                          brauer_from_symbol, find_quaternion_symbol)
-from .config import DEFAULT_LIMITS, SearchLimits
+from .config import HEIGHT_BOUND
 from .errors import BoundExceeded, DomainError
 from .qarith import (
     REAL,
@@ -298,8 +298,7 @@ def _pair_shortcut(s: list[int]) -> tuple[int, ...] | None:
     return None
 
 
-def _lagrange_descent(a: int, b: int, limits: SearchLimits,
-                      ) -> tuple[int, int, int]:
+def _lagrange_descent(a: int, b: int) -> tuple[int, int, int]:
     """A nonzero integer solution of x^2 = a y^2 + b z^2.
 
     a, b are squarefree and the equation is assumed solvable.  Classical
@@ -309,7 +308,7 @@ def _lagrange_descent(a: int, b: int, limits: SearchLimits,
     bottoms out in small brute-forceable pairs after O(log) steps.
     """
     if abs(a) > abs(b):
-        x, z, y = _lagrange_descent(b, a, limits)
+        x, z, y = _lagrange_descent(b, a)
         return x, y, z
     if a == 1:
         return 1, 1, 0
@@ -324,7 +323,7 @@ def _lagrange_descent(a: int, b: int, limits: SearchLimits,
                 if x * x == x2:
                     return x, y, z
         raise DomainError(f"x^2 = {a} y^2 + {b} z^2 has no rational point")
-    t = sqrt_mod_squarefree(a % abs(b), abs(b), limits.factor_bound)
+    t = sqrt_mod_squarefree(a % abs(b), abs(b))
     if 2 * t > abs(b):
         t -= abs(b)
     k, r = divmod(t * t - a, b)
@@ -333,27 +332,27 @@ def _lagrange_descent(a: int, b: int, limits: SearchLimits,
         return t, 1, 0
     b2 = squarefree_part(k)
     w = isqrt(k // b2)
-    x2, y2, z2 = _lagrange_descent(a, b2, limits)
+    x2, y2, z2 = _lagrange_descent(a, b2)
     # (x2 t + a y2)^2 - a (x2 + t y2)^2 = (t^2 - a)(x2^2 - a y2^2)
     x3, y3, z3 = x2 * t + a * y2, x2 + t * y2, b2 * w * z2
     g = gcd(gcd(abs(x3), abs(y3)), abs(z3))
     return x3 // g, y3 // g, z3 // g
 
 
-def _ternary_zero(s: list[int], limits: SearchLimits) -> tuple[int, ...]:
+def _ternary_zero(s: list[int]) -> tuple[int, ...]:
     # scale by -s2: (-s0 s2) x^2 + (-s1 s2) y^2 = (s2 z)^2
     big_a, big_b = -s[0] * s[2], -s[1] * s[2]
     al = squarefree_part(big_a)
     be = squarefree_part(big_b)
     u = isqrt(big_a // al)
     v = isqrt(big_b // be)
-    x, y, z = _lagrange_descent(al, be, limits)
+    x, y, z = _lagrange_descent(al, be)
     out = _primitive((Fraction(y, u), Fraction(z, v), Fraction(x, s[2])))
     assert any(out) and sum(c * t * t for c, t in zip(s, out)) == 0, (s, out)
     return out
 
 
-def _int_isotropic(s: list[int], limits: SearchLimits) -> tuple[int, ...]:
+def _int_isotropic(s: list[int]) -> tuple[int, ...]:
     """An isotropic integer vector for the signed squarefree diagonal s.
 
     Caller guarantees isotropy; ternary instances go through the descent
@@ -366,10 +365,10 @@ def _int_isotropic(s: list[int], limits: SearchLimits) -> tuple[int, ...]:
     n = len(s)
     assert n >= 3, s
     if n == 3:
-        return _ternary_zero(s, limits)
+        return _ternary_zero(s)
     rest = QuadForm(tuple(Fraction(x) for x in s[2:]))
     if is_isotropic(rest):
-        sub = _int_isotropic(list(s[2:]), limits)
+        sub = _int_isotropic(list(s[2:]))
         return (0, 0) + sub
     # both halves anisotropic: find a square class c represented by
     # <s0, s1> and by -rest, then stitch the two exact witnesses.  The
@@ -392,7 +391,7 @@ def _int_isotropic(s: list[int], limits: SearchLimits) -> tuple[int, ...]:
         hasse_r = {v: _local_hasse(rest, v) for v in fixed}
         m11 = {v: hilbert_symbol(-1, -1, v) for v in fixed}
     definite = 1 if min(s[2:]) > 0 else -1 if max(s[2:]) < 0 else 0
-    for c in _signed_squarefree_by_height(limits.height_bound):
+    for c in _signed_squarefree_by_height(HEIGHT_BOUND):
         if definite and (c > 0) == (definite > 0):
             continue
         vs = fixed.union(p for p, _ in factor(abs(c)))
@@ -408,26 +407,25 @@ def _int_isotropic(s: list[int], limits: SearchLimits) -> tuple[int, ...]:
                    != m11.get(v, 1)
                    for v in vs):
                 continue
-        x, y, w = _ternary_zero([s[0], s[1], -c], limits)
+        x, y, w = _ternary_zero([s[0], s[1], -c])
         assert w != 0, (s, c)  # the binary part is anisotropic
         ext = list(s[2:]) + [c]
-        sub = _int_isotropic(ext, limits)
+        sub = _int_isotropic(ext)
         t = sub[-1]
         assert t != 0, (s, c, sub)  # as is rest
         full = ([Fraction(x * t, w), Fraction(y * t, w)]
                 + [Fraction(z) for z in sub[:-1]])
         return _primitive(full)
-    raise BoundExceeded(f"no splitting value of height <= {limits.height_bound}")
+    raise BoundExceeded(f"no splitting value of height <= {HEIGHT_BOUND}")
 
 
-def isotropic_vector(q: QuadForm,
-                     limits: SearchLimits = DEFAULT_LIMITS) -> tuple[Fraction, ...]:
+def isotropic_vector(q: QuadForm) -> tuple[Fraction, ...]:
     """An exact nonzero vector with q(v) = 0, primitive integral entries."""
     if q.dim == 0 or not is_isotropic(q):
         raise DomainError("form is anisotropic over Q")
     s = list(q.square_classes)
     t = [_sqrt_fraction(e / sf) for e, sf in zip(q.entries, s)]
-    y = _int_isotropic(s, limits)
+    y = _int_isotropic(s)
     v = _primitive(Fraction(yi) / ti for yi, ti in zip(y, t))
     out = tuple(Fraction(x) for x in v)
     assert q(out) == 0 and any(out), (q, out)
@@ -441,13 +439,12 @@ def represents(q: QuadForm, c: Rational) -> bool:
     return is_isotropic(direct_sum(q, diagonal(-cf)))
 
 
-def represent_value(q: QuadForm, c: Rational,
-                    limits: SearchLimits = DEFAULT_LIMITS) -> tuple[Fraction, ...]:
+def represent_value(q: QuadForm, c: Rational) -> tuple[Fraction, ...]:
     """An exact vector with q(v) = c."""
     cf = as_fraction(c)
     if not represents(q, cf):
         raise DomainError(f"form does not represent {cf}")
-    v = isotropic_vector(direct_sum(q, diagonal(-cf)), limits)
+    v = isotropic_vector(direct_sum(q, diagonal(-cf)))
     t = v[-1]
     if t != 0:
         out = tuple(x / t for x in v[:-1])
@@ -505,15 +502,14 @@ def _peel_unit(dim0: int, d: int, c: BrauerClass, x: int,
     return d2, c2
 
 
-def _binary_rep(d: int, c: BrauerClass, sig: int,
-                limits: SearchLimits) -> QuadForm | None:
+def _binary_rep(d: int, c: BrauerClass, sig: int) -> QuadForm | None:
     # <a, -ad> has e1 = d and Clifford invariant (a, d); anisotropy is
     # d != 1, and the sign of d is pinned by the signature
     if d == 1 or (sig == 0) != (d > 0):
         return None
     if any(is_local_square(d, v) for v in c.ramified):
         return None
-    for a in _signed_squarefree_by_height(limits.height_bound):
+    for a in _signed_squarefree_by_height(HEIGHT_BOUND):
         if brauer_from_symbol(a, d) == c:
             got = _accepted(diagonal(a, square_class_product(-1, a, d)),
                             d, c, sig)
@@ -522,29 +518,27 @@ def _binary_rep(d: int, c: BrauerClass, sig: int,
     return None
 
 
-def _ternary_rep(d: int, c: BrauerClass, sig: int,
-                 limits: SearchLimits) -> QuadForm | None:
+def _ternary_rep(d: int, c: BrauerClass, sig: int) -> QuadForm | None:
     # <-d> times a pure quaternion norm; the shift is the d-dependent
     # part of the Clifford invariant of that scaling
     shift = clifford_class(scale(-d, diagonal(-1, -1, 1)))
     q_cls = c + shift
     if q_cls.is_zero():
         return None
-    al, be = find_quaternion_symbol(q_cls, limits.height_bound)
+    al, be = find_quaternion_symbol(q_cls)
     k = scale(-d, diagonal(-al, -be, al * be))
     return _accepted(k, d, c, sig)
 
 
-def _quaternary_rep(d: int, c: BrauerClass, sig: int,
-                    limits: SearchLimits) -> QuadForm | None:
+def _quaternary_rep(d: int, c: BrauerClass, sig: int) -> QuadForm | None:
     # indefinite quaternaries must be anisotropic at some finite place:
     # trivial local discriminant and nonsplit local Clifford class there
     if abs(sig) != 4 and not any(v != REAL and is_local_square(d, v)
                                  for v in c.ramified):
         return None
-    for x in _signed_squarefree_by_height(limits.height_bound):
+    for x in _signed_squarefree_by_height(HEIGHT_BOUND):
         d3, c3 = _peel_unit(4, d, c, x)
-        k3 = _ternary_rep(d3, c3, sig - (1 if x > 0 else -1), limits)
+        k3 = _ternary_rep(d3, c3, sig - (1 if x > 0 else -1))
         if k3 is None:
             continue
         got = _accepted(direct_sum(diagonal(x), k3), d, c, sig)
@@ -553,8 +547,8 @@ def _quaternary_rep(d: int, c: BrauerClass, sig: int,
     return None
 
 
-def _anisotropic_rep(dim0: int, d: int, c: BrauerClass, sig: int,
-                     limits: SearchLimits) -> QuadForm | None:
+def _anisotropic_rep(dim0: int, d: int, c: BrauerClass,
+                     sig: int) -> QuadForm | None:
     """A small-entry anisotropic form with the given invariants, if one
     exists at this dimension.  None is only a statement about dim0."""
     if abs(sig) > dim0 or (dim0 - sig) % 2:
@@ -564,11 +558,11 @@ def _anisotropic_rep(dim0: int, d: int, c: BrauerClass, sig: int,
     if dim0 == 1:
         return _accepted(diagonal(d), d, c, sig)
     if dim0 == 2:
-        return _binary_rep(d, c, sig, limits)
+        return _binary_rep(d, c, sig)
     if dim0 == 3:
-        return _ternary_rep(d, c, sig, limits)
+        return _ternary_rep(d, c, sig)
     if dim0 == 4:
-        return _quaternary_rep(d, c, sig, limits)
+        return _quaternary_rep(d, c, sig)
     if abs(sig) != dim0:
         # an indefinite form in five or more variables is isotropic
         return None
@@ -578,15 +572,14 @@ def _anisotropic_rep(dim0: int, d: int, c: BrauerClass, sig: int,
     d4, c4 = d, c
     for dim in range(dim0, 4, -1):
         d4, c4 = _peel_unit(dim, d4, c4, eps)
-    sub = _quaternary_rep(d4, c4, 4 * eps, limits)
+    sub = _quaternary_rep(d4, c4, 4 * eps)
     if sub is None:
         return None
     units = diagonal(*[eps] * (dim0 - 4))
     return _accepted(direct_sum(units, sub), d, c, sig)
 
 
-def witt_decompose(q: QuadForm,
-                   limits: SearchLimits = DEFAULT_LIMITS) -> WittClass:
+def witt_decompose(q: QuadForm) -> WittClass:
     """q = (anisotropic kernel) + index * (hyperbolic plane).
 
     The kernel is rebuilt from (e1, Clifford, signature), which classify
@@ -599,7 +592,7 @@ def witt_decompose(q: QuadForm,
     d, c, sig = e1(q), clifford_class(q), signature(q)
     start = abs(sig) if (abs(sig) - q.dim) % 2 == 0 else abs(sig) + 1
     for dim0 in range(start, q.dim + 1, 2):
-        kernel = _anisotropic_rep(dim0, d, c, sig, limits)
+        kernel = _anisotropic_rep(dim0, d, c, sig)
         if kernel is not None:
             return WittClass(kernel, (q.dim - dim0) // 2)
     raise BoundExceeded("no anisotropic kernel found; the search caps in "
@@ -656,8 +649,7 @@ def is_hyperbolic_over(q: QuadForm, d: Rational) -> bool:
     return True
 
 
-def divide_by_binary(q: QuadForm, d: Rational,
-                     limits: SearchLimits = DEFAULT_LIMITS) -> QuadForm:
+def divide_by_binary(q: QuadForm, d: Rational) -> QuadForm:
     """A form tau with q isometric to tau x <1, -d>, when one exists.
 
     Divisibility needs q hyperbolic over Q(sqrt d) and the discriminant
@@ -681,7 +673,7 @@ def divide_by_binary(q: QuadForm, d: Rational,
         c = r.entries[0]
         slots.append(c)
         # r = c<1,-d> + r'  =>  r + <-c, cd> = r' + 2 hyperbolic planes
-        w = witt_decompose(direct_sum(r, diagonal(-c, c * sd)), limits)
+        w = witt_decompose(direct_sum(r, diagonal(-c, c * sd)))
         pad = (w.total_dim - 4 - w.kernel.dim) // 2
         assert pad >= 0, (q, sd, r)
         r = direct_sum(w.kernel, hyperbolic(pad)) if pad else w.kernel

@@ -13,8 +13,7 @@ from fractions import Fraction
 
 from . import _linalg
 from .cohomology import BrauerClass, brauer_from_symbol, find_quaternion_symbol
-from .config import DEFAULT_LIMITS, SearchLimits
-from .errors import BoundExceeded, DomainError
+from .errors import DomainError
 from .qarith import Rational, as_fraction, rational_from_json, squarefree_part
 from .quadform import QuadForm, diagonal, direct_sum, is_isotropic, \
     isotropic_vector, neg, represent_value
@@ -65,10 +64,9 @@ def algebra(a: Rational, b: Rational) -> QuaternionAlgebra:
     return QuaternionAlgebra(as_fraction(a), as_fraction(b))
 
 
-def algebra_from_class(cls: BrauerClass,
-                       limits: SearchLimits = DEFAULT_LIMITS) -> QuaternionAlgebra:
+def algebra_from_class(cls: BrauerClass) -> QuaternionAlgebra:
     """A quaternion algebra in the given Brauer class."""
-    a, b = find_quaternion_symbol(cls, limits.height_bound)
+    a, b = find_quaternion_symbol(cls)
     return algebra(a, b)
 
 
@@ -147,8 +145,7 @@ def pure(alg: QuaternionAlgebra, x: Rational, y: Rational, z: Rational) -> Quat:
     return alg.element(0, x, y, z)
 
 
-def anticommutant(alg: QuaternionAlgebra, p: Quat,
-                  limits: SearchLimits = DEFAULT_LIMITS) -> Quat:
+def anticommutant(alg: QuaternionAlgebra, p: Quat) -> Quat:
     """An invertible pure u with up = -pu.
 
     Anticommuting pures form the orthogonal complement of p for the pure norm
@@ -174,8 +171,7 @@ def anticommutant(alg: QuaternionAlgebra, p: Quat,
 
 
 def complement_slot(alg: QuaternionAlgebra, a: Rational,
-                    witness: Quat | None = None,
-                    limits: SearchLimits = DEFAULT_LIMITS) -> int:
+                    witness: Quat | None = None) -> int:
     """A signed squarefree b with alg = (a, b), given that some pure element
     squares to a modulo squares.  The witness pure can be supplied to pin
     the choice."""
@@ -187,24 +183,23 @@ def complement_slot(alg: QuaternionAlgebra, a: Rational,
             raise DomainError("witness square is not in the class of a")
     else:
         try:
-            j = pure_with_square(alg, squarefree_part(as_fraction(a)), limits)
+            j = pure_with_square(alg, squarefree_part(as_fraction(a)))
         except DomainError:
             raise DomainError(
                 f"{a} is not a pure square in ({alg.a}, {alg.b})") from None
-    u = anticommutant(alg, j, limits)
+    u = anticommutant(alg, j)
     b = squarefree_part(u.square_scalar())
     assert brauer_from_symbol(a, b) == alg.brauer(), (alg, a, b)
     return b
 
 
-def pure_with_square(alg: QuaternionAlgebra, d0: Rational,
-                     limits: SearchLimits = DEFAULT_LIMITS) -> Quat:
+def pure_with_square(alg: QuaternionAlgebra, d0: Rational) -> Quat:
     """An exact pure quaternion j with j^2 = d0, when one exists."""
     d0f = as_fraction(d0)
     if d0f == 0:
         raise DomainError("a pure square must be nonzero")
     try:
-        coords = represent_value(alg.pure_norm_form(), -d0f, limits)
+        coords = represent_value(alg.pure_norm_form(), -d0f)
     except DomainError:
         raise DomainError(
             f"no pure element of ({alg.a}, {alg.b}) squares to {d0f}") from None
@@ -214,7 +209,6 @@ def pure_with_square(alg: QuaternionAlgebra, d0: Rational,
 
 
 def common_value_witness(h1: QuaternionAlgebra, h2: QuaternionAlgebra,
-                         limits: SearchLimits = DEFAULT_LIMITS,
                          ) -> tuple[Quat, Quat] | None:
     """A pair (q in h1, pure j in h2) with nrd(q) = -j^2 != 0, or None.
 
@@ -228,16 +222,16 @@ def common_value_witness(h1: QuaternionAlgebra, h2: QuaternionAlgebra,
     n2_pure = h2.pure_norm_form()
     if h2.is_split():
         # pure norms of a split algebra take every value; match nrd(1) = 1
-        j = pure(h2, *represent_value(n2_pure, 1, limits))
+        j = pure(h2, *represent_value(n2_pure, 1))
         q = h1.one()
     elif h1.is_split():
         j = h2.i()
-        q = h1.element(*represent_value(n1, n2_pure(j.coeffs[1:]), limits))
+        q = h1.element(*represent_value(n1, n2_pure(j.coeffs[1:])))
     else:
         seven = direct_sum(n1, neg(n2_pure))
         if not is_isotropic(seven):
             return None
-        v = isotropic_vector(seven, limits)
+        v = isotropic_vector(seven)
         q = h1.element(*v[:4])
         j = pure(h2, *v[4:])
     value = q.nrd()
@@ -245,53 +239,40 @@ def common_value_witness(h1: QuaternionAlgebra, h2: QuaternionAlgebra,
     return q, j
 
 
-def _q3_candidates(alg: QuaternionAlgebra, bound: int):
-    for coords in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0),
-                   (1, 0, 1), (0, 1, 1), (1, 1, 1)):
-        yield pure(alg, *coords)
-    for h in range(2, bound + 1):
-        for coords in itertools.product(range(-h, h + 1), repeat=3):
-            if max(abs(c) for c in coords) == h:
-                yield pure(alg, *coords)
-
-
 def three_pure_product(alg: QuaternionAlgebra, q: Quat,
-                       limits: SearchLimits = DEFAULT_LIMITS,
                        ) -> tuple[Quat, Quat, Quat]:
-    """Pure invertible q1, q2, q3 with q1 q2 q3 = q.
+    """Pure invertible q1, q2, q3 with q1 q2 q3 = q, where q3 = i.
 
-    For a candidate q3 the elements x with both x and (q q3^-1) x pure form
-    a plane; any invertible x in it gives the factorization
-    q = (q q3^-1 x)(x^-1)(q3).  The pure norm never vanishes on a whole
-    plane, so among the basis vectors and their sums and differences an
-    invertible pick exists; the q3 loop is a guard, not a search.
+    i is invertible since i^2 = a != 0.  The elements x with both x and
+    (q i^-1) x pure form a plane or all pures, and any invertible x there
+    gives the factorization q = (q i^-1 x)(x^-1)(i).  The pure norm is a
+    nondegenerate ternary form, so it vanishes on no plane: one of the
+    basis vectors, their sums or their differences is invertible.
     """
     if q.alg != alg:
         raise DomainError("element not in the given algebra")
     if not q.is_invertible():
         raise DomainError("need an invertible quaternion")
     a, b = alg.a, alg.b
-    for q3 in _q3_candidates(alg, limits.height_bound):
-        if not q3.is_invertible():
+    q3 = alg.i()
+    m = q * q3.inverse()
+    # real part of m * (0,x,y,z) as a linear condition on (x,y,z)
+    row = [[a * m.coeffs[1], b * m.coeffs[2], -a * b * m.coeffs[3]]]
+    basis = _linalg.kernel_basis(_linalg.mat(row))
+    candidates = [tuple(v) for v in basis]
+    candidates += [tuple(s + t for s, t in zip(v, w))
+                   for v, w in itertools.combinations(basis, 2)]
+    candidates += [tuple(s - t for s, t in zip(v, w))
+                   for v, w in itertools.combinations(basis, 2)]
+    for coords in candidates:
+        x = pure(alg, *coords)
+        if not x.is_invertible():
             continue
-        m = q * q3.inverse()
-        # real part of m * (0,x,y,z) as a linear condition on (x,y,z)
-        row = [[a * m.coeffs[1], b * m.coeffs[2], -a * b * m.coeffs[3]]]
-        basis = _linalg.kernel_basis(_linalg.mat(row))
-        candidates = [tuple(v) for v in basis]
-        candidates += [tuple(s + t for s, t in zip(v, w))
-                       for v, w in itertools.combinations(basis, 2)]
-        candidates += [tuple(s - t for s, t in zip(v, w))
-                       for v, w in itertools.combinations(basis, 2)]
-        for coords in candidates:
-            x = pure(alg, *coords)
-            if not x.is_invertible():
-                continue
-            q1, q2 = m * x, x.inverse()
-            assert q1.is_pure() and q1.is_invertible()
-            assert (q1 * q2 * q3).coeffs == q.coeffs
-            return q1, q2, q3
-    raise BoundExceeded("no three-pure factorization within the search bound")
+        q1, q2 = m * x, x.inverse()
+        assert q1.is_pure() and q1.is_invertible()
+        assert (q1 * q2 * q3).coeffs == q.coeffs
+        return q1, q2, q3
+    raise AssertionError(f"no invertible pure x with q i^-1 x pure for {q}")
 
 
 # --- serialization ----------------------------------------------------------

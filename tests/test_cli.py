@@ -186,21 +186,30 @@ def test_obstruction_rejects_dependent_monomials(tmp_path, capsys):
     assert json.loads(err)["error"] == "domain"
 
 
-def _stdout(*args, stdin=""):
+def _python(*args, stdin="", **env_overrides):
     # a fresh interpreter, with the package from this checkout first
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]]
                                if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+    for name, value in env_overrides.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           input=stdin, capture_output=True, text=True,
                           timeout=60)
+
+
+def _stdout(*args, stdin=""):
+    proc = _python(*args, stdin=stdin)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
 
 def test_obstruction_table_survives_python_O():
-    # no work the table needs may sit inside an assert
+    # no work a report needs may sit inside an assert
     slots = json.dumps(TOTALLY_RAMIFIED_SLOTS)
     for args, stdin in (
             (["-m", "wittforge.cli", "val", "obstruction", "-"], slots),
@@ -209,6 +218,10 @@ def test_obstruction_table_survives_python_O():
         plain = _stdout(*args, stdin=stdin)
         assert plain.count("separated") >= 560
         assert _stdout("-O", *args, stdin=stdin) == plain
+    args = ["-m", "wittforge.cli", "selftest", "--seed", "3", "--count", "5"]
+    plain = _stdout(*args)
+    assert json.loads(plain)["outputs"]["ok"] is True
+    assert _stdout("-O", *args) == plain
 
 
 def test_missing_file_is_malformed_input(capsys):
@@ -321,3 +334,35 @@ def test_selftest_is_deterministic(capsys):
     assert set(outputs["suites"]) == {"reciprocity", "witt-identity",
                                       "hermitian-disc", "decompose12",
                                       "obstruction"}
+
+
+def test_selftest_fails_under_python_O():
+    # a broken invariant must fail the suite even with asserts stripped
+    script = ("import sys\n"
+              "import wittforge.cli as cli\n"
+              "cli.witt_equivalent = lambda q1, q2: False\n"
+              "sys.exit(cli.main(['selftest', '--seed', '0']))\n")
+    proc = _python("-O", "-c", script)
+    assert proc.returncode == 1, proc.stderr
+    outputs = json.loads(proc.stdout)["outputs"]
+    assert outputs["ok"] is False
+    assert outputs["suites"]["witt-identity"]["ok"] is False
+    assert outputs["suites"]["reciprocity"]["ok"] is True
+
+
+def test_search_bound_comes_from_the_environment():
+    # the Witt kernel of <1, 1, 1, 7, 5> needs a quaternion symbol (-5, b)
+    # ramified at {5, real}; b = 1 and b = -1 both miss it, so a height
+    # bound of 1 runs out, while the default 10^4 finds b = 2
+    form = json.dumps({"entries": ["1", "1", "1", "7", "5"]})
+    args = ("-m", "wittforge.cli", "qf", "invariants", "-")
+    proc = _python(*args, stdin=form, WITTFORGE_SEARCH_BOUND="1")
+    assert proc.returncode == 4 and proc.stdout == ""
+    diagnostic = json.loads(proc.stderr)
+    assert diagnostic["error"] == "bound-exceeded"
+    assert "|b| <= 1" in diagnostic["message"]
+    # unset, or not a positive integer: the default applies
+    for value in (None, "0", "ten"):
+        proc = _python(*args, stdin=form, WITTFORGE_SEARCH_BOUND=value)
+        assert proc.returncode == 0, (value, proc.stderr)
+        assert json.loads(proc.stdout)["outputs"]["signature"] == 5

@@ -185,12 +185,19 @@ def test_three_pure_product_frozen():
     h = algebra(-1, -1)
     q = h.element(1, 1, 0, 0)
     q1, q2, q3 = three_pure_product(h, q)
-    assert q1 * q2 * q3 == q
+    assert q1 * q2 * q3 == q and q3 == h.i()
     for f in (q1, q2, q3):
         assert f.is_pure() and f.is_invertible()
     s = algebra(2, 5)
     q1, q2, q3 = three_pure_product(s, s.one())
-    assert q1 * q2 * q3 == s.one()
+    assert q1 * q2 * q3 == s.one() and q3 == s.i()
+    assert all(f.is_pure() and f.is_invertible() for f in (q1, q2, q3))
+    # q i^-1 = 3 is a scalar, so every pure x keeps it pure: the kernel is
+    # all three pures, not a plane
+    t = algebra(1, 1)
+    q = t.element(0, 3, 0, 0)
+    q1, q2, q3 = three_pure_product(t, q)
+    assert q1 * q2 * q3 == q and q3 == t.i()
     assert all(f.is_pure() and f.is_invertible() for f in (q1, q2, q3))
     with pytest.raises(DomainError):
         three_pure_product(s, algebra(1, 1).one())
@@ -206,7 +213,7 @@ def test_three_pure_product_random(data, a, b):
     if not q.is_invertible():
         return
     q1, q2, q3 = three_pure_product(alg, q)
-    assert q1 * q2 * q3 == q
+    assert q1 * q2 * q3 == q and q3 == alg.i()
     assert all(f.is_pure() and f.is_invertible() for f in (q1, q2, q3))
 
 
