@@ -23,7 +23,7 @@ from random import Random
 
 from . import hermitian, invol12, quadform, ramlattice, sampling
 from .cohomology import BrauerClass
-from .errors import BoundExceeded, DomainError
+from .errors import BoundExceeded, DomainError, require
 from .qarith import ramified_places, rational_from_json
 from .quat import algebra
 from .quadform import (QuadForm, direct_sum, e1, e2, e3, isometric, pfister,
@@ -196,17 +196,11 @@ def _cmd_val_obstruction(args) -> tuple[dict, int]:
 
 # --- selftest ---------------------------------------------------------------
 
-def _require(fact: bool, *detail) -> None:
-    # raise, not assert: a failing suite must fail under python -O too
-    if not fact:
-        raise AssertionError(*detail)
-
-
 def _suite_reciprocity(rng: Random, count: int) -> int:
     for _ in range(count):
         a = sampling.nonzero_int(rng, 10 ** 4)
         b = sampling.nonzero_int(rng, 10 ** 4)
-        _require(len(ramified_places(a, b)) % 2 == 0, (a, b))
+        require(len(ramified_places(a, b)) % 2 == 0, (a, b))
     return count
 
 
@@ -215,7 +209,7 @@ def _suite_witt_identity(rng: Random, count: int) -> int:
         lam, mu, nu = (sampling.square_class(rng) for _ in range(3))
         lhs = pfister(lam, mu * nu)
         rhs = direct_sum(pfister(lam, mu), scale(mu, pfister(lam, nu)))
-        _require(witt_equivalent(lhs, rhs), (lam, mu, nu))
+        require(witt_equivalent(lhs, rhs), (lam, mu, nu))
     return count
 
 
@@ -224,7 +218,7 @@ def _suite_hermitian_disc(rng: Random, count: int) -> int:
         alg = sampling.split_algebra(rng)
         form = sampling.random_skew_form(rng, alg, rng.randrange(1, 4))
         quad = hermitian.to_quadratic_form(form)
-        _require(hermitian.disc_adjoint(form) == e1(quad), form)
+        require(hermitian.disc_adjoint(form) == e1(quad), form)
     return count
 
 
@@ -234,13 +228,13 @@ def _suite_decompose12(rng: Random, count: int) -> int:
     for _ in range(cases):
         psi, _, _ = sampling.split12_instance(rng)
         dec = invol12.decompose_split12(psi)
-        _require(isometric(dec.reconstruction(), psi), psi)
+        require(isometric(dec.reconstruction(), psi), psi)
     return cases
 
 
 def _suite_obstruction(rng: Random, count: int) -> int:
     slots = (((1, 0, 0, 0), (0, 1, 0, 0)), ((0, 0, 1, 0), (0, 0, 0, 1)))
-    _require(ramlattice.obstruction_check(slots))
+    require(ramlattice.obstruction_check(slots))
     return 1
 
 

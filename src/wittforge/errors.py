@@ -13,3 +13,13 @@ class DomainError(ValueError):
 
 class BoundExceeded(RuntimeError):
     """A terminating search exceeded its height or factorization budget."""
+
+
+def require(fact: bool, *detail) -> None:
+    """Raise AssertionError(*detail) unless fact holds.
+
+    A verification that must survive python -O, which strips assert
+    statements: witnesses and certificates are checked through this.
+    """
+    if not fact:
+        raise AssertionError(*detail)

@@ -22,6 +22,7 @@ from .cohomology import (
     ZERO,
     BrauerClass,
     H3Class,
+    _signed_squarefree_by_height,
     brauer_from_symbol,
     cup_h3,
 )
@@ -304,11 +305,11 @@ def f3_via_norms(p: ProductPresentation) -> H3Class:
 
 
 def _common_splitting_class(ram: frozenset) -> int:
-    # c must stay a nonsquare at every listed place; sign first, then height
-    for n in range(1, HEIGHT_BOUND + 1):
-        for c in (squarefree_part(n), -squarefree_part(n)):
-            if c != 1 and all(not is_local_square(c, v) for v in ram):
-                return c
+    # c must stay a nonsquare at every listed place; the first such class
+    # by height, positive before negative
+    for c in _signed_squarefree_by_height(HEIGHT_BOUND):
+        if c != 1 and not any(is_local_square(c, v) for v in ram):
+            return c
     raise BoundExceeded("no common splitting field within the search bound")
 
 

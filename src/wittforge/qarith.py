@@ -8,8 +8,8 @@ of Q are the real place (the string "real") and the rational primes.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
-from typing import Union
+from math import gcd, isqrt
+from typing import Iterable, Union
 
 from .config import FACTOR_BOUND
 from .errors import BoundExceeded, DomainError
@@ -158,23 +158,28 @@ def squarefree_part(x: Rational) -> int:
     return sign * core
 
 
+def _class_mul(x: int, y: int) -> int:
+    # the square class of xy for signed squarefree x, y: (x/g)(y/g) with
+    # g = gcd(x, y), so a running product of classes is never factored
+    g = gcd(x, y)
+    return (x // g) * (y // g)
+
+
+def _class_product(classes: Iterable[int]) -> int:
+    # the square class of a product of signed squarefree ints
+    out = 1
+    for s in classes:
+        out = _class_mul(out, s)
+    return out
+
+
 def square_class_product(*xs: Rational) -> int:
-    """Squarefree part of a product, factored term by term.
+    """Squarefree part of a product, taken term by term.
 
     The terms are usually individually within the trial-division budget
     while their product is far beyond it, so never multiply first.
     """
-    sign = 1
-    odd: set[int] = set()
-    for x in xs:
-        s = squarefree_part(x)
-        if s < 0:
-            sign = -sign
-        odd ^= {p for p, _ in factor(abs(s))}
-    out = sign
-    for p in odd:
-        out *= p
-    return out
+    return _class_product(squarefree_part(x) for x in xs)
 
 
 def is_square(x: Rational) -> bool:

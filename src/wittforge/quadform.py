@@ -15,23 +15,22 @@ from itertools import combinations
 from math import gcd, isqrt
 from typing import Iterable, Sequence
 
-from .cohomology import (ZERO, BrauerClass, H3Class, _signed_squarefree_by_height,
+from .cohomology import (BrauerClass, H3Class, _signed_squarefree_by_height,
                          brauer_from_symbol, find_quaternion_symbol)
 from .config import HEIGHT_BOUND
-from .errors import BoundExceeded, DomainError
+from .errors import BoundExceeded, DomainError, require
 from .qarith import (
     REAL,
     Rational,
+    _class_mul,
+    _class_product,
     _hilbert_core,
     _local_square_core,
     as_fraction,
     factor,
-    hilbert_symbol,
     is_local_square,
-    is_square,
     rational_from_json,
     sqrt_mod_squarefree,
-    square_class_product,
     squarefree_part,
 )
 
@@ -113,20 +112,10 @@ def hyperbolic(m: int = 1) -> QuadForm:
 
 # --- invariants -----------------------------------------------------------
 
-def _class_mul(x: int, y: int) -> int:
-    # the square class of xy for signed squarefree x, y: (x/g)(y/g) with
-    # g = gcd(x, y), so a running product of classes is never factored
-    g = gcd(x, y)
-    return (x // g) * (y // g)
-
-
 def det_class(q: QuadForm) -> int:
     # the running product of the entries' square classes: the product of
     # the entries themselves can be far beyond the trial division budget
-    d = 1
-    for a in q.square_classes:
-        d = _class_mul(d, a)
-    return d
+    return _class_product(q.square_classes)
 
 
 def e1(q: QuadForm) -> int:
@@ -159,9 +148,10 @@ def _hasse_plus(q: QuadForm, b: int) -> BrauerClass:
     # the Hasse class plus the symbol (-1, b), b a signed squarefree int
     # whose primes divide the entries: every place where either ramifies
     # is a support place, and no argument is factored again
+    s = q.square_classes
     return BrauerClass(frozenset(
-        v for v in _support_places(q)
-        if _local_hasse(q, v) * _hilbert_core(-1, b, v) == -1))
+        v for v in _support_places(s)
+        if _local_hasse(s, v) * _hilbert_core(-1, b, v) == -1))
 
 
 def _correction_slot(dim: int, det: int) -> int:
@@ -174,11 +164,6 @@ def _correction_slot(dim: int, det: int) -> int:
     if n in (7, 0) and dim > 0:
         return det
     return 1
-
-
-def _clifford_correction(dim: int, det: int) -> BrauerClass:
-    b = _correction_slot(dim, det)
-    return ZERO if b == 1 else brauer_from_symbol(-1, b)
 
 
 def clifford_class(q: QuadForm) -> BrauerClass:
@@ -208,44 +193,46 @@ def e3(q: QuadForm) -> H3Class:
 
 # --- isotropy over Q ------------------------------------------------------
 
-def _support_places(q: QuadForm) -> list:
-    # every place where a symbol (x, y) of square classes of products of
-    # entries can ramify; the factorizations are the ones squarefree_part
-    # made of the same integers, so they come from factor's cache
+# The local-global core below works on a diagonal given by its square
+# classes: a sequence of signed squarefree ints, as QuadForm.square_classes
+# caches them.  Nothing in it builds a form or factors a product.
+
+def _support_places(s: Sequence[int]) -> list:
+    # the real place, 2 and the primes of the classes: the only places
+    # where a symbol (x, y) of products of the classes can ramify; each
+    # class is squarefree, so factoring it just lists its primes
     primes = {2}
-    for e in q.entries:
-        primes.update(p for p, k in factor(abs(e.numerator * e.denominator))
-                      if k % 2)
+    for x in s:
+        primes.update(p for p, _ in factor(abs(x)))
     return [REAL] + sorted(primes)
 
 
-def _local_hasse(q: QuadForm, v) -> int:
-    # the prefix form of hasse_class, one Hilbert symbol per entry; v is a
-    # checked place and every argument a signed squarefree int
-    if not q.dim:
+def _local_hasse(s: Sequence[int], v) -> int:
+    # the prefix form of hasse_class at the checked place v, one Hilbert
+    # symbol per class; the running product stays a class
+    if not s:
         return 1
-    a = q.square_classes
-    eps, prefix = 1, a[0]
-    for x in a[1:]:
+    eps, prefix = 1, s[0]
+    for x in s[1:]:
         eps *= _hilbert_core(prefix, x, v)
         prefix = _class_mul(prefix, x)
     return eps
 
 
-def is_isotropic(q: QuadForm) -> bool:
-    """Whether q represents 0 nontrivially over Q (Hasse-Minkowski)."""
-    n = q.dim
+def _isotropic(s: Sequence[int]) -> bool:
+    # Hasse-Minkowski for the diagonal with square classes s
+    n = len(s)
     if n <= 1:
         return False
     if n == 2:
-        return is_square(-q.entries[0] * q.entries[1])
+        return s[0] == -s[1]
     if n >= 5:
-        return abs(signature(q)) < n
-    # d is a signed squarefree int over the support places, so the
-    # symbols and local squares below take it as it is
-    d = det_class(q)
-    for v in _support_places(q):
-        eps = _local_hasse(q, v)
+        # indefinite iff the classes, which carry the entries' signs,
+        # take both signs
+        return min(s) < 0 < max(s)
+    d = _class_product(s)
+    for v in _support_places(s):
+        eps = _local_hasse(s, v)
         if n == 3:
             if _hilbert_core(-1, -d, v) != eps:
                 return False
@@ -253,6 +240,11 @@ def is_isotropic(q: QuadForm) -> bool:
             if _local_square_core(d, v) and eps != _hilbert_core(-1, -1, v):
                 return False
     return True
+
+
+def is_isotropic(q: QuadForm) -> bool:
+    """Whether q represents 0 nontrivially over Q (Hasse-Minkowski)."""
+    return _isotropic(q.square_classes)
 
 
 def is_anisotropic(q: QuadForm) -> bool:
@@ -366,51 +358,18 @@ def _int_isotropic(s: list[int]) -> tuple[int, ...]:
     assert n >= 3, s
     if n == 3:
         return _ternary_zero(s)
-    rest = QuadForm(tuple(Fraction(x) for x in s[2:]))
-    if is_isotropic(rest):
-        sub = _int_isotropic(list(s[2:]))
-        return (0, 0) + sub
-    # both halves anisotropic: find a square class c represented by
-    # <s0, s1> and by -rest, then stitch the two exact witnesses.  The
-    # screening is place by place: <s0, s1> represents c iff the symbol
-    # (-s0 s1, c)_v agrees with (s0, s1)_v everywhere, and rest + <c> is
-    # handled by the rank 3 and 4 local criteria, rank >= 5 being
-    # isotropic at every finite place already.  Away from the listed
-    # places both sides of each comparison are 1, so dict misses pass.
-    u01 = square_class_product(s[0], s[1])
-    fixed = {REAL, 2}
-    for e in s:
-        fixed.update(p for p, _ in factor(abs(e)))
-    h01 = {v: hilbert_symbol(s[0], s[1], v) for v in fixed}
-    m = n - 1  # rank of rest + <c>
-    if m == 3:
-        u23 = square_class_product(s[2], s[3])
-        h23 = {v: hilbert_symbol(s[2], s[3], v) for v in fixed}
-    elif m == 4:
-        det_r = square_class_product(*s[2:])
-        hasse_r = {v: _local_hasse(rest, v) for v in fixed}
-        m11 = {v: hilbert_symbol(-1, -1, v) for v in fixed}
-    definite = 1 if min(s[2:]) > 0 else -1 if max(s[2:]) < 0 else 0
+    rest = s[2:]
+    if _isotropic(rest):
+        return (0, 0) + _int_isotropic(rest)
+    # both halves anisotropic: find the first square class c represented
+    # by <s0, s1> and by -rest, that is with <s0, s1, -c> and rest + <c>
+    # both isotropic, then stitch the two exact witnesses
     for c in _signed_squarefree_by_height(HEIGHT_BOUND):
-        if definite and (c > 0) == (definite > 0):
+        if not (_isotropic((s[0], s[1], -c)) and _isotropic((*rest, c))):
             continue
-        vs = fixed.union(p for p, _ in factor(abs(c)))
-        if any(hilbert_symbol(-u01, c, v) != h01.get(v, 1) for v in vs):
-            continue
-        if m == 3:
-            if any(hilbert_symbol(-u23, -c, v) != h23.get(v, 1) for v in vs):
-                continue
-        elif m == 4:
-            dc = square_class_product(det_r, c)
-            if any(is_local_square(dc, v)
-                   and hasse_r.get(v, 1) * hilbert_symbol(det_r, c, v)
-                   != m11.get(v, 1)
-                   for v in vs):
-                continue
         x, y, w = _ternary_zero([s[0], s[1], -c])
         assert w != 0, (s, c)  # the binary part is anisotropic
-        ext = list(s[2:]) + [c]
-        sub = _int_isotropic(ext)
+        sub = _int_isotropic(rest + [c])
         t = sub[-1]
         assert t != 0, (s, c, sub)  # as is rest
         full = ([Fraction(x * t, w), Fraction(y * t, w)]
@@ -428,7 +387,7 @@ def isotropic_vector(q: QuadForm) -> tuple[Fraction, ...]:
     y = _int_isotropic(s)
     v = _primitive(Fraction(yi) / ti for yi, ti in zip(y, t))
     out = tuple(Fraction(x) for x in v)
-    assert q(out) == 0 and any(out), (q, out)
+    require(q(out) == 0 and any(out), q, out)
     return out
 
 
@@ -456,7 +415,7 @@ def represent_value(q: QuadForm, c: Rational) -> tuple[Fraction, ...]:
         b = dk * w[k]                      # B(w, e_k), nonzero
         x = (cf - dk) / (2 * b)            # q(x w + e_k) = 2 x b + dk
         out = tuple(x * wi + (1 if i == k else 0) for i, wi in enumerate(w))
-    assert q(out) == cf, (q, cf, out)
+    require(q(out) == cf, q, cf, out)
     return out
 
 
@@ -495,10 +454,11 @@ def _peel_unit(dim0: int, d: int, c: BrauerClass, x: int,
     """Invariants (e1, Clifford) of k with <x> + k carrying (d, c) in
     dimension dim0."""
     det = d if (dim0 * (dim0 - 1) // 2) % 2 == 0 else -d
-    det2 = square_class_product(det, x)
+    det2 = _class_mul(det, x)
     d2 = det2 if ((dim0 - 1) * (dim0 - 2) // 2) % 2 == 0 else -det2
-    c2 = (c + _clifford_correction(dim0, det) + brauer_from_symbol(x, det2)
-          + _clifford_correction(dim0 - 1, det2))
+    c2 = (c + brauer_from_symbol(-1, _correction_slot(dim0, det))
+          + brauer_from_symbol(x, det2)
+          + brauer_from_symbol(-1, _correction_slot(dim0 - 1, det2)))
     return d2, c2
 
 
@@ -511,21 +471,19 @@ def _binary_rep(d: int, c: BrauerClass, sig: int) -> QuadForm | None:
         return None
     for a in _signed_squarefree_by_height(HEIGHT_BOUND):
         if brauer_from_symbol(a, d) == c:
-            got = _accepted(diagonal(a, square_class_product(-1, a, d)),
-                            d, c, sig)
+            got = _accepted(diagonal(a, _class_mul(-a, d)), d, c, sig)
             if got is not None:
                 return got
     return None
 
 
 def _ternary_rep(d: int, c: BrauerClass, sig: int) -> QuadForm | None:
-    # <-d> times a pure quaternion norm; the shift is the d-dependent
-    # part of the Clifford invariant of that scaling
-    shift = clifford_class(scale(-d, diagonal(-1, -1, 1)))
-    q_cls = c + shift
-    if q_cls.is_zero():
+    # <-d> times the pure quaternion norm <-al, -be, al be> of the symbol
+    # for c: scaling by -d leaves the Clifford class of a ternary alone,
+    # as C(<d, d, -d>) = (d, -1) + (-1, d) = 0 shows
+    if c.is_zero():
         return None
-    al, be = find_quaternion_symbol(q_cls)
+    al, be = find_quaternion_symbol(c)
     k = scale(-d, diagonal(-al, -be, al * be))
     return _accepted(k, d, c, sig)
 

@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, require
 
 DIM = 4
 
@@ -260,13 +260,6 @@ def _coset_lattice(part: frozenset[Vec]) -> ValueLattice:
     return ValueLattice.value_group(*sorted(part))
 
 
-def _require(fact: bool, part: frozenset[Vec], what: str) -> None:
-    # raise, not assert: the certificate must hold under python -O too
-    if not fact:
-        raise AssertionError(f"norm lattice of {sorted(part)}: {what}")
-
-
-@lru_cache(maxsize=64)
 def _certify_norm_lattice(part: frozenset[Vec]) -> None:
     """Check the facts about N(P) = 2 (Gamma_F + lift P) that separate
     every splitting with P as a half.
@@ -280,20 +273,21 @@ def _certify_norm_lattice(part: frozenset[Vec]) -> None:
     gauge formula makes this exact.
     """
     norm = _coset_lattice(part).scaled(2)
-    _require(TWO_GAMMA_F.is_sublattice_of(norm), part,
-             "2 Gamma_F is not inside")
+    where = f"norm lattice of {sorted(part)}"
+    require(TWO_GAMMA_F.is_sublattice_of(norm), where,
+            "2 Gamma_F is not inside")
     for row in norm.rows:
-        _require(all(x % 2 == 0 for x in row)
-                 and tuple(x // 2 % 2 for x in row) in part, part,
-                 f"row {row} does not halve into the subgroup")
+        require(all(x % 2 == 0 for x in row)
+                and tuple(x // 2 % 2 for x in row) in part, where,
+                f"row {row} does not halve into the subgroup")
     ones = sorted(v for v in part if v != ZERO_VEC)
     pure_val = armature_valuation(
         [None, ZERO_VEC, ZERO_VEC, ZERO_VEC], [ZERO_VEC, *ones])
     norm_val = tuple(2 * x for x in pure_val)
-    _require(any(x % 2 for x in pure_val), part, "pure value is in Gamma_F")
-    _require(norm.contains(norm_val), part, "pure norm value is missing")
-    _require(not TWO_GAMMA_F.contains(norm_val), part,
-             "pure norm value is in 2 Gamma_F")
+    require(any(x % 2 for x in pure_val), where, "pure value is in Gamma_F")
+    require(norm.contains(norm_val), where, "pure norm value is missing")
+    require(not TWO_GAMMA_F.contains(norm_val), where,
+            "pure norm value is in 2 Gamma_F")
 
 
 def _mod2_rank(vectors: Sequence[Vec]) -> int:
@@ -362,13 +356,18 @@ def analyze_obstruction(d: Sequence[Sequence[Sequence[int]]]
     if _mod2_rank(flat) != DIM:
         raise DomainError("the symbol pair is not totally ramified: "
                           "slot monomials are dependent mod squares")
-    checks = []
-    for dec in all_armature_decompositions():
-        # ArmatureDecomposition has checked that S meets T in 0
-        _certify_norm_lattice(dec.s)
-        _certify_norm_lattice(dec.t)
-        checks.append(SplittingCheck(dec, TWO_GAMMA_F, True))
-    return ObstructionReport(slots, False, tuple(checks))
+    return ObstructionReport(slots, False, _separated_checks())
+
+
+@lru_cache(maxsize=1)
+def _separated_checks() -> tuple[SplittingCheck, ...]:
+    # the table does not depend on the slots: certify each rank 2
+    # subgroup once, after which every splitting's halves meet in
+    # exactly 2 Gamma_F (ArmatureDecomposition has checked S meet T = 0)
+    for part in _rank2_subgroups():
+        _certify_norm_lattice(part)
+    return tuple(SplittingCheck(dec, TWO_GAMMA_F, True)
+                 for dec in all_armature_decompositions())
 
 
 def obstruction_check(d: Sequence[Sequence[Sequence[int]]]) -> bool:

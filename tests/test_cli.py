@@ -350,6 +350,20 @@ def test_selftest_fails_under_python_O():
     assert outputs["suites"]["reciprocity"]["ok"] is True
 
 
+def test_witness_check_survives_python_O():
+    # a wrong vector from the search must not escape isotropic_vector
+    # even with asserts stripped
+    script = ("import wittforge.quadform as qf\n"
+              "qf._int_isotropic = lambda s: (1,) * len(s)\n"
+              "try:\n"
+              "    qf.isotropic_vector(qf.diagonal(1, -1, 3))\n"
+              "except AssertionError:\n"
+              "    print('refused')\n")
+    proc = _python("-O", "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "refused\n"
+
+
 def test_search_bound_comes_from_the_environment():
     # the Witt kernel of <1, 1, 1, 7, 5> needs a quaternion symbol (-5, b)
     # ramified at {5, real}; b = 1 and b = -1 both miss it, so a height

@@ -1,0 +1,223 @@
+"""Golden reports: refactors must leave every report byte-identical.
+
+Each case runs one fixed `wittforge.cli.main` call and compares the sha256
+of its stdout and its exit code with digests captured before the code they
+guard was last refactored.  A digest that moves means a report changed; if
+the change is intended, recapture the digest in the same change and say so.
+The frozen isotropic vectors pin the search that splits off a common value
+when both halves of a form are anisotropic: another first candidate gives
+another vector.
+"""
+
+import hashlib
+import json
+import time
+from fractions import Fraction
+from random import Random
+
+import pytest
+
+from split12 import split12_with_primes
+from wittforge.cli import main
+from wittforge.quadform import diagonal, isotropic_vector
+
+FORMS = {
+    "dim2": ["3", "-5"],
+    "dim3": ["3", "5", "-7"],
+    "dim4": ["3", "-5", "7", "-11"],
+    "dim5": ["1", "1", "1", "7", "5"],
+    "dim8-definite": ["1", "2", "3", "5", "7", "11", "13", "17"],
+    "dim12": ["-18/9", "-10/7", "24/8", "-42/8", "36/1", "29/6", "22/4",
+              "37/4", "33/6", "-52/2", "59/1", "6/7"],
+    "dim50": [str(e) for e in (
+        -4, -55, -27, 59, 11, -54, 23, -41, 3, -29, 16, 11, 31, 41, -32, -27,
+        55, 58, -6, -43, -35, 10, -34, 18, 21, 51, -52, -39, 13, 14, -30, 11,
+        49, 6, 41, 20, 36, -5, 48, 10, 53, -39, 52, 34, -34, 5, 3, 24, -5,
+        999983)],
+}
+
+# presentations saved from `alg exists` on (1, 1) x (2, 3), a split first
+# factor, and on (-2, -5) x (7, -3); f3 also runs on a split degree 6
+# factor <3, -6, -5, -55, 7, 154>, whose e1 is trivial
+_H = {"a": "1", "b": "1"}
+_D = {"a": "-2", "b": "-5"}
+PRESENTATIONS = {
+    "exists-1,1-2,3": {
+        "a0": {"m3h": {"alg": _H, "entries": [
+            {"alg": _H, "coords": ["0", "0", "-3/2", "-1/2"]},
+            {"alg": _H, "coords": ["0", "0", "1", "0"]},
+            {"alg": _H, "coords": ["0", "1", "0", "0"]}]}},
+        "h": {"alg": {"a": "2", "b": "3"},
+              "i": {"alg": {"a": "2", "b": "3"},
+                    "coords": ["0", "0", "1", "0"]}}},
+    "exists--2,-5-7,-3": {
+        "a0": {"m3h": {"alg": _D, "entries": [
+            {"alg": _D, "coords": ["0", "0", "0", "-1/2"]},
+            {"alg": _D, "coords": ["0", "0", "-1/5", "0"]},
+            {"alg": _D, "coords": ["0", "1", "0", "0"]}]}},
+        "h": {"alg": {"a": "7", "b": "-3"},
+              "i": {"alg": {"a": "7", "b": "-3"},
+                    "coords": ["0", "4/3", "1", "0"]}}},
+}
+SPLIT6 = {"a0": {"split": {"entries": ["3", "-6", "-5", "-55", "7", "154"]}},
+          "h": {"alg": {"a": "-3", "b": "-7"},
+                "i": {"alg": {"a": "-3", "b": "-7"},
+                      "coords": ["0", "1", "2", "-1"]}}}
+
+TOTALLY_RAMIFIED = {"slots": [[[1, 0, 0, 0], [0, 1, 0, 0]],
+                              [[0, 0, 1, 0], [0, 0, 0, 1]]]}
+SPLIT_FACTOR = {"slots": [[[0, 0, 0, 0], [0, 1, 0, 0]],
+                          [[0, 0, 1, 0], [0, 0, 0, 1]]]}
+
+EXISTS_PAIRS = (("-1,-1", "2,3"), ("2,5", "-1,-1"), ("-3,-1", "-1,2"),
+                ("1,1", "2,3"), ("1,1", "1,-1"), ("-2,-5", "7,-3"))
+
+
+def _split12(seed: int, k: int) -> dict:
+    q = split12_with_primes(Random(seed), k)
+    return {"entries": [str(e) for e in q.entries]}
+
+
+def _cases() -> dict:
+    """name -> (argv with {file} placeholders, payload for that file)."""
+    cases = {}
+    for name, entries in FORMS.items():
+        cases[f"invariants-{name}"] = (["qf", "invariants", "{file}"],
+                                      {"entries": entries})
+    for seed, k in ((1, 2), (2, 5), (3, 8)):
+        cases[f"decompose12-s{seed}-p{k}"] = (["qf", "decompose12", "{file}"],
+                                              _split12(seed, k))
+    cases["hyper-over-1-5"] = (["qf", "hyper-over", "{file}", "--d", "5"],
+                               {"entries": ["1", "-5"]})
+    cases["hyper-over-dim12"] = (["qf", "hyper-over", "{file}", "--d", "-1"],
+                                 _split12(4, 3))
+    for h1, h2 in EXISTS_PAIRS:
+        cases[f"exists-{h1}-{h2}"] = (
+            ["alg", "exists", f"--h1={h1}", f"--h2={h2}"], None)
+    for name, pres in PRESENTATIONS.items():
+        cases[f"f3-{name}"] = (["alg", "f3", "{file}"], pres)
+        cases[f"additive-{name}"] = (["alg", "additive", "{file}"], pres)
+    cases["f3-split6"] = (["alg", "f3", "{file}"], SPLIT6)
+    cases["obstruction-ramified"] = (["val", "obstruction", "{file}"],
+                                     TOTALLY_RAMIFIED)
+    cases["obstruction-split"] = (["val", "obstruction", "{file}"],
+                                  SPLIT_FACTOR)
+    cases["selftest-3-5"] = (["selftest", "--seed", "3", "--count", "5"],
+                             None)
+    return cases
+
+
+# name -> (exit code, sha256 of stdout)
+GOLDEN = {
+    "invariants-dim2": (
+        0, "bfc2d70fe90ec14b431b6cf95cd9844b32b5e0672967ded6bf2011d82809a67d"),
+    "invariants-dim3": (
+        0, "98f812f35b7f9bbc226e2ed6350aef693d26dd473db5e965b6ef55030c53d955"),
+    "invariants-dim4": (
+        0, "44e3e95ab81167492b72b3a973bd8d146ba8def73832d336e4caed5bbb5fecd4"),
+    "invariants-dim5": (
+        0, "17c75a4d1687848144fd06d7274f90b6c818e0ec4852fe26c7444104ab8d4f51"),
+    "invariants-dim8-definite": (
+        0, "35f7b9c90a9c6f94d311464101136138388dee7b9a058b7a1b584c9b0806d73d"),
+    "invariants-dim12": (
+        0, "03506b63e71f219bdec1b14c10f9d836304aa5a645089627cddeb61f69e9f7ef"),
+    "invariants-dim50": (
+        0, "04a68e1c5ff5594ad2eaf0056dafb046c5f48c57139d83e671c9a0a84cfec902"),
+    "decompose12-s1-p2": (
+        0, "363dc3edb906b8141b1d6e0c05215b01252153ff1d2b975ca2ad501385dc65b0"),
+    "decompose12-s2-p5": (
+        0, "5f6ab0b8ae9b5958642b270eedb916146702caa04b2bfbdd382a0a159d0edeed"),
+    "decompose12-s3-p8": (
+        0, "8912597cde4abf036bb71eaa433d75b6dd5d2d137a880cdff68c69a8c285caf2"),
+    "hyper-over-1-5": (
+        0, "73a18010ee30261280766b2f257d2a9c76dbde5f10b4effd001e8ffba113525e"),
+    "hyper-over-dim12": (
+        0, "06ad02f3a2d57f3571ef729e91b29b40a882d4ceb2cfab3139f09280979f7661"),
+    "exists--1,-1-2,3": (
+        0, "5556e841a10944102ff3e4a03a57e0c4a6537a7d1b9982554240f144bab286e2"),
+    "exists-2,5--1,-1": (
+        0, "100b6af9bb8ae72ac5e6cc9144f1a848c2c3f95c55922b828c327e16a40388d1"),
+    "exists--3,-1--1,2": (
+        0, "e35c383905be9e0ce860468d9a5dbcfdbce78df203a386f535164b602f2889f8"),
+    "exists-1,1-2,3": (
+        0, "93b30db8b6f25cb24c4dcac26f58f8da7d0a2de8eef622f94c41d04b216e945b"),
+    "exists-1,1-1,-1": (
+        0, "e3c61814a99d6ae509db07114a6684b6b513cb3d77ba1abbafbca943eb018693"),
+    "exists--2,-5-7,-3": (
+        0, "c4e46efb82475a60b19860dbf978b9e27787de9feb4e636d9948fb25c79497e5"),
+    "f3-exists-1,1-2,3": (
+        0, "5ecb6aac7a2ca0da4ac7707797314150013bcc61abcd6434bfb0e8691876fcb4"),
+    "additive-exists-1,1-2,3": (
+        0, "fd0ae06b36ad6059a87be04a088f62692cf071adf93b1f4d4968fca480e8ab66"),
+    "f3-exists--2,-5-7,-3": (
+        0, "e865d0909158918e51c5450dde4ae9d2d6b7401c6a130dbb4d07fe3cd26a92c5"),
+    "additive-exists--2,-5-7,-3": (
+        0, "94fe3fe83588cae97ff7b5572feeaa045717636a439dbc1b521623e6b21a7841"),
+    "f3-split6": (
+        0, "a9753d40b23b687a02dbc1e5be5e890ceeaa6bb5e096e21244bae197826caed6"),
+    "obstruction-ramified": (
+        0, "a948ec43273deca8215af5df97ad573581a8dd01b53daaa872569c96b0ab132d"),
+    "obstruction-split": (
+        0, "6c4ac653d6367a958461c92f4a1228329ba8e8138134430633eb643f00bcb755"),
+    "selftest-3-5": (
+        0, "825d8d06516f3599b3f27eca103cad62f0aa6537c7d3743934da6bd2d64adb46"),
+}
+
+# (entries, isotropic_vector output); neither <s0, s1> nor the rest of
+# the diagonal is isotropic, and no pair of entries cancels
+FROZEN_ISOTROPIC = (
+    (["-32", "6", "-18", "-36"],
+     ["-3", "12", "0", "4"]),
+    (["241", "-363", "-215", "290"],
+     ["51205", "83055", "94776", "114521"]),
+    (["22", "110", "-133", "396"],
+     ["-541409136717", "-5361348018375", "6728610682728", "2684210434853"]),
+    (["-17/9", "-39", "-19", "5"],
+     ["-3", "-11", "-2056", "4008"]),
+    (["-23", "31", "27", "32"],
+     ["-390", "108", "178", "-267"]),
+    (["13/4", "-122", "25", "229"],
+     ["34", "9", "4", "5"]),
+    (["38", "37", "-1", "3"],
+     ["0", "-11", "-115", "-54"]),
+    (["2", "-21", "-38", "-6"],
+     ["76", "-14", "13", "13"]),
+    (["-19", "210", "69", "362", "6"],
+     ["136779099338626353", "-21906482434479860", "-7873107886581225",
+      "-7187763522885270", "196513279463183771"]),
+    (["312", "42", "328", "132", "-373"],
+     ["11756625", "23513250", "-317810", "10765524", "-14797672"]),
+    (["189", "-74", "266", "386", "338"],
+     ["-74", "-444", "225", "15", "0"]),
+    (["-34/3", "-387", "110", "113", "108"],
+     ["-2795821299", "-103548937", "711077070", "-338006361", "473447376"]),
+    (["-21", "3", "-39", "18", "-20"],
+     ["4", "2", "-36", "-54", "9"]),
+    (["-35/4", "13", "-2", "13", "-24"],
+     ["2924", "2550", "-1276", "-1276", "1073"]),
+    (["3", "6", "-34", "-22", "-19"],
+     ["-91", "91", "18", "9", "-57"]),
+)
+
+
+def _run(tmp_path, capsys, argv, payload):
+    path = tmp_path / "input.json"
+    if payload is not None:
+        path.write_text(json.dumps(payload))
+    code = main([str(path) if a == "{file}" else a for a in argv])
+    out = capsys.readouterr().out
+    return code, hashlib.sha256(out.encode()).hexdigest()
+
+
+def test_golden_reports(tmp_path, capsys):
+    start = time.perf_counter()
+    got = {name: _run(tmp_path, capsys, argv, payload)
+           for name, (argv, payload) in _cases().items()}
+    assert time.perf_counter() - start < 10
+    assert got == GOLDEN
+
+
+@pytest.mark.parametrize("entries, vector", FROZEN_ISOTROPIC)
+def test_isotropic_vector_frozen(entries, vector):
+    q = diagonal(*(Fraction(e) for e in entries))
+    assert isotropic_vector(q) == tuple(Fraction(x) for x in vector)

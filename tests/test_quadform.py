@@ -143,6 +143,12 @@ def test_clifford_frozen_points():
     assert clifford_class(diagonal(1, 1, 1, -1)).is_zero()
     assert clifford_class(diagonal(1, 1, 1, 1)).ramified == frozenset({REAL, 2})
     assert clifford_class(pfister(-1, -1, -1)).is_zero()
+    # C(<d, d, -d>) = (d, d) + (-1, d) = 0: scaling a ternary form by a
+    # square class leaves its Clifford class alone
+    for d in (-1, 2, -2, 3, -5, 6, 7, -30, 1009, -2 * 3 * 5 * 7 * 11):
+        assert clifford_class(diagonal(d, d, -d)).is_zero(), d
+        assert clifford_class(scale(d, diagonal(1, 1, 1))) == clifford_class(
+            diagonal(1, 1, 1)), d
 
 
 @given(entries_strategy)
@@ -358,8 +364,8 @@ def _pairwise_local_hasse(q: QuadForm, v) -> int:
 def test_hasse_class_matches_pairwise_definition(q):
     cls = hasse_class(q)
     assert cls == _pairwise_hasse(q), q
-    for v in _support_places(q) + [11]:
-        eps = _local_hasse(q, v)
+    for v in _support_places(q.square_classes) + [11]:
+        eps = _local_hasse(q.square_classes, v)
         assert eps == _pairwise_local_hasse(q, v), (q, v)
         assert (eps == -1) == cls.is_ramified_at(v), (q, v)
 

@@ -222,6 +222,15 @@ def test_totally_ramified_slot_sets_share_one_table():
     assert second.obstructed and not second.split_factor
 
 
+def test_obstruction_table_is_built_once():
+    # it depends on nothing, so every call returns the same checks object
+    other = [[(1, 0, 1, 0), (0, 1, 0, 0)], [(0, 0, 1, 2), (1, 1, 1, 1)]]
+    first, second = analyze_obstruction(BASIS_D), analyze_obstruction(other)
+    assert first.slots != second.slots
+    assert first.checks is second.checks
+    assert len(first.checks) == 560
+
+
 def test_single_decomposition_detail():
     # the splitting induced by the factors themselves
     report = analyze_obstruction(BASIS_D)
