@@ -8,7 +8,9 @@ exact rational strings; dimensions, indices, counts and H^3 bits are JSON
 integers; Brauer classes are lists of ramified places, real place first.
 
 Exit codes: 0 success, 1 selftest failure, 2 unreadable or malformed
-input, 3 mathematical domain error, 4 search bound exhausted.
+input, 3 mathematical domain error, 4 search bound exhausted, 5 a result
+failed its verification or the computation broke unexpectedly (the
+diagnostic says which: verification-failed or internal-error).
 """
 
 from __future__ import annotations
@@ -223,7 +225,6 @@ def _suite_hermitian_disc(rng: Random, count: int) -> int:
 
 
 def _suite_decompose12(rng: Random, count: int) -> int:
-    # constructive search, so a handful of cases is already slow
     cases = max(1, count // 10)
     for _ in range(cases):
         psi, _, _ = sampling.split12_instance(rng)
@@ -344,6 +345,10 @@ def main(argv=None) -> int:
         return _diagnose(3, "domain", str(exc))
     except BoundExceeded as exc:
         return _diagnose(4, "bound-exceeded", str(exc))
+    except AssertionError as exc:
+        return _diagnose(5, "verification-failed", str(exc))
+    except Exception as exc:
+        return _diagnose(5, "internal-error", f"{type(exc).__name__}: {exc}")
     if args.timing:
         report["timing_ms"] = round((time.perf_counter() - start) * 1000)
     print(json.dumps(report, indent=2, sort_keys=True))

@@ -27,7 +27,7 @@ from .cohomology import (
     cup_h3,
 )
 from .config import HEIGHT_BOUND
-from .errors import BoundExceeded, DomainError
+from .errors import BoundExceeded, DomainError, require
 from .hermitian import (
     SkewHermForm,
     disc_adjoint,
@@ -42,7 +42,6 @@ from .quadform import (
     QuadForm,
     diagonal,
     direct_sum,
-    divide_by_binary,
     e1,
     e2,
     e3,
@@ -50,6 +49,7 @@ from .quadform import (
     neg,
     pfister,
     scale,
+    signature,
     tensor,
 )
 from .quadform import from_json as quad_from_json
@@ -222,31 +222,25 @@ def decompose_split12(psi: QuadForm) -> PfisterDecomposition:
     """Split a 12-dim form with trivial e1, e2 into three scaled binary
     Pfister blocks times a common <<d>>, always with d = -1.
 
-    Trivial e1 and e2 put psi in I^3.  Over Q, I^3 is detected by the
-    signatures at the real places, and Q(sqrt -1) has none, so psi becomes
-    hyperbolic there: <<-1>> = <1, 1> always divides psi, and no other
-    candidate d ever needs to be tried.  divide_by_binary checks that
-    hyperbolicity itself; the division is a search and may still run out
-    of budget.
+    Trivial e1 and e2 put psi in I^3, and over Q, I^3 is torsion-free and
+    detected by the signature: psi = (sig/8) <<-1, -1, -1>> + hyperbolic
+    planes with sig in {-8, 0, 8}.  So psi = tau x <<-1>> with
+    tau = <1 x (3 + sig/4), -1 x (3 - sig/4)>, read off the signature with
+    no search.  Paired in order, tau gives the three blocks, and the beta
+    product -det(tau) is 1 because 3 - sig/4 is odd.  The reconstruction
+    is checked against psi before it is returned.
     """
     if psi.dim != 12:
         raise DomainError("decomposition wants a dim 12 form")
     if e1(psi) != 1 or not e2(psi).is_zero():
         raise DomainError("decomposition wants trivial e1 and e2")
     d = -1
-    tau = divide_by_binary(psi, d)
-    entries = sorted(tau.entries,
-                     key=lambda f: (max(abs(f.numerator), f.denominator),
-                                    f < 0))
-    alphas = tuple(entries[i] for i in (0, 2, 4))
-    betas = [squarefree_part(-entries[i] * entries[i + 1])
-             for i in (0, 2, 4)]
-    # e2(psi) = (b1 b2 b3, d) vanishes, so moving the square class of
-    # b1 b2 onto the third slot changes nothing mod <<d>>
-    assert brauer_from_symbol(betas[0] * betas[1] * betas[2], d).is_zero()
-    betas[2] = squarefree_part(betas[0] * betas[1])
-    dec = PfisterDecomposition(d, alphas, tuple(betas))
-    assert isometric(dec.reconstruction(), psi), (psi, dec)
+    pos = 3 + signature(psi) // 4
+    tau = [1] * pos + [-1] * (6 - pos)
+    alphas = tuple(Fraction(tau[i]) for i in (0, 2, 4))
+    betas = tuple(-tau[i] * tau[i + 1] for i in (0, 2, 4))
+    dec = PfisterDecomposition(d, alphas, betas)
+    require(isometric(dec.reconstruction(), psi), psi, dec)
     return dec
 
 

@@ -62,10 +62,6 @@ class QuadForm:
         return sum((e * as_fraction(x) ** 2 for e, x in zip(self.entries, v)),
                    Fraction(0))
 
-    def bilinear(self, v: Sequence[Rational], w: Sequence[Rational]) -> Fraction:
-        return sum((e * as_fraction(x) * as_fraction(y)
-                    for e, x, y in zip(self.entries, v, w)), Fraction(0))
-
     @cached_property
     def square_classes(self) -> tuple[int, ...]:
         """The signed squarefree class of each entry."""
@@ -187,7 +183,7 @@ def e3(q: QuadForm) -> H3Class:
     if q.dim % 2 or e1(q) != 1 or not e2(q).is_zero():
         raise DomainError("e3 wants a form in I^3 (even dim, trivial e1, e2)")
     sig = signature(q)
-    assert sig % 8 == 0, q
+    require(sig % 8 == 0, q)
     return H3Class((sig // 8) % 2)
 
 
@@ -245,10 +241,6 @@ def _isotropic(s: Sequence[int]) -> bool:
 def is_isotropic(q: QuadForm) -> bool:
     """Whether q represents 0 nontrivially over Q (Hasse-Minkowski)."""
     return _isotropic(q.square_classes)
-
-
-def is_anisotropic(q: QuadForm) -> bool:
-    return not is_isotropic(q)
 
 
 def _sqrt_fraction(f: Fraction) -> Fraction:
@@ -605,40 +597,6 @@ def is_hyperbolic_over(q: QuadForm, d: Rational) -> bool:
         elif is_local_square(sd, v):
             return False
     return True
-
-
-def divide_by_binary(q: QuadForm, d: Rational) -> QuadForm:
-    """A form tau with q isometric to tau x <1, -d>, when one exists.
-
-    Divisibility needs q hyperbolic over Q(sqrt d) and the discriminant
-    parity d^(dim/2) = disc(q); a lone hyperbolic plane shows the parity
-    condition is not implied by the first.  The factor is peeled one
-    represented value at a time and the product is re-verified at the end.
-    """
-    sd = squarefree_part(d)
-    if sd == 1:
-        raise DomainError("d must be a nonsquare")
-    if q.dim % 2:
-        raise DomainError("dimension must be even")
-    m = q.dim // 2
-    if e1(q) != (sd if m % 2 else 1):
-        raise DomainError("not divisible: discriminant obstruction")
-    if not is_hyperbolic_over(q, sd):
-        raise DomainError(f"form stays non-hyperbolic over Q(sqrt {sd})")
-    slots: list[Fraction] = []
-    r = QuadForm(tuple(Fraction(a) for a in q.square_classes))
-    while r.dim:
-        c = r.entries[0]
-        slots.append(c)
-        # r = c<1,-d> + r'  =>  r + <-c, cd> = r' + 2 hyperbolic planes
-        w = witt_decompose(direct_sum(r, diagonal(-c, c * sd)))
-        pad = (w.total_dim - 4 - w.kernel.dim) // 2
-        assert pad >= 0, (q, sd, r)
-        r = direct_sum(w.kernel, hyperbolic(pad)) if pad else w.kernel
-        r = QuadForm(tuple(Fraction(a) for a in r.square_classes))
-    tau = QuadForm(tuple(slots))
-    assert isometric(tensor(tau, diagonal(1, -sd)), q), (q, sd, tau)
-    return tau
 
 
 # --- serialization --------------------------------------------------------

@@ -116,9 +116,6 @@ class Quat:
         a, b = self.alg.a, self.alg.b
         return t * t - a * x * x - b * y * y + a * b * z * z
 
-    def trd(self) -> Fraction:
-        return 2 * self.coeffs[0]
-
     def is_pure(self) -> bool:
         return self.coeffs[0] == 0
 

@@ -1,8 +1,9 @@
 """Seeded decompose12 inputs whose prime count grows at fixed dimension.
 
-A helper for the test files, not a test module: the decompose12 search
-scales in the number of distinct primes of the entries, which the library's
-own generators do not control.
+A helper for the test files, not a test module: inputs with many distinct
+primes in their entries, which the library's own generators do not
+control.  decompose12 reads its answer off the signature, so these check
+that its cost and its verification stay flat as the prime count grows.
 """
 
 from random import Random

@@ -4,7 +4,8 @@ Everything is asserted through json.loads on captured stdout, never by eye:
 the contract is byte-identical reports for identical inputs (sorted keys,
 timing null unless --timing), machine-readable diagnostics on stderr, and
 the exit codes 0 success / 1 selftest failure / 2 malformed input /
-3 domain error / 4 bound exhausted.
+3 domain error / 4 bound exhausted / 5 failed verification or internal
+error.
 """
 
 import io
@@ -362,6 +363,48 @@ def test_witness_check_survives_python_O():
     proc = _python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "refused\n"
+
+
+def test_decompose12_check_survives_python_O():
+    # a reconstruction that fails its isometry check must not escape
+    # decompose_split12 even with asserts stripped
+    script = ("import wittforge.invol12 as invol12\n"
+              "from wittforge.quadform import hyperbolic\n"
+              "invol12.isometric = lambda q1, q2: False\n"
+              "try:\n"
+              "    invol12.decompose_split12(hyperbolic(6))\n"
+              "except AssertionError:\n"
+              "    print('refused')\n")
+    proc = _python("-O", "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "refused\n"
+
+
+def test_failed_verification_exits_5():
+    # the same refusal through the driver: a diagnostic, not a traceback
+    script = ("import sys\n"
+              "import wittforge.cli as cli\n"
+              "cli.invol12.isometric = lambda q1, q2: False\n"
+              "sys.exit(cli.main(['qf', 'decompose12', '-']))\n")
+    form = json.dumps({"entries": ["1", "-1"] * 6})
+    proc = _python("-O", "-c", script, stdin=form)
+    assert proc.returncode == 5 and proc.stdout == ""
+    diagnostic = json.loads(proc.stderr)
+    assert diagnostic["error"] == "verification-failed"
+    assert set(diagnostic) == {"error", "message"}
+
+
+def test_unexpected_exception_exits_5(tmp_path, capsys, monkeypatch):
+    def broken(psi):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr("wittforge.invol12.decompose_split12", broken)
+    path = _form_file(tmp_path, SPLIT12_ENTRIES)
+    code, out, err = _run(capsys, "qf", "decompose12", path)
+    assert code == 5 and out == ""
+    assert json.loads(err) == {"error": "internal-error",
+                               "message": "ZeroDivisionError: division by "
+                                          "zero"}
 
 
 def test_search_bound_comes_from_the_environment():

@@ -124,11 +124,11 @@ GOLDEN = {
     "invariants-dim50": (
         0, "04a68e1c5ff5594ad2eaf0056dafb046c5f48c57139d83e671c9a0a84cfec902"),
     "decompose12-s1-p2": (
-        0, "363dc3edb906b8141b1d6e0c05215b01252153ff1d2b975ca2ad501385dc65b0"),
+        0, "931befd1ab540f800798ffe3be4b2735a3bd13269c402bca69075d22310e7320"),
     "decompose12-s2-p5": (
         0, "5f6ab0b8ae9b5958642b270eedb916146702caa04b2bfbdd382a0a159d0edeed"),
     "decompose12-s3-p8": (
-        0, "8912597cde4abf036bb71eaa433d75b6dd5d2d137a880cdff68c69a8c285caf2"),
+        0, "2ca4fe71bdb6886cf2560c940b86adb8b4249497f72095a9b76606b9d7cd7f0b"),
     "hyper-over-1-5": (
         0, "73a18010ee30261280766b2f257d2a9c76dbde5f10b4effd001e8ffba113525e"),
     "hyper-over-dim12": (

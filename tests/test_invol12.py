@@ -48,6 +48,7 @@ from wittforge.quadform import (
     neg,
     pfister,
     scale,
+    signature,
     tensor,
     witt_equivalent,
 )
@@ -239,6 +240,19 @@ def test_decompose_split12_always_divides_by_minus_one():
             dec = decompose_split12(psi)
             assert dec.d == -1, (k, psi)
             assert isometric(dec.reconstruction(), psi), (k, psi)
+
+
+def test_decompose_split12_reads_the_signature():
+    # I^3(Q) is detected by the signature, so each of the three possible
+    # signatures has one fixed answer, whatever the entries of psi
+    plus = direct_sum(pfister(-1, -1, -1), hyperbolic(2))
+    cases = ((plus, 8, (1, 1, 1), (-1, -1, 1)),
+             (hyperbolic(6), 0, (1, 1, -1), (-1, 1, -1)),
+             (neg(plus), -8, (1, -1, -1), (1, -1, -1)))
+    for psi, sig, alphas, betas in cases:
+        assert signature(psi) == sig
+        dec = decompose_split12(psi)
+        assert (dec.d, dec.alphas, dec.betas) == (-1, alphas, betas), sig
 
 
 def test_pfister_decomposition_validates_beta_product():

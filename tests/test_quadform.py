@@ -25,7 +25,6 @@ from wittforge.quadform import (
     det_class,
     diagonal,
     direct_sum,
-    divide_by_binary,
     e1,
     e2,
     e3,
@@ -267,6 +266,7 @@ def test_hyperbolic_over_extension_values():
     assert not is_hyperbolic_over(big, 2)
     assert not is_hyperbolic_over(diagonal(1, 1), 2)
     assert is_hyperbolic_over(hyperbolic(1), 7)
+    assert is_hyperbolic_over(hyperbolic(1), 2)
     with pytest.raises(DomainError):
         is_hyperbolic_over(diagonal(1, 1), 4)
     with pytest.raises(DomainError):
@@ -278,27 +278,9 @@ def test_hyperbolic_over_extension_values():
        st.integers(min_value=-15, max_value=15).filter(
            lambda n: squarefree_part(n) != 1 if n != 0 else False))
 @settings(max_examples=50, deadline=None)
-def test_binary_multiples_are_hyperbolic_over_and_divide_back(slots, d):
-    tau = diagonal(*slots)
-    q = tensor(tau, diagonal(1, -d))
+def test_binary_multiples_are_hyperbolic_over(slots, d):
+    q = tensor(diagonal(*slots), diagonal(1, -d))
     assert is_hyperbolic_over(q, d)
-    back = divide_by_binary(q, d)
-    assert isometric(tensor(back, diagonal(1, -squarefree_part(d))), q)
-
-
-def test_divide_by_binary_discriminant_obstruction():
-    # a single hyperbolic plane is hyperbolic over Q(sqrt 2) but has no
-    # <1,-2> factor: the discriminants disagree
-    assert is_hyperbolic_over(hyperbolic(1), 2)
-    with pytest.raises(DomainError):
-        divide_by_binary(hyperbolic(1), 2)
-    tau = divide_by_binary(hyperbolic(2), 2)
-    assert isometric(tensor(tau, diagonal(1, -2)), hyperbolic(2))
-
-
-def test_divide_by_binary_rejects_nondivisible():
-    with pytest.raises(DomainError):
-        divide_by_binary(diagonal(1, 1, 1, 1), 3)
 
 
 def test_is_hyperbolic():
