@@ -415,8 +415,7 @@ def represent_value(q: QuadForm, c: Rational) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class WittClass:
-    """Anisotropic kernel plus Witt index.  Equality compares kernels only,
-    which is equality in the Witt ring."""
+    """Anisotropic kernel plus Witt index."""
 
     kernel: QuadForm
     index: int
@@ -425,13 +424,31 @@ class WittClass:
     def total_dim(self) -> int:
         return self.kernel.dim + 2 * self.index
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WittClass):
-            return NotImplemented
-        return isometric(self.kernel, other.kernel)
 
-    def __hash__(self):
-        return hash((self.kernel.dim, e1(self.kernel), signature(self.kernel)))
+def _kernel_dim(n: int, d: int, c: BrauerClass, sig: int) -> int:
+    """The anisotropic kernel dimension of an n-dim form with invariants
+    (e1, Clifford, signature) = (d, c, sig).
+
+    The Witt index over Q is the least local one (Hasse-Minkowski, one
+    hyperbolic plane at a time), so the kernel is the largest local kernel:
+    |sig| at the real place; at a prime p, for odd n 3 if c ramifies at p
+    else 1, for even n 4 if d is a square at p and c ramifies there, 2 if
+    d is not a square at p (as a squarefree d != 1 is at some p), else 0.
+    """
+    finite = [v for v in c.ramified if v != REAL]
+    if n % 2:
+        local = 3 if finite else 1
+    elif any(_local_square_core(d, v) for v in finite):
+        local = 4
+    else:
+        local = 0 if d == 1 else 2
+    return max(abs(sig), local)
+
+
+def witt_index(q: QuadForm) -> int:
+    """The Witt index of q, read off its invariants; nothing is searched."""
+    dim0 = _kernel_dim(q.dim, e1(q), clifford_class(q), signature(q))
+    return (q.dim - dim0) // 2
 
 
 def _accepted(k: QuadForm, d: int, c: BrauerClass, sig: int,
@@ -455,12 +472,7 @@ def _peel_unit(dim0: int, d: int, c: BrauerClass, x: int,
 
 
 def _binary_rep(d: int, c: BrauerClass, sig: int) -> QuadForm | None:
-    # <a, -ad> has e1 = d and Clifford invariant (a, d); anisotropy is
-    # d != 1, and the sign of d is pinned by the signature
-    if d == 1 or (sig == 0) != (d > 0):
-        return None
-    if any(is_local_square(d, v) for v in c.ramified):
-        return None
+    # <a, -ad> has e1 = d and Clifford invariant (a, d)
     for a in _signed_squarefree_by_height(HEIGHT_BOUND):
         if brauer_from_symbol(a, d) == c:
             got = _accepted(diagonal(a, _class_mul(-a, d)), d, c, sig)
@@ -481,11 +493,6 @@ def _ternary_rep(d: int, c: BrauerClass, sig: int) -> QuadForm | None:
 
 
 def _quaternary_rep(d: int, c: BrauerClass, sig: int) -> QuadForm | None:
-    # indefinite quaternaries must be anisotropic at some finite place:
-    # trivial local discriminant and nonsplit local Clifford class there
-    if abs(sig) != 4 and not any(v != REAL and is_local_square(d, v)
-                                 for v in c.ramified):
-        return None
     for x in _signed_squarefree_by_height(HEIGHT_BOUND):
         d3, c3 = _peel_unit(4, d, c, x)
         k3 = _ternary_rep(d3, c3, sig - (1 if x > 0 else -1))
@@ -499,12 +506,10 @@ def _quaternary_rep(d: int, c: BrauerClass, sig: int) -> QuadForm | None:
 
 def _anisotropic_rep(dim0: int, d: int, c: BrauerClass,
                      sig: int) -> QuadForm | None:
-    """A small-entry anisotropic form with the given invariants, if one
-    exists at this dimension.  None is only a statement about dim0."""
-    if abs(sig) > dim0 or (dim0 - sig) % 2:
-        return None
+    """A small-entry anisotropic form of dimension dim0 = _kernel_dim(...)
+    with the given invariants, or None if a search ran out first."""
     if dim0 == 0:
-        return diagonal() if d == 1 and c.is_zero() and sig == 0 else None
+        return _accepted(diagonal(), d, c, sig)
     if dim0 == 1:
         return _accepted(diagonal(d), d, c, sig)
     if dim0 == 2:
@@ -513,11 +518,8 @@ def _anisotropic_rep(dim0: int, d: int, c: BrauerClass,
         return _ternary_rep(d, c, sig)
     if dim0 == 4:
         return _quaternary_rep(d, c, sig)
-    if abs(sig) != dim0:
-        # an indefinite form in five or more variables is isotropic
-        return None
-    # definite: <eps, ..., eps> + a definite quaternary, whose invariants
-    # come from peeling the units off one at a time
+    # past dim 4 the kernel is definite: <eps, ..., eps> + a definite
+    # quaternary, whose invariants come from peeling the units off one by one
     eps = 1 if sig > 0 else -1
     d4, c4 = d, c
     for dim in range(dim0, 4, -1):
@@ -532,21 +534,18 @@ def _anisotropic_rep(dim0: int, d: int, c: BrauerClass,
 def witt_decompose(q: QuadForm) -> WittClass:
     """q = (anisotropic kernel) + index * (hyperbolic plane).
 
-    The kernel is rebuilt from (e1, Clifford, signature), which classify
-    Witt classes over Q, rather than peeled off vector by vector; the
-    smallest dimension admitting an anisotropic form with the right
-    invariants wins, and the result is verified before it is returned.
+    The kernel dimension is read off (e1, Clifford, signature), which
+    classify Witt classes over Q; the kernel is then built with those
+    invariants rather than peeled off vector by vector, and verified
+    before it is returned.
     """
-    if q.dim == 0:
-        return WittClass(q, 0)
     d, c, sig = e1(q), clifford_class(q), signature(q)
-    start = abs(sig) if (abs(sig) - q.dim) % 2 == 0 else abs(sig) + 1
-    for dim0 in range(start, q.dim + 1, 2):
-        kernel = _anisotropic_rep(dim0, d, c, sig)
-        if kernel is not None:
-            return WittClass(kernel, (q.dim - dim0) // 2)
-    raise BoundExceeded("no anisotropic kernel found; the search caps in "
-                        "the representative constructors are too low")
+    dim0 = _kernel_dim(q.dim, d, c, sig)
+    kernel = _anisotropic_rep(dim0, d, c, sig)
+    if kernel is None:
+        raise BoundExceeded("no anisotropic kernel found; the search caps in "
+                            "the representative constructors are too low")
+    return WittClass(kernel, (q.dim - dim0) // 2)
 
 
 # --- classification -------------------------------------------------------

@@ -339,6 +339,46 @@ def test_clifford_class_and_isotropy_with_entries_near_a_million():
             + brauer_sum(brauer_from_symbol(-1, x) for x in (-1, p, q)))
 
 
+# forms on which `qf invariants` once ran out of budget building a Witt
+# kernel it only needed the dimension of, with their Witt indices
+ONCE_EXHAUSTED_INVARIANTS = (
+    # the kernel search factored entries that are products of two primes
+    # above 10^6
+    (["1000003", "1000033", "1"], 0),
+    # the kernel search needed a quaternion symbol ramified at 14 places
+    ([-69, -164, 178, -197, -22, -58, 40, -26, -82, 49, 85, -163, 17, -177,
+      -2, 87, -112, 52, -70, -33, -160, 137, 106, 161, -110, 128, -24, -195,
+      2, -3, -122, 42, 36, -97, 87, 162, 21, 175, -136, -120, -197, -121,
+      104, 93, 199, 18, -171, 79, -89, 999983], 23),
+    ([50, 82, -166, -144, -124, -143, 92, -28, 69, -149], 4),
+    ([-25, 71, 188, 173, -125, 20, 111, -4, 91, -74, -192, -154], 5),
+)
+
+
+def test_invariants_once_exhausted_by_the_kernel_search(tmp_path):
+    for entries, index in ONCE_EXHAUSTED_INVARIANTS:
+        with _budget("invariants, once exhausted", 2):
+            code, report = _cli_report(
+                tmp_path, ["qf", "invariants"],
+                {"entries": [str(e) for e in entries]})
+        assert code == 0, entries
+        assert report["outputs"]["witt_index"] == index, entries
+
+
+def test_invariants_build_no_kernel(tmp_path, monkeypatch):
+    # the Witt index is read off the invariants: no kernel is searched for
+    def refuse(*args):
+        raise AssertionError("qf invariants searched for a kernel")
+
+    for name in ("witt_decompose", "_anisotropic_rep",
+                 "find_quaternion_symbol"):
+        monkeypatch.setattr(f"wittforge.quadform.{name}", refuse)
+    code, report = _cli_report(tmp_path, ["qf", "invariants"],
+                               {"entries": ["1", "1", "1", "7", "5"]})
+    assert code == 0
+    assert report["outputs"]["witt_index"] == 0
+
+
 # pairs whose witness once left a prime-square cofactor past the trial
 # division bound in factor (the survey workload's known defects)
 PRIME_SQUARE_PAIRS = (((-1, -2), (-7, -15)), ((-2, 13), (-15, -7)),

@@ -407,19 +407,32 @@ def test_unexpected_exception_exits_5(tmp_path, capsys, monkeypatch):
                                           "zero"}
 
 
+# a presentation saved from `alg exists --h1=-2,-5 --h2=7,-3`
+_D = {"a": "-2", "b": "-5"}
+EXISTS_PRESENTATION = {
+    "a0": {"m3h": {"alg": _D, "entries": [
+        {"alg": _D, "coords": ["0", "0", "0", "-1/2"]},
+        {"alg": _D, "coords": ["0", "0", "-1/5", "0"]},
+        {"alg": _D, "coords": ["0", "1", "0", "0"]}]}},
+    "h": {"alg": {"a": "7", "b": "-3"},
+          "i": {"alg": {"a": "7", "b": "-3"},
+                "coords": ["0", "4/3", "1", "0"]}}}
+
+
 def test_search_bound_comes_from_the_environment():
-    # the Witt kernel of <1, 1, 1, 7, 5> needs a quaternion symbol (-5, b)
-    # ramified at {5, real}; b = 1 and b = -1 both miss it, so a height
-    # bound of 1 runs out, while the default 10^4 finds b = 2
-    form = json.dumps({"entries": ["1", "1", "1", "7", "5"]})
-    args = ("-m", "wittforge.cli", "qf", "invariants", "-")
-    proc = _python(*args, stdin=form, WITTFORGE_SEARCH_BOUND="1")
+    # f3 by norms builds the quaternion algebra of A's class, ramified at
+    # {5, real}, from a symbol (-5, b); b = 1 and b = -1 both miss it, so
+    # a height bound of 1 runs out, while the default 10^4 finds b = -2
+    presentation = json.dumps(EXISTS_PRESENTATION)
+    args = ("-m", "wittforge.cli", "alg", "f3", "-")
+    proc = _python(*args, stdin=presentation, WITTFORGE_SEARCH_BOUND="1")
     assert proc.returncode == 4 and proc.stdout == ""
     diagnostic = json.loads(proc.stderr)
     assert diagnostic["error"] == "bound-exceeded"
     assert "|b| <= 1" in diagnostic["message"]
     # unset, or not a positive integer: the default applies
     for value in (None, "0", "ten"):
-        proc = _python(*args, stdin=form, WITTFORGE_SEARCH_BOUND=value)
+        proc = _python(*args, stdin=presentation,
+                       WITTFORGE_SEARCH_BOUND=value)
         assert proc.returncode == 0, (value, proc.stderr)
-        assert json.loads(proc.stdout)["outputs"]["signature"] == 5
+        assert json.loads(proc.stdout)["outputs"]["agree"] is True

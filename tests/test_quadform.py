@@ -46,6 +46,7 @@ from wittforge.quadform import (
     from_json,
     witt_decompose,
     witt_equivalent,
+    witt_index,
 )
 
 entries_strategy = st.lists(
@@ -102,6 +103,8 @@ def test_isotropy_frozen():
 @given(entries_strategy)
 @settings(max_examples=60)
 def test_isotropic_forms_yield_exact_zeros(q):
+    # _isotropic and _kernel_dim encode the local-global principle apart
+    assert is_isotropic(q) == (witt_index(q) > 0)
     if is_isotropic(q):
         v = isotropic_vector(q)
         assert q(v) == 0 and any(v)
@@ -223,6 +226,9 @@ def test_witt_decompose_frozen():
     assert w2.index == 3 and w2.kernel.dim == 0
     w3 = witt_decompose(diagonal(2, 3, 5))
     assert w3.index == 0 and w3.kernel.dim == 3
+    assert witt_index(diagonal(1, 1, -2)) == 1
+    assert witt_index(hyperbolic(3)) == 3
+    assert witt_index(diagonal(2, 3, 5)) == 0
 
 
 @given(entries_strategy)
@@ -230,6 +236,7 @@ def test_witt_decompose_frozen():
 def test_witt_decompose_roundtrip(q):
     w = witt_decompose(q)
     assert not is_isotropic(w.kernel)
+    assert witt_index(q) == w.index
     assert w.total_dim == q.dim
     rebuilt = direct_sum(w.kernel, hyperbolic(w.index)) if w.index else w.kernel
     assert isometric(rebuilt, q)
