@@ -3,10 +3,13 @@
 For every sampled pair of quaternion algebras the existence search returns
 a presentation with trivial discriminant and Clifford invariant; this
 script evaluates f3 on each witness by both routes and tallies the bits.
-Every run to date reports f3 = 0 across the board, which matches the
-degenerate families where vanishing is a theorem (split full algebra,
-split degree 6 factor, degree 6 factor split by its own discriminant).
-The survey exists to probe whether a generic witness over Q can reach 1.
+Every run to date reports f3 = 0 across the board, which shows less than
+it seems: both routes work from Brauer classes and discriminants alone,
+never see the signature of the degree 6 factor, and so miss the real
+place together.  Vanishing is not a theorem for a split full algebra in
+general: Split6(<1, 1, 1, 1, 1, -1>) with H = (1, 1) and
+rho = Int(i + j + 2k) o conj has f3 = 1.  The tests pin f3 = 0 only on
+the three degenerate presentations frozen in tests/test_invol12.py.
 """
 
 from __future__ import annotations

@@ -10,13 +10,16 @@ integers; Brauer classes are lists of ramified places, real place first.
 Exit codes: 0 success, 1 selftest failure, 2 unreadable or malformed
 input, 3 mathematical domain error, 4 search bound exhausted, 5 a result
 failed its verification or the computation broke unexpectedly (the
-diagnostic says which: verification-failed or internal-error).
+diagnostic says which: verification-failed or internal-error).  A reader
+that closes stdout before the report ends (`| head -c 10`) cuts the report
+short but leaves the exit code to the command, with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -351,7 +354,14 @@ def main(argv=None) -> int:
         return _diagnose(5, "internal-error", f"{type(exc).__name__}: {exc}")
     if args.timing:
         report["timing_ms"] = round((time.perf_counter() - start) * 1000)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    try:
+        print(json.dumps(report, indent=2, sort_keys=True))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early; devnull takes the interpreter's last flush
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

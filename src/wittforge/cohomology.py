@@ -16,6 +16,7 @@ from .qarith import (
     Place,
     Rational,
     check_place,
+    is_local_square,
     ramified_places,
     squarefree_part,
 )
@@ -69,25 +70,45 @@ def _signed_squarefree_by_height(limit: int):
             yield -n
 
 
+def nonsquare_slot(places: Iterable[Place]) -> int:
+    """The product of the listed primes, negated when the real place is
+    listed: a local nonsquare at every listed place, found by no search."""
+    a = 1
+    for v in places:
+        a *= -1 if v == REAL else v
+    return a
+
+
+def second_slot(a: int, cls: BrauerClass) -> int:
+    """The first signed squarefree b by height with (a, b) = cls.
+
+    A matching b exists exactly when a is a local nonsquare at every place
+    of cls (one with prime support, by Dirichlet), so a local square there
+    is refused before any search.  This is the package's one symbol walk.
+    """
+    places = cls.sort_key()
+    for v in places:
+        if is_local_square(a, v):
+            raise DomainError(f"{a} is a local square at {v}, where the "
+                              "class ramifies")
+    for b in _signed_squarefree_by_height(HEIGHT_BOUND):
+        if ramified_places(a, b) == cls.ramified:
+            return b
+    listed = ", ".join(str(v) for v in places)
+    raise BoundExceeded(f"no symbol with |b| <= {HEIGHT_BOUND} for "
+                        f"ramification {{{listed}}}")
+
+
 def find_quaternion_symbol(cls: BrauerClass) -> tuple[int, int]:
     """A symbol (a, b) representing cls, with signed squarefree entries.
 
-    The first slot is fixed from the ramification set (product of the finite
-    ramified primes, negated when the real place appears); the second is found
-    by enumeration, which terminates since a matching b exists with prime
-    support by Dirichlet.  Entries may involve primes outside the ramified
-    set; that is unavoidable for sets like {17, 89}.
+    The first slot is read off the ramification set (nonsquare_slot); the
+    second is the first match by height (second_slot).  Entries may involve
+    primes outside the ramified set; that is unavoidable for sets like
+    {17, 89}.
     """
-    if cls.is_zero():
-        return (1, 1)
-    a = 1
-    for v in cls.ramified:
-        a *= -1 if v == REAL else v
-    for b in _signed_squarefree_by_height(HEIGHT_BOUND):
-        if ramified_places(a, b) == cls.ramified:
-            return (a, b)
-    raise BoundExceeded(f"no symbol with |b| <= {HEIGHT_BOUND} for "
-                        f"ramification {set(cls.ramified)}")
+    a = nonsquare_slot(cls.ramified)
+    return a, second_slot(a, cls)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,12 @@
 """Search budgets: two module constants, fixed for the life of a process.
 
-HEIGHT_BOUND caps the height of every enumeration that looks for a
-witness: the sup-norm of candidate integer vectors and the absolute value
-of candidate signed squarefree slots.  Heights are measured on integers
-after clearing denominators, so it is a plain int.  It is 10**4 unless the
-environment variable WITTFORGE_SEARCH_BOUND holds a positive integer, and
-it is read once, when this module is first imported; a value that is not a
-positive integer is ignored.
+HEIGHT_BOUND caps the two walks over signed squarefree ints by absolute
+value: cohomology.second_slot, the second slot of a quaternion symbol in
+a given Brauer class, and the splitting value in quadform._int_isotropic
+that stitches two anisotropic halves of an isotropic form.  It is 10**4
+unless the environment variable WITTFORGE_SEARCH_BOUND holds a positive
+integer, and it is read once, when this module is first imported; a value
+that is not a positive integer is ignored.
 
 FACTOR_BOUND caps trial division in qarith.factor.
 

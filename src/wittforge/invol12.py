@@ -22,11 +22,11 @@ from .cohomology import (
     ZERO,
     BrauerClass,
     H3Class,
-    _signed_squarefree_by_height,
     brauer_from_symbol,
     cup_h3,
+    nonsquare_slot,
+    second_slot,
 )
-from .config import HEIGHT_BOUND
 from .errors import BoundExceeded, DomainError, require
 from .hermitian import (
     SkewHermForm,
@@ -37,7 +37,7 @@ from .hermitian import (
 )
 from .hermitian import from_json as herm_from_json
 from .hermitian import to_json as herm_to_json
-from .qarith import is_local_square, squarefree_part
+from .qarith import squarefree_part
 from .quadform import (
     QuadForm,
     diagonal,
@@ -201,7 +201,7 @@ def repair_decomposition(p: ProductPresentation) -> ProductPresentation:
     twisted = twist_last_entry(carrier, c)
     repaired = ProductPresentation(Split6(diagonal(*twisted.multipliers)),
                                    p.hrho)
-    assert repaired.disc_symbol() == p.hrho.alg.brauer(), (p, c)
+    require(repaired.disc_symbol() == p.hrho.alg.brauer(), p, c)
     return repaired
 
 
@@ -261,7 +261,7 @@ def additive_decomposition(p: ProductPresentation,
         h_i = brauer_from_symbol(a * d0, d)
         q_i = brauer_from_symbol(a, b * d)
         # (a, b) = [H'] makes each pair sum to [H'] + (d, d0) on the nose
-        assert h_i + q_i == base.brauer() + p.disc_symbol(), (p, a, b)
+        require(h_i + q_i == base.brauer() + p.disc_symbol(), p, a, b)
         out.append((h_i, q_i))
     return out
 
@@ -294,40 +294,29 @@ def f3_via_norms(p: ProductPresentation) -> H3Class:
     phi = direct_sum(q_alg.norm_form(),
                      neg(h_alg.norm_form()),
                      neg(scale(p.d(), hp_norm)))
-    assert e1(phi) == 1 and e2(phi).is_zero(), p
+    require(e1(phi) == 1 and e2(phi).is_zero(), p)
     return e3(phi)
-
-
-def _common_splitting_class(ram: frozenset) -> int:
-    # c must stay a nonsquare at every listed place; the first such class
-    # by height, positive before negative
-    for c in _signed_squarefree_by_height(HEIGHT_BOUND):
-        if c != 1 and not any(is_local_square(c, v) for v in ram):
-            return c
-    raise BoundExceeded("no common splitting field within the search bound")
 
 
 def f3_via_symbol(p: ProductPresentation) -> H3Class:
     """f3 as the cup product (d e) . [Q] over a common splitting field.
 
-    A square class c that is a local nonsquare at every place where H, H'
-    or Q ramifies splits all three by the quadratic extension it generates;
-    e is the complementary slot with H = (c, e).  The same cup against [H']
-    must give the same bit, and does, which is asserted on every call.
+    c = nonsquare_slot(...) is a local nonsquare at every place where H, H'
+    or Q ramifies, so Q(sqrt c) splits all three; e is the second slot with
+    H = (c, e).  The bit depends only on the sign of e, which H forces at
+    the real place whenever the real place is among those places.  The
+    same cup against [H'] must give the same bit, and does, which is
+    checked on every call.
     """
     p = _require_aligned(p)
-    h_alg = p.hrho.alg
+    h_class = p.hrho.alg.brauer()
     q_class = p.a_class()
     hp_class = p.a0.brauer()
+    ram = h_class.ramified | hp_class.ramified | q_class.ramified
+    e = second_slot(nonsquare_slot(ram), h_class)
     d = p.d()
-    if h_alg.is_split():
-        e = 1
-    else:
-        ram = h_alg.brauer().ramified | hp_class.ramified | q_class.ramified
-        c = _common_splitting_class(ram)
-        e = complement_slot(h_alg, c)
     out = cup_h3(d * e, q_class)
-    assert out == cup_h3(d * e, hp_class), (p, e)
+    require(out == cup_h3(d * e, hp_class), p, e)
     return out
 
 
@@ -362,7 +351,7 @@ def exists_involution(h1: QuaternionAlgebra,
         return ExistsOutcome("unknown")
     pres = ProductPresentation(M3H(skew_form(h1, q1, q2, q3)),
                                QuatInvol(h2, i_elem))
-    assert is_aligned(pres), (h1, h2, pres)
+    require(is_aligned(pres), h1, h2, pres)
     return ExistsOutcome("witness", pres)
 
 

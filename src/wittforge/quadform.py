@@ -16,7 +16,8 @@ from math import gcd, isqrt
 from typing import Iterable, Sequence
 
 from .cohomology import (BrauerClass, H3Class, _signed_squarefree_by_height,
-                         brauer_from_symbol, find_quaternion_symbol)
+                         brauer_from_symbol, find_quaternion_symbol,
+                         second_slot)
 from .config import HEIGHT_BOUND
 from .errors import BoundExceeded, DomainError, require
 from .qarith import (
@@ -451,13 +452,6 @@ def witt_index(q: QuadForm) -> int:
     return (q.dim - dim0) // 2
 
 
-def _accepted(k: QuadForm, d: int, c: BrauerClass, sig: int,
-              ) -> QuadForm | None:
-    ok = (e1(k) == d and clifford_class(k) == c and signature(k) == sig
-          and not is_isotropic(k))
-    return k if ok else None
-
-
 def _peel_unit(dim0: int, d: int, c: BrauerClass, x: int,
                ) -> tuple[int, BrauerClass]:
     """Invariants (e1, Clifford) of k with <x> + k carrying (d, c) in
@@ -471,51 +465,42 @@ def _peel_unit(dim0: int, d: int, c: BrauerClass, x: int,
     return d2, c2
 
 
-def _binary_rep(d: int, c: BrauerClass, sig: int) -> QuadForm | None:
-    # <a, -ad> has e1 = d and Clifford invariant (a, d)
-    for a in _signed_squarefree_by_height(HEIGHT_BOUND):
-        if brauer_from_symbol(a, d) == c:
-            got = _accepted(diagonal(a, _class_mul(-a, d)), d, c, sig)
-            if got is not None:
-                return got
-    return None
+def _binary_rep(d: int, c: BrauerClass) -> QuadForm:
+    # <b, -bd> has e1 = d and Clifford invariant (b, d); when d < 0, c
+    # fixes the sign of b at the real place, and with it the signature
+    b = second_slot(d, c)
+    return diagonal(b, _class_mul(-b, d))
 
 
-def _ternary_rep(d: int, c: BrauerClass, sig: int) -> QuadForm | None:
+def _ternary_rep(d: int, c: BrauerClass) -> QuadForm:
     # <-d> times the pure quaternion norm <-al, -be, al be> of the symbol
     # for c: scaling by -d leaves the Clifford class of a ternary alone,
     # as C(<d, d, -d>) = (d, -1) + (-1, d) = 0 shows
-    if c.is_zero():
-        return None
     al, be = find_quaternion_symbol(c)
-    k = scale(-d, diagonal(-al, -be, al * be))
-    return _accepted(k, d, c, sig)
+    return scale(-d, diagonal(-al, -be, al * be))
 
 
-def _quaternary_rep(d: int, c: BrauerClass, sig: int) -> QuadForm | None:
-    for x in _signed_squarefree_by_height(HEIGHT_BOUND):
-        d3, c3 = _peel_unit(4, d, c, x)
-        k3 = _ternary_rep(d3, c3, sig - (1 if x > 0 else -1))
-        if k3 is None:
-            continue
-        got = _accepted(direct_sum(diagonal(x), k3), d, c, sig)
-        if got is not None:
-            return got
-    return None
+def _quaternary_rep(d: int, c: BrauerClass, sig: int) -> QuadForm:
+    # an anisotropic quaternary q represents x exactly when q + <-x> is
+    # isotropic, that is indefinite: x = 1 unless q is negative definite;
+    # the rest is then the anisotropic ternary with the peeled invariants
+    x = -1 if sig == -4 else 1
+    d3, c3 = _peel_unit(4, d, c, x)
+    return direct_sum(diagonal(x), _ternary_rep(d3, c3))
 
 
 def _anisotropic_rep(dim0: int, d: int, c: BrauerClass,
-                     sig: int) -> QuadForm | None:
+                     sig: int) -> QuadForm:
     """A small-entry anisotropic form of dimension dim0 = _kernel_dim(...)
-    with the given invariants, or None if a search ran out first."""
+    with the given invariants."""
     if dim0 == 0:
-        return _accepted(diagonal(), d, c, sig)
+        return diagonal()
     if dim0 == 1:
-        return _accepted(diagonal(d), d, c, sig)
+        return diagonal(d)
     if dim0 == 2:
-        return _binary_rep(d, c, sig)
+        return _binary_rep(d, c)
     if dim0 == 3:
-        return _ternary_rep(d, c, sig)
+        return _ternary_rep(d, c)
     if dim0 == 4:
         return _quaternary_rep(d, c, sig)
     # past dim 4 the kernel is definite: <eps, ..., eps> + a definite
@@ -524,11 +509,8 @@ def _anisotropic_rep(dim0: int, d: int, c: BrauerClass,
     d4, c4 = d, c
     for dim in range(dim0, 4, -1):
         d4, c4 = _peel_unit(dim, d4, c4, eps)
-    sub = _quaternary_rep(d4, c4, 4 * eps)
-    if sub is None:
-        return None
     units = diagonal(*[eps] * (dim0 - 4))
-    return _accepted(direct_sum(units, sub), d, c, sig)
+    return direct_sum(units, _quaternary_rep(d4, c4, 4 * eps))
 
 
 def witt_decompose(q: QuadForm) -> WittClass:
@@ -536,15 +518,15 @@ def witt_decompose(q: QuadForm) -> WittClass:
 
     The kernel dimension is read off (e1, Clifford, signature), which
     classify Witt classes over Q; the kernel is then built with those
-    invariants rather than peeled off vector by vector, and verified
+    invariants rather than peeled off vector by vector, and verified once
     before it is returned.
     """
     d, c, sig = e1(q), clifford_class(q), signature(q)
     dim0 = _kernel_dim(q.dim, d, c, sig)
     kernel = _anisotropic_rep(dim0, d, c, sig)
-    if kernel is None:
-        raise BoundExceeded("no anisotropic kernel found; the search caps in "
-                            "the representative constructors are too low")
+    require(e1(kernel) == d and clifford_class(kernel) == c
+            and signature(kernel) == sig and not is_isotropic(kernel),
+            q, kernel)
     return WittClass(kernel, (q.dim - dim0) // 2)
 
 

@@ -168,22 +168,15 @@ def anticommutant(alg: QuaternionAlgebra, p: Quat) -> Quat:
 
 
 def complement_slot(alg: QuaternionAlgebra, a: Rational,
-                    witness: Quat | None = None) -> int:
-    """A signed squarefree b with alg = (a, b), given that some pure element
-    squares to a modulo squares.  The witness pure can be supplied to pin
-    the choice."""
-    if witness is not None:
-        j = witness
-        if j.alg != alg or not j.is_pure() or j.nrd() == 0:
-            raise DomainError("witness must be an invertible pure quaternion")
-        if squarefree_part(j.square_scalar()) != squarefree_part(as_fraction(a)):
-            raise DomainError("witness square is not in the class of a")
-    else:
-        try:
-            j = pure_with_square(alg, squarefree_part(as_fraction(a)))
-        except DomainError:
-            raise DomainError(
-                f"{a} is not a pure square in ({alg.a}, {alg.b})") from None
+                    witness: Quat) -> int:
+    """A signed squarefree b with alg = (a, b), read off a witness pure
+    that squares to a modulo squares: b is the square class of a pure
+    anticommuting with it."""
+    j = witness
+    if j.alg != alg or not j.is_pure() or j.nrd() == 0:
+        raise DomainError("witness must be an invertible pure quaternion")
+    if squarefree_part(j.square_scalar()) != squarefree_part(as_fraction(a)):
+        raise DomainError("witness square is not in the class of a")
     u = anticommutant(alg, j)
     b = squarefree_part(u.square_scalar())
     assert brauer_from_symbol(a, b) == alg.brauer(), (alg, a, b)

@@ -47,7 +47,9 @@ from wittforge.quadform import (
     neg,
     pfister,
     scale,
+    signature,
     tensor,
+    witt_decompose,
     witt_equivalent,
 )
 from wittforge.quat import (
@@ -364,6 +366,22 @@ def test_invariants_once_exhausted_by_the_kernel_search(tmp_path):
         assert code == 0, entries
         assert report["outputs"]["witt_index"] == index, entries
 
+
+# a negative definite quaternary kernel: the kernel search once split off
+# <1> first, which this kernel does not represent, and ran out of budget
+# on the quaternion symbol of the 14-place class it then asked for
+NEGATIVE_DEFINITE_KERNEL = (
+    -53, 44, -149, -133, -150, 187, 130, -96, -50, -37, -28, 16, -67, -190,
+    -21, -69, -56, -176, 166, 189, -12, -36, 193, 108, 57, 43, -53, 116, 181,
+    -185, 11, -185, 23, 65, 195, -150, -23, 40, 160, -176, 75, 89, -90, 165,
+    -154, 94, -53, -113, 23, -200)
+
+
+def test_witt_decompose_with_a_negative_definite_kernel():
+    with _budget("Witt kernel, negative definite quaternary", 2):
+        wd = witt_decompose(diagonal(*NEGATIVE_DEFINITE_KERNEL))
+    assert (wd.kernel.dim, wd.index) == (4, 23)
+    assert signature(wd.kernel) == -4
 
 def test_invariants_build_no_kernel(tmp_path, monkeypatch):
     # the Witt index is read off the invariants: no kernel is searched for

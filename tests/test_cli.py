@@ -187,8 +187,8 @@ def test_obstruction_rejects_dependent_monomials(tmp_path, capsys):
     assert json.loads(err)["error"] == "domain"
 
 
-def _python(*args, stdin="", **env_overrides):
-    # a fresh interpreter, with the package from this checkout first
+def _env(**env_overrides) -> dict:
+    # the package from this checkout first
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]]
@@ -198,9 +198,30 @@ def _python(*args, stdin="", **env_overrides):
             env.pop(name, None)
         else:
             env[name] = value
-    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
-                          input=stdin, capture_output=True, text=True,
-                          timeout=60)
+    return env
+
+
+def _python(*args, stdin="", **env_overrides):
+    # a fresh interpreter
+    return subprocess.run([sys.executable, *args], cwd=ROOT,
+                          env=_env(**env_overrides), input=stdin,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_closed_stdout_keeps_the_exit_code(tmp_path):
+    # `wittforge val obstruction slots.json | head -c 10`: the reader
+    # leaves after 10 bytes of a report far larger than the pipe buffer
+    path = _write(tmp_path, "slots.json", TOTALLY_RAMIFIED_SLOTS)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wittforge.cli", "val", "obstruction", path],
+        cwd=ROOT, env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert head == b'{\n  "check'
+    assert err == b""
 
 
 def _stdout(*args, stdin=""):
@@ -425,14 +446,38 @@ def test_search_bound_comes_from_the_environment():
     # a height bound of 1 runs out, while the default 10^4 finds b = -2
     presentation = json.dumps(EXISTS_PRESENTATION)
     args = ("-m", "wittforge.cli", "alg", "f3", "-")
-    proc = _python(*args, stdin=presentation, WITTFORGE_SEARCH_BOUND="1")
+    proc = _python(*args, stdin=presentation, WITTFORGE_SEARCH_BOUND="1",
+                   PYTHONHASHSEED="0")
     assert proc.returncode == 4 and proc.stdout == ""
     diagnostic = json.loads(proc.stderr)
     assert diagnostic["error"] == "bound-exceeded"
     assert "|b| <= 1" in diagnostic["message"]
+    # the diagnostic lists the places in a fixed order, whatever the
+    # string hash seed
+    assert diagnostic["message"].endswith("{real, 5}")
+    for seed in "123":
+        again = _python(*args, stdin=presentation, WITTFORGE_SEARCH_BOUND="1",
+                        PYTHONHASHSEED=seed)
+        assert again.stderr == proc.stderr, seed
     # unset, or not a positive integer: the default applies
     for value in (None, "0", "ten"):
         proc = _python(*args, stdin=presentation,
                        WITTFORGE_SEARCH_BOUND=value)
         assert proc.returncode == 0, (value, proc.stderr)
         assert json.loads(proc.stdout)["outputs"]["agree"] is True
+
+
+def test_f3_norms_check_survives_python_O():
+    # a difference of norm forms outside I^3 must not reach e3 even with
+    # asserts stripped
+    script = ("import json, sys\n"
+              "import wittforge.invol12 as invol12\n"
+              "p = invol12.presentation_from_json(json.load(sys.stdin))\n"
+              "invol12.e1 = lambda q: 2\n"
+              "try:\n"
+              "    invol12.f3_via_norms(p)\n"
+              "except AssertionError:\n"
+              "    print('refused')\n")
+    proc = _python("-O", "-c", script, stdin=json.dumps(EXISTS_PRESENTATION))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "refused\n"

@@ -14,9 +14,11 @@ from wittforge.cohomology import (
     brauer_sum,
     cup_h3,
     find_quaternion_symbol,
+    nonsquare_slot,
 )
 from wittforge.errors import DomainError
-from wittforge.qarith import REAL, hilbert_symbol, ramified_places
+from wittforge.qarith import (REAL, hilbert_symbol, is_local_square,
+                              ramified_places)
 
 nonzero = st.fractions(
     min_value=Fraction(-200), max_value=Fraction(200), max_denominator=20
@@ -77,6 +79,13 @@ def test_find_symbol_needs_auxiliary_prime():
     assert ramified_places(a, b) == frozenset({17, 89})
     assert hilbert_symbol(a, b, 17) == -1
     assert hilbert_symbol(a, b, 89) == -1
+
+
+def test_nonsquare_slot_is_a_nonsquare_at_every_listed_place():
+    assert nonsquare_slot(()) == 1
+    for places in ({REAL, 2}, {3, 7}, {REAL, 5, 17, 89}, {2, 3, 5, 7, 11}):
+        a = nonsquare_slot(frozenset(places))
+        assert not any(is_local_square(a, v) for v in places), places
 
 
 def test_cup_product_values():

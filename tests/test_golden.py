@@ -6,7 +6,8 @@ guard was last refactored.  A digest that moves means a report changed; if
 the change is intended, recapture the digest in the same change and say so.
 The frozen isotropic vectors pin the search that splits off a common value
 when both halves of a form are anisotropic: another first candidate gives
-another vector.
+another vector.  The frozen Witt kernels pin the symbol walk that builds
+binary and ternary kernels in the same way.
 """
 
 import hashlib
@@ -19,7 +20,7 @@ import pytest
 
 from split12 import split12_with_primes
 from wittforge.cli import main
-from wittforge.quadform import diagonal, isotropic_vector
+from wittforge.quadform import diagonal, isotropic_vector, witt_decompose
 
 FORMS = {
     "dim2": ["3", "-5"],
@@ -200,6 +201,43 @@ FROZEN_ISOTROPIC = (
 )
 
 
+# (entries, witt_decompose kernel, Witt index), captured before the kernel
+# constructors were rebuilt from the invariants: kernels of dim 0 to 4 of
+# either sign, and a definite kernel past dim 4 of each sign
+FROZEN_KERNELS = (
+    ([6, -3, 8, 3, -6, -2, -1, 8, 8, -6, 6, -1],
+     [], 6),
+    ([2, 5, -8],
+     ["5"], 1),
+    ([-7, -1, 2],
+     ["-14"], 1),
+    ([4, 47, -24, 47],
+     ["47", "282"], 1),
+    ([-61, -69, 94, -105],
+     ["-69", "-602070"], 1),
+    ([23, 14, -7, -38],
+     ["2", "-874"], 1),
+    ([-8, 3, 6, 9, 3],
+     ["9", "3", "9"], 1),
+    ([1, -1, -8, -9, -3],
+     ["-12", "-6", "-12"], 1),
+    ([-10, -94, 78, 126, -76],
+     ["-7447753950", "2437890", "-14895507900"], 1),
+    ([9, -4, 6, 5, 5, 5],
+     ["1", "60", "30", "60"], 1),
+    ([6, -31, -10, -10, -15, -25],
+     ["-1", "-9610", "-310", "-9610"], 1),
+    ([-6, 21, 49, 1, -31, -31, -18, 43],
+     ["1", "-27993", "301", "-27993"], 2),
+    ([155, -156, 66, 91, 32, -14, -46, 4],
+     ["1", "9028469450", "274505", "-63199286150"], 2),
+    ([30, 18, 46, 49, 42, -1, 14, 32],
+     ["1", "1", "1", "575", "230", "1150"], 1),
+    ([4, -3, -6, -9, -8, -9, 4, -1, -3],
+     ["-1", "-1", "-9", "-3", "-9"], 2),
+)
+
+
 def _run(tmp_path, capsys, argv, payload):
     path = tmp_path / "input.json"
     if payload is not None:
@@ -221,3 +259,10 @@ def test_golden_reports(tmp_path, capsys):
 def test_isotropic_vector_frozen(entries, vector):
     q = diagonal(*(Fraction(e) for e in entries))
     assert isotropic_vector(q) == tuple(Fraction(x) for x in vector)
+
+
+@pytest.mark.parametrize("entries, kernel, index", FROZEN_KERNELS)
+def test_witt_kernel_frozen(entries, kernel, index):
+    wd = witt_decompose(diagonal(*entries))
+    assert wd.kernel.entries == tuple(Fraction(x) for x in kernel)
+    assert wd.index == index

@@ -231,6 +231,16 @@ def test_witt_decompose_frozen():
     assert witt_index(diagonal(2, 3, 5)) == 0
 
 
+def test_witt_decompose_refuses_a_wrong_kernel(monkeypatch):
+    # the kernel is built, not searched, and checked once before it
+    # escapes: <1, 2, 15> has the e1 and signature of <2, 3, 5> but
+    # another Clifford class, and <1, 1, -1> is isotropic
+    for wrong in (diagonal(1, 2, 15), diagonal(1, 1, -1)):
+        monkeypatch.setattr("wittforge.quadform._anisotropic_rep",
+                            lambda dim0, d, c, sig, k=wrong: k)
+        with pytest.raises(AssertionError):
+            witt_decompose(diagonal(2, 3, 5))
+
 @given(entries_strategy)
 @settings(max_examples=50, deadline=None)
 def test_witt_decompose_roundtrip(q):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittforge.cohomology import BrauerClass, brauer_from_symbol
+from wittforge.cohomology import BrauerClass, brauer_from_symbol, second_slot
 from wittforge.errors import DomainError
 from wittforge.qarith import REAL, squarefree_part
 from wittforge.quat import (
@@ -134,11 +134,7 @@ def test_cross_algebra_arithmetic_rejected():
 
 
 def test_complement_slot():
-    assert complement_slot(algebra(-1, -1), -1) == -1
     h = algebra(2, 5)
-    for a in (5, -10):
-        b = complement_slot(h, a)
-        assert brauer_from_symbol(a, b) == h.brauer()
     # witness pins the choice; class match is required, exact square is not
     k = h.k()   # k^2 = -10... times the unit 1
     assert squarefree_part(k.square_scalar()) == -10
@@ -146,8 +142,19 @@ def test_complement_slot():
     assert brauer_from_symbol(-10, b) == h.brauer()
     with pytest.raises(DomainError):
         complement_slot(h, 5, witness=k)
+
+
+def test_second_slot():
+    # without a witness pure, the second slot comes from the symbol walk
+    assert second_slot(-1, algebra(-1, -1).brauer()) == -1
+    h = algebra(2, 5)
+    for a in (5, -10):
+        b = second_slot(a, h.brauer())
+        assert brauer_from_symbol(a, b) == h.brauer()
     with pytest.raises(DomainError):
-        complement_slot(algebra(-1, -1), 2)   # pure squares are negative
+        second_slot(2, algebra(-1, -1).brauer())   # pure squares are negative
+    with pytest.raises(DomainError):
+        second_slot(5, BrauerClass(frozenset({2, 11})))   # 4^2 = 5 mod 11
 
 
 def test_common_value_witness_frozen():
