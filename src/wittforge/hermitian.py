@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg
-from .errors import DomainError
-from .qarith import Rational, as_fraction, rational_from_json, squarefree_part
+from .errors import DomainError, require
+from .qarith import squarefree_part
 from .quadform import QuadForm
 from .quat import Quat, QuaternionAlgebra, algebra_from_json, algebra_to_json, \
     anticommutant, elem_from_json, elem_to_json, pure_with_square
@@ -23,16 +23,10 @@ from .quat import Quat, QuaternionAlgebra, algebra_from_json, algebra_to_json, \
 
 @dataclass(frozen=True)
 class SkewHermForm:
-    """<q1, ..., qn> with pure invertible entries.
-
-    Forms built from one base pure element and rational multipliers remember
-    that shape (base, multipliers); entry rescaling keeps it.
-    """
+    """<q1, ..., qn> with pure invertible entries."""
 
     alg: QuaternionAlgebra
     entries: tuple[Quat, ...]
-    base: Quat | None = None
-    multipliers: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
         if not self.entries:
@@ -42,14 +36,6 @@ class SkewHermForm:
                 raise DomainError("entry from a different algebra")
             if not q.is_pure() or not q.is_invertible():
                 raise DomainError("entries must be pure and invertible")
-        if (self.base is None) != (self.multipliers is None):
-            raise DomainError("base and multipliers come together")
-        if self.multipliers is not None:
-            if len(self.multipliers) != len(self.entries):
-                raise DomainError("one multiplier per entry")
-            for lam, q in zip(self.multipliers, self.entries):
-                if q != self.base * lam:
-                    raise DomainError("entries disagree with base * multipliers")
 
     @property
     def rank(self) -> int:
@@ -58,16 +44,6 @@ class SkewHermForm:
 
 def skew_form(alg: QuaternionAlgebra, *entries: Quat) -> SkewHermForm:
     return SkewHermForm(alg, tuple(entries))
-
-
-def scaled_form(alg: QuaternionAlgebra, base: Quat,
-                multipliers: tuple[Rational, ...]) -> SkewHermForm:
-    """The form <lam1 q, ..., lamn q> for one base pure q."""
-    lams = tuple(as_fraction(x) for x in multipliers)
-    if any(lam == 0 for lam in lams):
-        raise DomainError("multipliers must be nonzero")
-    entries = tuple(base * lam for lam in lams)
-    return SkewHermForm(alg, entries, base=base, multipliers=lams)
 
 
 def disc_adjoint(form: SkewHermForm) -> int:
@@ -91,32 +67,7 @@ def rescale_entry(form: SkewHermForm, idx: int) -> SkewHermForm:
     c = Fraction(squarefree_part(u.square_scalar()))
     entries = list(form.entries)
     entries[idx] = entries[idx] * c
-    if form.multipliers is not None:
-        mults = list(form.multipliers)
-        mults[idx] = mults[idx] * c
-        return SkewHermForm(form.alg, tuple(entries), base=form.base,
-                            multipliers=tuple(mults))
     return SkewHermForm(form.alg, tuple(entries))
-
-
-def twist_last_entry(form: SkewHermForm, c: Rational) -> SkewHermForm:
-    """<lam1 q, ..., lam6 q> -> <lam1 q, ..., c lam6 q>.
-
-    A bookkeeping move on rank 6 single-base forms: the written multiplier
-    form changes its discriminant by c, which is the whole point of the
-    repair step that calls this.  When c is the square of an element
-    anticommuting with q the adjoint involution itself does not move.
-    """
-    cf = as_fraction(c)
-    if cf == 0:
-        raise DomainError("twist scalar must be nonzero")
-    if form.base is None:
-        raise DomainError("twist needs the base * multipliers shape")
-    if form.rank != 6:
-        raise DomainError("twist is a rank 6 move")
-    mults = form.multipliers[:-1] + (form.multipliers[-1] * cf,)
-    entries = form.entries[:-1] + (form.entries[-1] * cf,)
-    return SkewHermForm(form.alg, entries, base=form.base, multipliers=mults)
 
 
 # --- transport to a quadratic form when the algebra splits -----------------
@@ -135,7 +86,7 @@ def _left_mult_matrix(x: Quat, basis: tuple[Quat, Quat]) -> _linalg.Matrix:
     for b in basis:
         target = (x * b).coeffs
         sol = _linalg.solve(bmat, [Fraction(c) for c in target])
-        assert sol is not None, (x, basis)
+        require(sol is not None, x, basis)
         cols.append(sol)
     return _linalg.transpose(_linalg.mat(cols))
 
@@ -163,27 +114,24 @@ def to_quadratic_form(form: SkewHermForm) -> QuadForm:
         lm = _left_mult_matrix(q, basis)
         conj = _left_mult_matrix(q.conjugate(), basis)
         adj = _linalg.mat_mul(_linalg.mat_mul(_S_INV, _linalg.transpose(lm)), _S)
-        assert conj == adj, (q, lm)
+        require(conj == adj, q, lm)
         block = _linalg.mat_mul(_S, lm)
-        assert block[0][1] == block[1][0], q
+        require(block[0][1] == block[1][0], q)
         for r in range(2):
             for c in range(2):
                 gram[2 * t + r][2 * t + c] = block[r][c]
     diag, _ = _linalg.congruence_diagonalize(gram)
-    assert all(x != 0 for x in diag)
+    require(all(x != 0 for x in diag), form)
     return QuadForm(tuple(diag))
 
 
 # --- serialization ---------------------------------------------------------
 
 def to_json(form: SkewHermForm) -> dict:
-    out = {
+    return {
         "alg": algebra_to_json(form.alg),
         "entries": [elem_to_json(q) for q in form.entries],
     }
-    if form.multipliers is not None:
-        out["multipliers"] = [str(m) for m in form.multipliers]
-    return out
 
 
 def from_json(data: dict) -> SkewHermForm:
@@ -193,13 +141,4 @@ def from_json(data: dict) -> SkewHermForm:
     if not isinstance(data["entries"], list) or not data["entries"]:
         raise DomainError("entries must be a nonempty list")
     entries = tuple(elem_from_json(q, expected=alg) for q in data["entries"])
-    if "multipliers" in data:
-        try:
-            mults = tuple(rational_from_json(m) for m in data["multipliers"])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(f"bad multiplier: {exc}") from None
-        if len(mults) != len(entries) or any(m == 0 for m in mults):
-            raise DomainError("one nonzero multiplier per entry")
-        base = entries[0] * (1 / mults[0])
-        return SkewHermForm(alg, entries, base=base, multipliers=mults)
     return SkewHermForm(alg, entries)

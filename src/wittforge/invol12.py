@@ -16,6 +16,7 @@ product over a common quadratic splitting field, and the two must agree.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .cohomology import (
     H3_ZERO,
@@ -24,20 +25,12 @@ from .cohomology import (
     H3Class,
     brauer_from_symbol,
     cup_h3,
-    nonsquare_slot,
-    second_slot,
 )
 from .errors import BoundExceeded, DomainError, require
-from .hermitian import (
-    SkewHermForm,
-    disc_adjoint,
-    scaled_form,
-    skew_form,
-    twist_last_entry,
-)
+from .hermitian import SkewHermForm, disc_adjoint, skew_form
 from .hermitian import from_json as herm_from_json
 from .hermitian import to_json as herm_to_json
-from .qarith import squarefree_part
+from .qarith import REAL, squarefree_part
 from .quadform import (
     QuadForm,
     diagonal,
@@ -126,20 +119,41 @@ class QuatInvol:
 
 @dataclass(frozen=True)
 class ProductPresentation:
+    """(A0, sigma0) x (H, rho).  d0, d, (d, d0) and the aligned
+    presentation are computed on first read and kept."""
+
     a0: Deg6Invol
     hrho: QuatInvol
 
+    @cached_property
     def d0(self) -> int:
         return self.a0.d0()
 
+    @cached_property
     def d(self) -> int:
         return self.hrho.d()
 
     def a_class(self) -> BrauerClass:
         return self.a0.brauer() + self.hrho.alg.brauer()
 
+    @cached_property
     def disc_symbol(self) -> BrauerClass:
-        return brauer_from_symbol(self.d(), self.d0())
+        return brauer_from_symbol(self.d, self.d0)
+
+    @cached_property
+    def aligned(self) -> "ProductPresentation":
+        """An equivalent presentation with (d, d0) = [H], the component
+        the f3 formulas are written for: self, or its repair when the
+        degree 6 factor is split."""
+        if not has_trivial_invariants(self):
+            raise DomainError("f3 needs trivial discriminant and Clifford "
+                              "invariant")
+        if is_aligned(self):
+            return self
+        if isinstance(self.a0, Split6):
+            return repair_decomposition(self)
+        raise DomainError("(d, d0) matches the degree 6 class and the "
+                          "hermitian description cannot be repaired in place")
 
 
 @dataclass(frozen=True)
@@ -166,56 +180,44 @@ def tao_e2_coset(p: ProductPresentation) -> tuple[BrauerClass, BrauerClass]:
     Their difference is always the class of the underlying degree 12
     algebra, so the pair is a coset and either entry determines the other.
     """
-    sym = p.disc_symbol()
+    sym = p.disc_symbol
     return p.hrho.alg.brauer() + sym, p.a0.brauer() + sym
 
 
 def has_trivial_invariants(p: ProductPresentation) -> bool:
     """Whether e1 and e2 of the product involution both vanish: (d, d0)
     must match the quaternion factor or the degree 6 factor."""
-    sym = p.disc_symbol()
+    sym = p.disc_symbol
     return sym == p.hrho.alg.brauer() or sym == p.a0.brauer()
 
 
 def is_aligned(p: ProductPresentation) -> bool:
     """(d, d0) = [H]: the component the f3 formulas are written for."""
-    return p.disc_symbol() == p.hrho.alg.brauer()
+    return p.disc_symbol == p.hrho.alg.brauer()
 
 
 def repair_decomposition(p: ProductPresentation) -> ProductPresentation:
     """Move (d, d0) from the degree 6 component onto the quaternion one.
 
-    For a split degree 6 factor with (d, d0) = [A0] = 0, twisting the last
-    slot of the form by c = u^2 (u anticommuting with i_elem) produces an
-    equivalent presentation whose new symbol (c d0, d) equals [H] = (d, c).
-    The twist is routed through the rank 6 single-base hermitian form
-    <lam1 i, ..., lam6 i> that carries the same involution.
+    Take a split degree 6 factor phi = <lam1, ..., lam6> with
+    (d, d0) = [A0] = 0, a pure u anticommuting with i_elem and c = u^2.
+    The product involution is adjoint to the hermitian form
+    <lam1 i, ..., lam6 i> over H, whose last entry q has
+    <q> = <u q u-bar> = <c q>, so replacing lam6 by c lam6 in phi leaves
+    the involution alone.  It multiplies d0 by c, and [H] = (d, c) since
+    i_elem and u generate H, so the new symbol is
+    (d, c d0) = [H] + (d, d0) = [H].
     """
     if not isinstance(p.a0, Split6):
         raise DomainError("repair needs a split degree 6 factor")
-    if p.disc_symbol() != p.a0.brauer():
+    if p.disc_symbol != p.a0.brauer():
         raise DomainError("repair applies when (d, d0) is the degree 6 class")
     u = anticommutant(p.hrho.alg, p.hrho.i_elem)
     c = squarefree_part(u.square_scalar())
-    carrier = scaled_form(p.hrho.alg, p.hrho.i_elem, p.a0.form.entries)
-    twisted = twist_last_entry(carrier, c)
-    repaired = ProductPresentation(Split6(diagonal(*twisted.multipliers)),
-                                   p.hrho)
-    require(repaired.disc_symbol() == p.hrho.alg.brauer(), p, c)
+    *head, last = p.a0.form.entries
+    repaired = ProductPresentation(Split6(diagonal(*head, last * c)), p.hrho)
+    require(repaired.disc_symbol == p.hrho.alg.brauer(), p, c)
     return repaired
-
-
-def _require_aligned(p: ProductPresentation) -> ProductPresentation:
-    # f3 formulas assume (d, d0) = [H]; the other trivial component is
-    # reachable by repair only when the degree 6 factor is split
-    if not has_trivial_invariants(p):
-        raise DomainError("f3 needs trivial discriminant and Clifford invariant")
-    if is_aligned(p):
-        return p
-    if isinstance(p.a0, Split6):
-        return repair_decomposition(p)
-    raise DomainError("(d, d0) matches the degree 6 class and the hermitian "
-                      "description cannot be repaired in place")
 
 
 def decompose_split12(psi: QuadForm) -> PfisterDecomposition:
@@ -253,7 +255,7 @@ def additive_decomposition(p: ProductPresentation,
         raise DomainError("additive decomposition needs a hermitian "
                           "degree 6 factor")
     base = p.a0.h.alg
-    d0, d = p.d0(), p.d()
+    d0, d = p.d0, p.d
     out = []
     for q in p.a0.h.entries:
         a = squarefree_part(q.square_scalar())
@@ -261,7 +263,7 @@ def additive_decomposition(p: ProductPresentation,
         h_i = brauer_from_symbol(a * d0, d)
         q_i = brauer_from_symbol(a, b * d)
         # (a, b) = [H'] makes each pair sum to [H'] + (d, d0) on the nose
-        require(h_i + q_i == base.brauer() + p.disc_symbol(), p, a, b)
+        require(h_i + q_i == base.brauer() + p.disc_symbol, p, a, b)
         out.append((h_i, q_i))
     return out
 
@@ -283,7 +285,7 @@ def f3_via_norms(p: ProductPresentation) -> H3Class:
     difference form is 12-dimensional and lands in I^3 because the three
     classes sum to zero, which is asserted rather than trusted.
     """
-    p = _require_aligned(p)
+    p = p.aligned
     h_alg = p.hrho.alg
     # a symbol representative of [A]; finding one is the index <= 2 check
     q_alg = algebra_from_class(p.a_class())
@@ -293,7 +295,7 @@ def f3_via_norms(p: ProductPresentation) -> H3Class:
         hp_norm = algebra(1, 1).norm_form()
     phi = direct_sum(q_alg.norm_form(),
                      neg(h_alg.norm_form()),
-                     neg(scale(p.d(), hp_norm)))
+                     neg(scale(p.d, hp_norm)))
     require(e1(phi) == 1 and e2(phi).is_zero(), p)
     return e3(phi)
 
@@ -301,22 +303,22 @@ def f3_via_norms(p: ProductPresentation) -> H3Class:
 def f3_via_symbol(p: ProductPresentation) -> H3Class:
     """f3 as the cup product (d e) . [Q] over a common splitting field.
 
-    c = nonsquare_slot(...) is a local nonsquare at every place where H, H'
-    or Q ramifies, so Q(sqrt c) splits all three; e is the second slot with
-    H = (c, e).  The bit depends only on the sign of e, which H forces at
-    the real place whenever the real place is among those places.  The
-    same cup against [H'] must give the same bit, and does, which is
-    checked on every call.
+    Take c a local nonsquare at every place where H, H' or Q ramifies, so
+    Q(sqrt c) splits all three, and e with H = (c, e).  A cup with a
+    Brauer class is its real component, so only the sign of e matters,
+    and [H] settles it with no symbol to find.  If the real place is not
+    among those places, Q and H' are unramified there and both cups vanish
+    whatever e is.  If it is, c < 0, and (c, e) ramifies at the real place
+    exactly when e < 0: so e < 0 exactly when H ramifies there.  The same
+    cup against [H'] must give the same bit, and does, which is checked on
+    every call.
     """
-    p = _require_aligned(p)
+    p = p.aligned
     h_class = p.hrho.alg.brauer()
     q_class = p.a_class()
-    hp_class = p.a0.brauer()
-    ram = h_class.ramified | hp_class.ramified | q_class.ramified
-    e = second_slot(nonsquare_slot(ram), h_class)
-    d = p.d()
-    out = cup_h3(d * e, q_class)
-    require(out == cup_h3(d * e, hp_class), p, e)
+    e = -1 if h_class.is_ramified_at(REAL) else 1
+    out = cup_h3(p.d * e, q_class)
+    require(out == cup_h3(p.d * e, p.a0.brauer()), p, e)
     return out
 
 

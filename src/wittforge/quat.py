@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import _linalg
 from .cohomology import BrauerClass, brauer_from_symbol, find_quaternion_symbol
-from .errors import DomainError
+from .errors import DomainError, require
 from .qarith import Rational, as_fraction, rational_from_json, squarefree_part
 from .quadform import QuadForm, diagonal, direct_sum, is_isotropic, \
     isotropic_vector, neg, represent_value
@@ -162,7 +162,7 @@ def anticommutant(alg: QuaternionAlgebra, p: Quat) -> Quat:
                    [s - t for s, t in zip(w1, w2)]):
         u = pure(alg, *coords)
         if u.is_invertible():
-            assert (u * p + p * u).is_zero()
+            require((u * p + p * u).is_zero(), p, u)
             return u
     raise AssertionError(f"no invertible anticommutant for {p}")
 
@@ -179,7 +179,7 @@ def complement_slot(alg: QuaternionAlgebra, a: Rational,
         raise DomainError("witness square is not in the class of a")
     u = anticommutant(alg, j)
     b = squarefree_part(u.square_scalar())
-    assert brauer_from_symbol(a, b) == alg.brauer(), (alg, a, b)
+    require(brauer_from_symbol(a, b) == alg.brauer(), alg, a, b)
     return b
 
 
@@ -194,7 +194,7 @@ def pure_with_square(alg: QuaternionAlgebra, d0: Rational) -> Quat:
         raise DomainError(
             f"no pure element of ({alg.a}, {alg.b}) squares to {d0f}") from None
     u = pure(alg, *coords)
-    assert u.square_scalar() == d0f
+    require(u.square_scalar() == d0f, alg, d0f, u)
     return u
 
 
@@ -225,7 +225,7 @@ def common_value_witness(h1: QuaternionAlgebra, h2: QuaternionAlgebra,
         q = h1.element(*v[:4])
         j = pure(h2, *v[4:])
     value = q.nrd()
-    assert value == n2_pure(j.coeffs[1:]) and value != 0, (q, j)
+    require(value == n2_pure(j.coeffs[1:]) and value != 0, q, j)
     return q, j
 
 
@@ -259,8 +259,8 @@ def three_pure_product(alg: QuaternionAlgebra, q: Quat,
         if not x.is_invertible():
             continue
         q1, q2 = m * x, x.inverse()
-        assert q1.is_pure() and q1.is_invertible()
-        assert (q1 * q2 * q3).coeffs == q.coeffs
+        require(q1.is_pure() and q1.is_invertible(), q, q1)
+        require((q1 * q2 * q3).coeffs == q.coeffs, q, q1, q2, q3)
         return q1, q2, q3
     raise AssertionError(f"no invertible pure x with q i^-1 x pure for {q}")
 

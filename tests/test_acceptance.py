@@ -148,7 +148,7 @@ def _change_of_base_data(p):
     for q in p.a0.h.entries:
         a = squarefree_part(q.square_scalar())
         out.append((a, complement_slot(base, a, witness=q)))
-    return base, p.d0(), p.d(), out
+    return base, p.d0, p.d, out
 
 
 def test_norm_form_witt_identities():
@@ -191,7 +191,7 @@ def test_split_case_clifford_oracle():
             i_elem = sampling.pure_invertible(rng, h)
             p = ProductPresentation(Split6(phi), QuatInvol(h, i_elem))
             first, second = tao_e2_coset(p)
-            psi = tensor(phi, pfister(p.d()))
+            psi = tensor(phi, pfister(p.d))
             assert e1(psi) == 1
             assert first == second == e2(psi), (phi, h, i_elem)
             done += 1

@@ -481,3 +481,26 @@ def test_f3_norms_check_survives_python_O():
     proc = _python("-O", "-c", script, stdin=json.dumps(EXISTS_PRESENTATION))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "refused\n"
+
+
+def test_quaternion_witness_checks_survive_python_O():
+    # a wrong common value, or a pure that fails to anticommute, must not
+    # escape the quaternion constructors behind `alg exists` with asserts
+    # stripped
+    script = ("import wittforge.quat as quat\n"
+              "h1, h2 = quat.algebra(-1, -1), quat.algebra(1, 1)\n"
+              "right = quat.represent_value\n"
+              "quat.represent_value = lambda q, v: (1, 1, 1)\n"
+              "try:\n"
+              "    quat.common_value_witness(h1, h2)\n"
+              "except AssertionError:\n"
+              "    print('refused')\n"
+              "quat.represent_value = right\n"
+              "quat._linalg.kernel_basis = lambda m: [[1, 0, 0], [0, 1, 0]]\n"
+              "try:\n"
+              "    quat.anticommutant(h1, h1.i())\n"
+              "except AssertionError:\n"
+              "    print('refused')\n")
+    proc = _python("-O", "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "refused\nrefused\n"

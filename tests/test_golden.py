@@ -7,18 +7,26 @@ the change is intended, recapture the digest in the same change and say so.
 The frozen isotropic vectors pin the search that splits off a common value
 when both halves of a form are anisotropic: another first candidate gives
 another vector.  The frozen Witt kernels pin the symbol walk that builds
-binary and ternary kernels in the same way.
+binary and ternary kernels in the same way.  The reports are replayed a
+second time in one `python -O` process, where bare asserts are stripped.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 
 from split12 import split12_with_primes
+from wittforge import cohomology, invol12
 from wittforge.cli import main
 from wittforge.quadform import diagonal, isotropic_vector, witt_decompose
 
@@ -238,21 +246,58 @@ FROZEN_KERNELS = (
 )
 
 
-def _run(tmp_path, capsys, argv, payload):
+def _run(tmp_path, argv, payload):
     path = tmp_path / "input.json"
     if payload is not None:
         path.write_text(json.dumps(payload))
-    code = main([str(path) if a == "{file}" else a for a in argv])
-    out = capsys.readouterr().out
-    return code, hashlib.sha256(out.encode()).hexdigest()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([str(path) if a == "{file}" else a for a in argv])
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
-def test_golden_reports(tmp_path, capsys):
+def _replay(tmp_path) -> dict:
+    return {name: _run(tmp_path, argv, payload)
+            for name, (argv, payload) in _cases().items()}
+
+
+def test_golden_reports(tmp_path):
     start = time.perf_counter()
-    got = {name: _run(tmp_path, capsys, argv, payload)
-           for name, (argv, payload) in _cases().items()}
+    got = _replay(tmp_path)
     assert time.perf_counter() - start < 10
     assert got == GOLDEN
+
+
+def test_golden_reports_survive_python_O(tmp_path):
+    # no work a report needs may sit inside an assert: the same digests
+    # in one interpreter with asserts stripped
+    script = ("import json, pathlib, sys\n"
+              "import test_golden\n"
+              "got = test_golden._replay(pathlib.Path(sys.argv[1]))\n"
+              "print(json.dumps(got))\n")
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(here.parent / "src"), str(here)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-O", "-c", script, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = {name: tuple(v) for name, v in json.loads(proc.stdout).items()}
+    assert got == GOLDEN
+
+
+def test_f3_symbol_runs_no_slot_walk(monkeypatch):
+    # f3 by symbol reads the sign of its slot off [H] at the real place,
+    # so it answers with every symbol walk broken
+    def walk(a, cls):
+        raise RuntimeError("second_slot called")
+
+    monkeypatch.setattr(cohomology, "second_slot", walk)
+    monkeypatch.setattr(invol12, "second_slot", walk, raising=False)
+    for pres in (PRESENTATIONS["exists--2,-5-7,-3"], SPLIT6):
+        p = invol12.presentation_from_json(pres)
+        assert invol12.f3_via_symbol(p).bit == 0
 
 
 @pytest.mark.parametrize("entries, vector", FROZEN_ISOTROPIC)

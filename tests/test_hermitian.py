@@ -5,26 +5,21 @@ the signed discriminant of the transported quadratic form whenever the
 algebra splits; the two computations share no code path.
 """
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittforge.errors import DomainError
 from wittforge.hermitian import (
-    SkewHermForm,
     disc_adjoint,
     from_json,
     rescale_entry,
-    scaled_form,
     skew_form,
     to_json,
     to_quadratic_form,
-    twist_last_entry,
 )
 from wittforge.qarith import squarefree_part
-from wittforge.quadform import diagonal, e1, hyperbolic, isometric
+from wittforge.quadform import e1, hyperbolic, isometric
 from wittforge.quat import algebra, pure
 
 split_params = st.sampled_from([(1, 1), (1, -1), (2, -2), (3, 6), (1, 5), (-1, 2)])
@@ -88,46 +83,6 @@ def test_rescale_moves_written_entry():
     assert g.entries[0] == f.entries[0] * c
 
 
-def test_scaled_shape_and_twist():
-    h = algebra(-1, -1)
-    base = h.i()
-    f = scaled_form(h, base, (1, 1, 1, 1, 1, 1))
-    assert f.rank == 6 and f.multipliers is not None
-    g = twist_last_entry(f, -1)
-    assert g.multipliers == tuple(Fraction(m) for m in (1, 1, 1, 1, 1, -1))
-    assert g.entries[:5] == f.entries[:5]
-    assert g.entries[5] == f.entries[5] * Fraction(-1)
-    assert twist_last_entry(f, 1) == f
-    with pytest.raises(DomainError):
-        twist_last_entry(f, 0)
-    with pytest.raises(DomainError):
-        twist_last_entry(skew_form(h, *(h.i(),) * 6), -1)
-    with pytest.raises(DomainError):
-        twist_last_entry(scaled_form(h, base, (1, 2)), -1)
-
-
-def test_twist_moves_multiplier_discriminant():
-    # e1 of the written multiplier form picks up exactly c
-    h = algebra(-1, -1)
-    f = scaled_form(h, h.j(), (1, 2, 3, 1, 1, 5))
-    for c in (-1, 2, -30):
-        g = twist_last_entry(f, c)
-        before = e1(diagonal(*f.multipliers))
-        after = e1(diagonal(*g.multipliers))
-        assert after == squarefree_part(Fraction(c) * before)
-        # the closed-form adjoint discriminant never sees the twist
-        assert disc_adjoint(g) == disc_adjoint(f)
-
-
-def test_scaled_form_validation():
-    h = algebra(-1, -1)
-    with pytest.raises(DomainError):
-        scaled_form(h, h.i(), (1, 0, 2))
-    with pytest.raises(DomainError):
-        SkewHermForm(h, (h.i(), h.j()), base=h.i(),
-                     multipliers=(Fraction(1), Fraction(1)))
-
-
 def test_transport_needs_split_algebra():
     with pytest.raises(DomainError):
         to_quadratic_form(skew_form(algebra(-1, -1), algebra(-1, -1).i()))
@@ -157,15 +112,17 @@ def test_split_transport_frozen():
 
 def test_json_roundtrip():
     h = algebra(-1, -1)
-    f = scaled_form(h, h.i(), (1, 2, 3, 1, 1, 5))
+    f = skew_form(h, *(h.i() * lam for lam in (1, 2, 3, 1, 1, 5)))
     data = to_json(f)
+    assert set(data) == {"alg", "entries"}
     assert data["alg"] == {"a": "-1", "b": "-1"}
     assert data["entries"][0] == {"alg": {"a": "-1", "b": "-1"},
                                   "coords": ["0", "1", "0", "0"]}
-    assert data["multipliers"] == ["1", "2", "3", "1", "1", "5"]
+    assert data["entries"][5]["coords"] == ["0", "5", "0", "0"]
     assert from_json(data) == f
+    # a key the loader does not read is ignored, "multipliers" included
+    assert from_json({**data, "multipliers": ["1", "0"]}) == f
     f2 = skew_form(h, h.i(), h.k())
-    assert "multipliers" not in to_json(f2)
     assert from_json(to_json(f2)) == f2
     with pytest.raises(DomainError):
         from_json({"alg": {"a": "1"}, "entries": []})
