@@ -44,7 +44,7 @@ def _read_source(path: str) -> str:
         if path == "-":
             return sys.stdin.read()
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _LoadError(f"cannot read {path}: {exc}") from exc
 
 
@@ -52,9 +52,9 @@ def _load(path: str, decode):
     text = _read_source(path)
     try:
         data = json.loads(text)
-    except ValueError as exc:
-        # JSONDecodeError, or an integer literal past the interpreter's
-        # digit limit for int()
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer literal past the interpreter's digit
+        # limit for int(), or nesting deeper than the recursion limit
         raise _LoadError(f"{path}: not JSON: {exc}") from exc
     try:
         return decode(data)
@@ -165,8 +165,8 @@ def _cmd_alg_exists(args) -> tuple[dict, int]:
 
 def _cmd_alg_additive(args) -> tuple[dict, int]:
     p = _load(args.presentation, invol12.presentation_from_json)
-    pairs = invol12.additive_decomposition(p)
     group = invol12.decomposition_group(p)
+    pairs = zip(group[2::2], group[3::2])
     outputs = {
         "pairs": [[_class_json(h), _class_json(q)] for h, q in pairs],
         "group": [_class_json(c) for c in group],
@@ -272,6 +272,13 @@ def _cmd_selftest(args) -> tuple[dict, int]:
 
 # --- driver -----------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wittforge",
@@ -326,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the seeded property suites")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=25)
+    p.add_argument("--count", type=_positive_int, default=25)
     p.set_defaults(handler=_cmd_selftest)
     return parser
 

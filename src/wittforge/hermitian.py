@@ -51,7 +51,7 @@ def disc_adjoint(form: SkewHermForm) -> int:
     as a signed squarefree int."""
     prod = Fraction(1)
     for q in form.entries:
-        prod *= q.nrd()
+        prod *= q.nrd
     return squarefree_part(prod * (-1) ** form.rank)
 
 

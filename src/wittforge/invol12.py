@@ -73,11 +73,10 @@ class Split6:
         if self.form.dim != 6:
             raise DomainError("the split description needs a dim 6 form")
 
+    brauer = ZERO
+
     def d0(self) -> int:
         return e1(self.form)
-
-    def brauer(self) -> BrauerClass:
-        return ZERO
 
 
 @dataclass(frozen=True)
@@ -93,8 +92,9 @@ class M3H:
     def d0(self) -> int:
         return disc_adjoint(self.h)
 
+    @property
     def brauer(self) -> BrauerClass:
-        return self.h.alg.brauer()
+        return self.h.alg.brauer
 
 
 Deg6Invol = Split6 | M3H
@@ -134,7 +134,7 @@ class ProductPresentation:
         return self.hrho.d()
 
     def a_class(self) -> BrauerClass:
-        return self.a0.brauer() + self.hrho.alg.brauer()
+        return self.a0.brauer + self.hrho.alg.brauer
 
     @cached_property
     def disc_symbol(self) -> BrauerClass:
@@ -181,42 +181,41 @@ def tao_e2_coset(p: ProductPresentation) -> tuple[BrauerClass, BrauerClass]:
     algebra, so the pair is a coset and either entry determines the other.
     """
     sym = p.disc_symbol
-    return p.hrho.alg.brauer() + sym, p.a0.brauer() + sym
+    return p.hrho.alg.brauer + sym, p.a0.brauer + sym
 
 
 def has_trivial_invariants(p: ProductPresentation) -> bool:
     """Whether e1 and e2 of the product involution both vanish: (d, d0)
     must match the quaternion factor or the degree 6 factor."""
     sym = p.disc_symbol
-    return sym == p.hrho.alg.brauer() or sym == p.a0.brauer()
+    return sym == p.hrho.alg.brauer or sym == p.a0.brauer
 
 
 def is_aligned(p: ProductPresentation) -> bool:
     """(d, d0) = [H]: the component the f3 formulas are written for."""
-    return p.disc_symbol == p.hrho.alg.brauer()
+    return p.disc_symbol == p.hrho.alg.brauer
 
 
 def repair_decomposition(p: ProductPresentation) -> ProductPresentation:
     """Move (d, d0) from the degree 6 component onto the quaternion one.
 
     Take a split degree 6 factor phi = <lam1, ..., lam6> with
-    (d, d0) = [A0] = 0, a pure u anticommuting with i_elem and c = u^2.
-    The product involution is adjoint to the hermitian form
-    <lam1 i, ..., lam6 i> over H, whose last entry q has
-    <q> = <u q u-bar> = <c q>, so replacing lam6 by c lam6 in phi leaves
-    the involution alone.  It multiplies d0 by c, and [H] = (d, c) since
+    (d, d0) = [A0] = 0, and c = u^2, the complementary slot of H at d, for
+    a pure u anticommuting with i_elem.  The product involution is adjoint
+    to the hermitian form <lam1 i, ..., lam6 i> over H, whose last entry q
+    has <q> = <u q u-bar> = <c q>, so replacing lam6 by c lam6 in phi
+    leaves the involution alone.  It multiplies d0 by c, and [H] = (d, c) since
     i_elem and u generate H, so the new symbol is
     (d, c d0) = [H] + (d, d0) = [H].
     """
     if not isinstance(p.a0, Split6):
         raise DomainError("repair needs a split degree 6 factor")
-    if p.disc_symbol != p.a0.brauer():
+    if p.disc_symbol != p.a0.brauer:
         raise DomainError("repair applies when (d, d0) is the degree 6 class")
-    u = anticommutant(p.hrho.alg, p.hrho.i_elem)
-    c = squarefree_part(u.square_scalar())
+    c = complement_slot(p.hrho.alg, p.d, witness=p.hrho.i_elem)
     *head, last = p.a0.form.entries
     repaired = ProductPresentation(Split6(diagonal(*head, last * c)), p.hrho)
-    require(repaired.disc_symbol == p.hrho.alg.brauer(), p, c)
+    require(repaired.disc_symbol == p.hrho.alg.brauer, p, c)
     return repaired
 
 
@@ -263,7 +262,7 @@ def additive_decomposition(p: ProductPresentation,
         h_i = brauer_from_symbol(a * d0, d)
         q_i = brauer_from_symbol(a, b * d)
         # (a, b) = [H'] makes each pair sum to [H'] + (d, d0) on the nose
-        require(h_i + q_i == base.brauer() + p.disc_symbol, p, a, b)
+        require(h_i + q_i == base.brauer + p.disc_symbol, p, a, b)
         out.append((h_i, q_i))
     return out
 
@@ -314,20 +313,19 @@ def f3_via_symbol(p: ProductPresentation) -> H3Class:
     every call.
     """
     p = p.aligned
-    h_class = p.hrho.alg.brauer()
-    q_class = p.a_class()
-    e = -1 if h_class.is_ramified_at(REAL) else 1
-    out = cup_h3(p.d * e, q_class)
-    require(out == cup_h3(p.d * e, p.a0.brauer()), p, e)
+    e = -1 if p.hrho.alg.brauer.is_ramified_at(REAL) else 1
+    out = cup_h3(p.d * e, p.a_class())
+    require(out == cup_h3(p.d * e, p.a0.brauer), p, e)
     return out
 
 
 @dataclass(frozen=True)
 class ExistsOutcome:
-    """Result of the existence search: a witness presentation, a proof of
-    impossibility, or an honest out-of-bound shrug."""
+    """Result of the existence search: "witness" with a presentation, or
+    "unknown" when the search ran past its budget.  Over Q a witness
+    always exists (see `common_value_witness`)."""
 
-    status: str   # "witness" | "provably-none" | "unknown"
+    status: str   # "witness" | "unknown"
     presentation: ProductPresentation | None = None
 
 
@@ -343,10 +341,7 @@ def exists_involution(h1: QuaternionAlgebra,
     aligned, never merely trivial.
     """
     try:
-        wit = common_value_witness(h1, h2)
-        if wit is None:
-            return ExistsOutcome("provably-none")
-        q, j = wit
+        q, j = common_value_witness(h1, h2)
         q1, q2, q3 = three_pure_product(h1, q)
         i_elem = anticommutant(h2, j)
     except BoundExceeded:

@@ -12,7 +12,7 @@ from math import gcd, isqrt
 from typing import Iterable, Union
 
 from .config import FACTOR_BOUND
-from .errors import BoundExceeded, DomainError
+from .errors import BoundExceeded, DomainError, require
 
 Rational = Union[int, Fraction]
 
@@ -309,7 +309,7 @@ def ramified_places(a: Rational, b: Rational) -> frozenset[Place]:
     for p, _ in factor(abs(sb)):
         candidates.add(p)
     ram = frozenset(v for v in candidates if _hilbert_core(sa, sb, v) == -1)
-    assert len(ram) % 2 == 0, (sa, sb, ram)
+    require(len(ram) % 2 == 0, (sa, sb, ram))
     return ram
 
 

@@ -70,7 +70,7 @@ class QuadForm:
 
 
 def diagonal(*entries: Rational) -> QuadForm:
-    return QuadForm(tuple(as_fraction(e) for e in entries))
+    return QuadForm(entries)
 
 
 def direct_sum(*forms: QuadForm) -> QuadForm:
@@ -394,9 +394,12 @@ def represents(q: QuadForm, c: Rational) -> bool:
 def represent_value(q: QuadForm, c: Rational) -> tuple[Fraction, ...]:
     """An exact vector with q(v) = c."""
     cf = as_fraction(c)
-    if not represents(q, cf):
-        raise DomainError(f"form does not represent {cf}")
-    v = isotropic_vector(direct_sum(q, diagonal(-cf)))
+    if cf == 0:
+        raise DomainError("representation of 0 is isotropy; use is_isotropic")
+    try:
+        v = isotropic_vector(direct_sum(q, diagonal(-cf)))
+    except DomainError:
+        raise DomainError(f"form does not represent {cf}") from None
     t = v[-1]
     if t != 0:
         out = tuple(x / t for x in v[:-1])

@@ -7,16 +7,16 @@ exactly when they are orthogonal for it; that is what the constructive
 helpers below exploit.
 """
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import _linalg
 from .cohomology import BrauerClass, brauer_from_symbol, find_quaternion_symbol
 from .errors import DomainError, require
 from .qarith import Rational, as_fraction, rational_from_json, squarefree_part
-from .quadform import QuadForm, diagonal, direct_sum, is_isotropic, \
-    isotropic_vector, neg, represent_value
+from .quadform import QuadForm, diagonal, direct_sum, isotropic_vector, \
+    neg, represent_value
 
 
 @dataclass(frozen=True)
@@ -31,11 +31,12 @@ class QuaternionAlgebra:
         object.__setattr__(self, "a", af)
         object.__setattr__(self, "b", bf)
 
+    @cached_property
     def brauer(self) -> BrauerClass:
         return brauer_from_symbol(self.a, self.b)
 
     def is_split(self) -> bool:
-        return self.brauer().is_zero()
+        return self.brauer.is_zero()
 
     def norm_form(self) -> QuadForm:
         return diagonal(1, -self.a, -self.b, self.a * self.b)
@@ -61,7 +62,7 @@ class QuaternionAlgebra:
 
 
 def algebra(a: Rational, b: Rational) -> QuaternionAlgebra:
-    return QuaternionAlgebra(as_fraction(a), as_fraction(b))
+    return QuaternionAlgebra(a, b)
 
 
 def algebra_from_class(cls: BrauerClass) -> QuaternionAlgebra:
@@ -111,6 +112,7 @@ class Quat:
         t, x, y, z = self.coeffs
         return Quat(self.alg, (t, -x, -y, -z))
 
+    @cached_property
     def nrd(self) -> Fraction:
         t, x, y, z = self.coeffs
         a, b = self.alg.a, self.alg.b
@@ -123,10 +125,10 @@ class Quat:
         return all(c == 0 for c in self.coeffs)
 
     def is_invertible(self) -> bool:
-        return self.nrd() != 0
+        return self.nrd != 0
 
     def inverse(self) -> "Quat":
-        n = self.nrd()
+        n = self.nrd
         if n == 0:
             raise DomainError("element has reduced norm 0")
         return Quat(self.alg, tuple(c / n for c in self.conjugate().coeffs))
@@ -135,36 +137,42 @@ class Quat:
         """The rational value of x^2 for pure x (it is -nrd)."""
         if not self.is_pure():
             raise DomainError("element is not pure")
-        return -self.nrd()
+        return -self.nrd
 
 
 def pure(alg: QuaternionAlgebra, x: Rational, y: Rational, z: Rational) -> Quat:
     return alg.element(0, x, y, z)
 
 
-def anticommutant(alg: QuaternionAlgebra, p: Quat) -> Quat:
-    """An invertible pure u with up = -pu.
-
-    Anticommuting pures form the orthogonal complement of p for the pure norm
-    form, a plane carrying at most two isotropic lines; among w1, w2, w1 +- w2
-    at least two are invertible.
+def _orthogonal_pure(alg: QuaternionAlgebra, v: tuple[Fraction, ...]) -> Quat:
+    """The first invertible pure among w1, w2, w1 + w2, w1 - w2, where
+    w1, w2 start a basis of the pures orthogonal to v for the pure norm
+    form.  For v = 0 that basis is i, j, k, and i^2 = a != 0.  Else it
+    spans a plane, where the nondegenerate ternary pure norm form has at
+    most two isotropic lines, so two of the four candidates are invertible.
     """
-    if p.alg != alg:
-        raise DomainError("element not in the given algebra")
-    if not p.is_pure() or not p.is_invertible():
-        raise DomainError("need an invertible pure quaternion")
     a, b = alg.a, alg.b
-    _, px, py, pz = p.coeffs
-    row = [[-a * px, -b * py, a * b * pz]]
-    w1, w2 = _linalg.kernel_basis(_linalg.mat(row))
+    x, y, z = v
+    w1, w2, *_ = _linalg.kernel_basis(
+        _linalg.mat([[-a * x, -b * y, a * b * z]]))
     for coords in (w1, w2,
                    [s + t for s, t in zip(w1, w2)],
                    [s - t for s, t in zip(w1, w2)]):
         u = pure(alg, *coords)
         if u.is_invertible():
-            require((u * p + p * u).is_zero(), p, u)
             return u
-    raise AssertionError(f"no invertible anticommutant for {p}")
+    raise AssertionError(f"no invertible pure orthogonal to {v} in {alg}")
+
+
+def anticommutant(alg: QuaternionAlgebra, p: Quat) -> Quat:
+    """An invertible pure u with up = -pu, that is, orthogonal to p."""
+    if p.alg != alg:
+        raise DomainError("element not in the given algebra")
+    if not p.is_pure() or not p.is_invertible():
+        raise DomainError("need an invertible pure quaternion")
+    u = _orthogonal_pure(alg, p.coeffs[1:])
+    require((u * p + p * u).is_zero(), p, u)
+    return u
 
 
 def complement_slot(alg: QuaternionAlgebra, a: Rational,
@@ -173,13 +181,13 @@ def complement_slot(alg: QuaternionAlgebra, a: Rational,
     that squares to a modulo squares: b is the square class of a pure
     anticommuting with it."""
     j = witness
-    if j.alg != alg or not j.is_pure() or j.nrd() == 0:
+    if j.alg != alg or not j.is_pure() or j.nrd == 0:
         raise DomainError("witness must be an invertible pure quaternion")
     if squarefree_part(j.square_scalar()) != squarefree_part(as_fraction(a)):
         raise DomainError("witness square is not in the class of a")
     u = anticommutant(alg, j)
     b = squarefree_part(u.square_scalar())
-    require(brauer_from_symbol(a, b) == alg.brauer(), alg, a, b)
+    require(brauer_from_symbol(a, b) == alg.brauer, alg, a, b)
     return b
 
 
@@ -199,14 +207,15 @@ def pure_with_square(alg: QuaternionAlgebra, d0: Rational) -> Quat:
 
 
 def common_value_witness(h1: QuaternionAlgebra, h2: QuaternionAlgebra,
-                         ) -> tuple[Quat, Quat] | None:
-    """A pair (q in h1, pure j in h2) with nrd(q) = -j^2 != 0, or None.
+                         ) -> tuple[Quat, Quat]:
+    """A pair (q in h1, pure j in h2) with nrd(q) = -j^2 != 0.
 
-    The full norm form of h1 and the pure norm form of h2 share a nonzero
-    value exactly when their difference, a 7-dimensional form, is isotropic;
-    Hasse-Minkowski decides that, so None is a proof of impossibility rather
-    than a failed search.  Search exhaustion surfaces as BoundExceeded: the
-    question stays open, which callers must keep distinct from None.
+    Over Q one always exists.  The difference of the two norm forms,
+    <1, -a1, -b1, a1 b1, a2, b2, -a2 b2>, has the entry 1 and a negative
+    entry among a2, b2, -a2 b2; indefinite of dimension 7, it is
+    isotropic (Hasse-Minkowski).  When neither algebra splits, both norm
+    forms are anisotropic, so its zero gives a nonzero common value.
+    The search may still raise BoundExceeded.
     """
     n1 = h1.norm_form()
     n2_pure = h2.pure_norm_form()
@@ -218,13 +227,10 @@ def common_value_witness(h1: QuaternionAlgebra, h2: QuaternionAlgebra,
         j = h2.i()
         q = h1.element(*represent_value(n1, n2_pure(j.coeffs[1:])))
     else:
-        seven = direct_sum(n1, neg(n2_pure))
-        if not is_isotropic(seven):
-            return None
-        v = isotropic_vector(seven)
+        v = isotropic_vector(direct_sum(n1, neg(n2_pure)))
         q = h1.element(*v[:4])
         j = pure(h2, *v[4:])
-    value = q.nrd()
+    value = q.nrd
     require(value == n2_pure(j.coeffs[1:]) and value != 0, q, j)
     return q, j
 
@@ -233,36 +239,22 @@ def three_pure_product(alg: QuaternionAlgebra, q: Quat,
                        ) -> tuple[Quat, Quat, Quat]:
     """Pure invertible q1, q2, q3 with q1 q2 q3 = q, where q3 = i.
 
-    i is invertible since i^2 = a != 0.  The elements x with both x and
-    (q i^-1) x pure form a plane or all pures, and any invertible x there
-    gives the factorization q = (q i^-1 x)(x^-1)(i).  The pure norm is a
-    nondegenerate ternary form, so it vanishes on no plane: one of the
-    basis vectors, their sums or their differences is invertible.
+    i is invertible since i^2 = a != 0.  With m = q i^-1, a pure x makes
+    m x pure exactly when it is orthogonal to the pure part of m for the
+    pure norm form, and any invertible such x gives the factorization
+    q = (m x)(x^-1)(i).
     """
     if q.alg != alg:
         raise DomainError("element not in the given algebra")
     if not q.is_invertible():
         raise DomainError("need an invertible quaternion")
-    a, b = alg.a, alg.b
     q3 = alg.i()
     m = q * q3.inverse()
-    # real part of m * (0,x,y,z) as a linear condition on (x,y,z)
-    row = [[a * m.coeffs[1], b * m.coeffs[2], -a * b * m.coeffs[3]]]
-    basis = _linalg.kernel_basis(_linalg.mat(row))
-    candidates = [tuple(v) for v in basis]
-    candidates += [tuple(s + t for s, t in zip(v, w))
-                   for v, w in itertools.combinations(basis, 2)]
-    candidates += [tuple(s - t for s, t in zip(v, w))
-                   for v, w in itertools.combinations(basis, 2)]
-    for coords in candidates:
-        x = pure(alg, *coords)
-        if not x.is_invertible():
-            continue
-        q1, q2 = m * x, x.inverse()
-        require(q1.is_pure() and q1.is_invertible(), q, q1)
-        require((q1 * q2 * q3).coeffs == q.coeffs, q, q1, q2, q3)
-        return q1, q2, q3
-    raise AssertionError(f"no invertible pure x with q i^-1 x pure for {q}")
+    x = _orthogonal_pure(alg, m.coeffs[1:])
+    q1, q2 = m * x, x.inverse()
+    require(q1.is_pure() and q1.is_invertible(), q, q1)
+    require((q1 * q2 * q3).coeffs == q.coeffs, q, q1, q2, q3)
+    return q1, q2, q3
 
 
 # --- serialization ----------------------------------------------------------

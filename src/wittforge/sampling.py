@@ -46,7 +46,7 @@ def pure_invertible(rng: Random, alg: QuaternionAlgebra,
                     bound: int = 6) -> Quat:
     while True:
         q = pure(alg, *(rng.randint(-bound, bound) for _ in range(3)))
-        if q.nrd() != 0:
+        if q.nrd != 0:
             return q
 
 

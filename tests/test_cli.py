@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from wittforge import invol12
 from wittforge.cli import main
 
 TOTALLY_RAMIFIED_SLOTS = {"slots": [[[1, 0, 0, 0], [0, 1, 0, 0]],
@@ -260,6 +261,29 @@ def test_broken_json_is_malformed_input(tmp_path, capsys):
     assert json.loads(err)["error"] == "malformed-input"
 
 
+def test_deep_json_is_malformed_input(tmp_path, capsys):
+    # nesting past the recursion limit stops the JSON decoder
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    code, out, err = _run(capsys, "qf", "invariants", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "malformed-input"
+
+
+def test_non_utf8_input_is_malformed_input(tmp_path, capsys, monkeypatch):
+    raw = b'\xff\xfe{"entries": [1]}'
+    path = tmp_path / "form.json"
+    path.write_bytes(raw)
+    code, out, err = _run(capsys, "qf", "invariants", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "malformed-input"
+    monkeypatch.setattr(sys, "stdin",
+                        io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    code, out, err = _run(capsys, "qf", "invariants", "-")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "malformed-input"
+
+
 def test_bad_rational_is_malformed_input(tmp_path, capsys):
     path = _form_file(tmp_path, [1, -5])
     code, out, err = _run(capsys, "qf", "hyper-over", path, "--d", "sqrt2")
@@ -356,6 +380,14 @@ def test_selftest_is_deterministic(capsys):
     assert set(outputs["suites"]) == {"reciprocity", "witt-identity",
                                       "hermitian-disc", "decompose12",
                                       "obstruction"}
+
+
+def test_selftest_refuses_counts_below_1(capsys):
+    for count in ("-3", "0"):
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", "--count", count])
+        assert exc.value.code == 2
+        assert "--count: must be at least 1" in capsys.readouterr().err
 
 
 def test_selftest_fails_under_python_O():
@@ -504,3 +536,31 @@ def test_quaternion_witness_checks_survive_python_O():
     proc = _python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "refused\nrefused\n"
+
+
+def test_reciprocity_check_survives_python_O():
+    # an odd set of ramified places must not reach BrauerClass even with
+    # asserts stripped
+    script = ("import wittforge.qarith as qarith\n"
+              "qarith._hilbert_core = "
+              "lambda a, b, v: -1 if v == qarith.REAL else 1\n"
+              "try:\n"
+              "    qarith.ramified_places(-1, -1)\n"
+              "except AssertionError:\n"
+              "    print('refused')\n")
+    proc = _python("-O", "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "refused\n"
+
+
+def test_alg_additive_decomposes_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    decompose = invol12.additive_decomposition
+    monkeypatch.setattr(invol12, "additive_decomposition",
+                        lambda p: calls.append(p) or decompose(p))
+    path = _write(tmp_path, "pres.json", EXISTS_PRESENTATION)
+    code, out, _ = _run(capsys, "alg", "additive", path)
+    assert code == 0 and len(calls) == 1
+    outputs = json.loads(out)["outputs"]
+    assert outputs["pairs"] == [outputs["group"][2:4], outputs["group"][4:6],
+                                outputs["group"][6:8]]

@@ -128,7 +128,7 @@ def test_tao_split_oracle(entries, params, pick):
     # must be the Clifford invariant of the transported 12-dim form
     h = algebra(*params)
     i_elem = [h.i(), h.j(), h.k(), pure(h, 1, 1, 0)][pick]
-    if i_elem.nrd() == 0:
+    if i_elem.nrd == 0:
         return
     p = ProductPresentation(Split6(diagonal(*entries)), QuatInvol(h, i_elem))
     first, second = tao_e2_coset(p)
@@ -325,7 +325,7 @@ def test_additive_decomposition_frozen():
     assert sorted(map(str, q_class.ramified)) == ["2", "real"]
     assert pairs == [(ZERO, q_class)] * 3
     # aligned instances satisfy the change-of-base identity per slot
-    target = p.a0.h.alg.brauer() + p.hrho.alg.brauer()
+    target = p.a0.h.alg.brauer + p.hrho.alg.brauer
     for h_i, q_i in pairs:
         assert h_i + q_i == target
     group = decomposition_group(p)
@@ -383,7 +383,7 @@ def test_f3_case_builders_are_what_they_claim():
     assert _case_a_split().a_class() == ZERO
     p = _case_a0_split_by_sqrt_d0()
     assert p.d0 == -3
-    assert p.a0.brauer() == brauer_from_symbol(-3, -1)
+    assert p.a0.brauer == brauer_from_symbol(-3, -1)
     assert p.a_class() != ZERO
     assert is_aligned(p)
 
@@ -458,7 +458,7 @@ def test_item1_reproducers_are_what_they_claim():
     q = _item1_witness()
     assert q.d == -11 and is_aligned(q)
     assert not q.a_class().is_ramified_at(REAL)
-    assert not q.hrho.alg.brauer().is_ramified_at(REAL)
+    assert not q.hrho.alg.brauer.is_ramified_at(REAL)
     assert signature(to_quadratic_form(q.a0.h)) == -4
 
 
@@ -484,14 +484,14 @@ def test_exists_involution_frozen():
     assert p.d == -1 and p.d0 == -1
     assert is_aligned(p)
     prod = p.a0.h.entries[0] * p.a0.h.entries[1] * p.a0.h.entries[2]
-    assert prod.nrd() == 1
+    assert prod.nrd == 1
     # both factors split is the easy existence case
     assert exists_involution(algebra(1, 1), algebra(1, 1)).status == "witness"
 
 
 def test_exists_involution_never_fails_over_q():
     # the 7-dim common-value form is always indefinite over Q, so a
-    # witness always turns up; provably-none lives in the lattice module
+    # witness always turns up
     for p1 in [(-1, -1), (2, 5), (1, 1)]:
         for p2 in [(-1, -1), (-3, -1), (-1, 2)]:
             assert exists_involution(algebra(*p1),

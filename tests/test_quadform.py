@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wittforge import quadform
 from wittforge.cohomology import ZERO, H3Class, brauer_from_symbol, brauer_sum
 from wittforge.errors import DomainError
 from wittforge.qarith import (REAL, hilbert_symbol, square_class_product,
@@ -409,3 +410,16 @@ def test_equal_forms_carry_equal_cached_invariants(q):
     if q.dim:
         assert det_class(q) == square_class_product(*q.entries)
     assert isometric(q, twin)
+
+
+def test_represent_value_runs_one_isotropy_test(monkeypatch):
+    calls = []
+    isotropic = quadform.is_isotropic
+    monkeypatch.setattr(quadform, "is_isotropic",
+                        lambda q: calls.append(q) or isotropic(q))
+    q = diagonal(1, 1, 1)
+    assert q(represent_value(q, 6)) == 6
+    assert len(calls) == 1
+    with pytest.raises(DomainError, match="form does not represent 7"):
+        represent_value(q, 7)
+    assert len(calls) == 2

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wittforge import quat
 from wittforge.cohomology import BrauerClass, brauer_from_symbol, second_slot
 from wittforge.errors import DomainError
 from wittforge.qarith import REAL, squarefree_part
@@ -47,7 +48,7 @@ def test_hamilton_table():
 def test_nrd_and_inverse():
     h = algebra(-1, -1)
     q = h.element(1, 2, 3, 4)
-    assert q.nrd() == 30
+    assert q.nrd == 30
     assert q * q.inverse() == h.one()
     assert q.inverse() * q == h.one()
     with pytest.raises(DomainError):
@@ -62,7 +63,7 @@ def test_product_is_associative_and_norm_multiplicative(data, a, b):
     q2 = data.draw(elements(alg))
     q3 = data.draw(elements(alg))
     assert (q1 * q2) * q3 == q1 * (q2 * q3)
-    assert (q1 * q2).nrd() == q1.nrd() * q2.nrd()
+    assert (q1 * q2).nrd == q1.nrd * q2.nrd
     assert (q1 * q2).conjugate() == q2.conjugate() * q1.conjugate()
 
 
@@ -71,7 +72,7 @@ def test_product_is_associative_and_norm_multiplicative(data, a, b):
 def test_norm_form_agrees_with_nrd(data, a, b):
     alg = algebra(a, b)
     q = data.draw(elements(alg))
-    assert alg.norm_form()(q.coeffs) == q.nrd()
+    assert alg.norm_form()(q.coeffs) == q.nrd
 
 
 def test_pure_square_is_minus_nrd():
@@ -123,7 +124,7 @@ def test_algebra_from_class_roundtrip():
     for a, b in [(-1, -1), (2, 5), (-3, -1)]:
         cls = brauer_from_symbol(a, b)
         alg = algebra_from_class(cls)
-        assert alg.brauer() == cls
+        assert alg.brauer == cls
     assert algebra_from_class(BrauerClass(frozenset())).is_split()
 
 
@@ -139,20 +140,20 @@ def test_complement_slot():
     k = h.k()   # k^2 = -10... times the unit 1
     assert squarefree_part(k.square_scalar()) == -10
     b = complement_slot(h, -10, witness=k)
-    assert brauer_from_symbol(-10, b) == h.brauer()
+    assert brauer_from_symbol(-10, b) == h.brauer
     with pytest.raises(DomainError):
         complement_slot(h, 5, witness=k)
 
 
 def test_second_slot():
     # without a witness pure, the second slot comes from the symbol walk
-    assert second_slot(-1, algebra(-1, -1).brauer()) == -1
+    assert second_slot(-1, algebra(-1, -1).brauer) == -1
     h = algebra(2, 5)
     for a in (5, -10):
-        b = second_slot(a, h.brauer())
-        assert brauer_from_symbol(a, b) == h.brauer()
+        b = second_slot(a, h.brauer)
+        assert brauer_from_symbol(a, b) == h.brauer
     with pytest.raises(DomainError):
-        second_slot(2, algebra(-1, -1).brauer())   # pure squares are negative
+        second_slot(2, algebra(-1, -1).brauer)   # pure squares are negative
     with pytest.raises(DomainError):
         second_slot(5, BrauerClass(frozenset({2, 11})))   # 4^2 = 5 mod 11
 
@@ -171,18 +172,16 @@ def test_common_value_witness_frozen():
 def test_common_value_witness_is_sound(p1, p2):
     h1, h2 = algebra(*p1), algebra(*p2)
     out = common_value_witness(h1, h2)
-    if out is None:
-        return
+    assert out is not None
     q, j = out
     assert q.alg == h1 and j.alg == h2 and j.is_pure()
-    assert q.nrd() == -j.square_scalar() != 0
+    assert q.nrd == -j.square_scalar() != 0
 
 
 def test_common_value_witness_always_succeeds_over_q():
     # sig(n1) is 0 or 4 and sig(n0_2) is -1 or 3, so the 7-dim difference
-    # form has |signature| <= 5 < 7: always indefinite, always isotropic.
-    # The None branch only fires over fields where indefinite forms can
-    # stay anisotropic; here every pair must produce a witness.
+    # form has |signature| <= 5 < 7: always indefinite, always isotropic,
+    # so every pair must produce a witness.
     for p1 in [(-1, -1), (2, 5), (-1, 2)]:
         for p2 in [(-1, -1), (-3, -1), (13, -1)]:
             assert common_value_witness(algebra(*p1), algebra(*p2)) is not None
@@ -238,3 +237,26 @@ def test_elem_json_roundtrip():
         elem_from_json({"alg": {"a": "-1", "b": "2"}, "coords": ["1", "0"]})
     with pytest.raises(DomainError):
         elem_from_json({"coords": ["1", "0", "0", "0"]})
+
+
+def test_brauer_class_is_computed_once_per_algebra(monkeypatch):
+    calls = []
+    monkeypatch.setattr(quat, "brauer_from_symbol",
+                        lambda a, b: calls.append((a, b))
+                        or brauer_from_symbol(a, b))
+    h = algebra(-1, 3)
+    first = h.brauer
+    assert not h.is_split() and h.brauer is first
+    assert first == brauer_from_symbol(-1, 3)
+    assert calls == [(-1, 3)]
+
+
+def test_reduced_norm_is_computed_once_per_element(monkeypatch):
+    calls = []
+    norm = Quat.nrd.func
+    monkeypatch.setattr(Quat.nrd, "func",
+                        lambda q: calls.append(q) or norm(q))
+    q = algebra(-1, -1).element(1, 2, 3, 4)
+    assert q.nrd == 30 and q.is_invertible()
+    assert q * q.inverse() == q.alg.one()
+    assert len(calls) == 1
