@@ -40,10 +40,11 @@ class _LoadError(Exception):
 
 
 def _read_source(path: str) -> str:
+    # bytes decoded as UTF-8, the JSON encoding, whatever the locale
     try:
-        if path == "-":
-            return sys.stdin.read()
-        return Path(path).read_text()
+        raw = (sys.stdin.buffer.read() if path == "-"
+               else Path(path).read_bytes())
+        return raw.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise _LoadError(f"cannot read {path}: {exc}") from exc
 

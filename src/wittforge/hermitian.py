@@ -18,7 +18,8 @@ from .errors import DomainError, require
 from .qarith import squarefree_part
 from .quadform import QuadForm
 from .quat import Quat, QuaternionAlgebra, algebra_from_json, algebra_to_json, \
-    anticommutant, elem_from_json, elem_to_json, pure_with_square
+    anticommutant, complement_slot, elem_from_json, elem_to_json, \
+    pure_with_square
 
 
 @dataclass(frozen=True)
@@ -63,10 +64,9 @@ def rescale_entry(form: SkewHermForm, idx: int) -> SkewHermForm:
     """
     if not 0 <= idx < form.rank:
         raise DomainError(f"no entry {idx} in a rank {form.rank} form")
-    u = anticommutant(form.alg, form.entries[idx])
-    c = Fraction(squarefree_part(u.square_scalar()))
+    q = form.entries[idx]
     entries = list(form.entries)
-    entries[idx] = entries[idx] * c
+    entries[idx] = q * complement_slot(form.alg, q.square_scalar(), q)
     return SkewHermForm(form.alg, tuple(entries))
 
 

@@ -1,11 +1,14 @@
 """Regular diagonal quadratic forms over Q and their classifying invariants.
 
 Forms are kept diagonal throughout: every operation that produces a form
-rediagonalizes exactly over Fraction.  The classifying data over Q is
-(dim, signed discriminant, Hasse class, signature), and the degree 1..3
-cohomological invariants e1, e2, e3 are derived from it.  All searches
-(isotropic vectors, represented values) return exact witnesses or raise
-BoundExceeded; nothing here is approximate.
+rediagonalizes exactly over Fraction.  The classifying data over Q is one
+`Invariants` record (dim, determinant class, signature, Hasse class,
+Clifford class), built in one pass over the places that can ramify and
+cached on the form; e1, e2, e3, the Witt index, isometry and hyperbolicity
+are read off it, and isotropy off the record of the square classes (past
+dim 4, off their signs).  Hasse-Minkowski lives in `_kernel_dim` alone.
+All searches (isotropic vectors, represented values) return exact
+witnesses or raise BoundExceeded; nothing here is approximate.
 """
 
 from dataclasses import dataclass
@@ -40,8 +43,8 @@ from .qarith import (
 class QuadForm:
     """A regular diagonal form <d1, ..., dn>, entries nonzero rationals.
 
-    The square classes of the entries are computed on first use and then
-    kept on the (immutable) form; every invariant is built from them.
+    The square classes of the entries and the invariant record built from
+    them are computed on first use and then kept on the (immutable) form.
     """
 
     entries: tuple[Fraction, ...]
@@ -67,6 +70,11 @@ class QuadForm:
     def square_classes(self) -> tuple[int, ...]:
         """The signed squarefree class of each entry."""
         return tuple(squarefree_part(e) for e in self.entries)
+
+    @cached_property
+    def invariants(self) -> "Invariants":
+        """The invariant record; every public invariant reads it."""
+        return _invariants(self.square_classes)
 
 
 def diagonal(*entries: Rational) -> QuadForm:
@@ -109,46 +117,69 @@ def hyperbolic(m: int = 1) -> QuadForm:
 
 # --- invariants -----------------------------------------------------------
 
-def det_class(q: QuadForm) -> int:
-    # the running product of the entries' square classes: the product of
-    # the entries themselves can be far beyond the trial division budget
-    return _class_product(q.square_classes)
+def _kernel_dim(inv: "Invariants") -> int:
+    """The anisotropic kernel dimension of a form with invariants inv.
 
-
-def e1(q: QuadForm) -> int:
-    """Signed discriminant (-1)^(n(n-1)/2) det, as a signed squarefree int."""
-    n = q.dim
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    if n == 0:
-        return 1
-    return sign * det_class(q)
-
-
-def signature(q: QuadForm) -> int:
-    return sum(1 if e > 0 else -1 for e in q.entries)
-
-
-def hasse_class(q: QuadForm) -> BrauerClass:
-    """Hasse-Witt invariant sum_{i<j} (a_i, a_j), packaged as a Brauer class.
-
-    Grouping the pairs by their second index and using bilinearity in the
-    first slot gives sum_j (a_1 ... a_{j-1}, a_j): n - 1 symbols instead of
-    n(n - 1)/2.  The running product a_1 ... a_{j-1} is carried as a square
-    class and never factored; the sum is evaluated place by place, and only
-    the real place, 2 and the primes of the entries' square classes can
-    ramify.
+    The Witt index over Q is the least local one (Hasse-Minkowski, one
+    hyperbolic plane at a time), so the kernel is the largest local kernel:
+    |sig| at the real place; at a prime p, for odd dim 3 if the Clifford
+    class c ramifies at p else 1, for even dim 4 if e1 is a square at p and
+    c ramifies there, 2 if e1 is not a square at p (as a squarefree
+    e1 != 1 is at some p), else 0.
     """
-    return _hasse_plus(q, 1)
+    finite = [v for v in inv.clifford.ramified if v != REAL]
+    if inv.dim % 2:
+        local = 3 if finite else 1
+    elif any(_local_square_core(inv.e1, v) for v in finite):
+        local = 4
+    else:
+        local = 0 if inv.e1 == 1 else 2
+    return max(abs(inv.signature), local)
 
 
-def _hasse_plus(q: QuadForm, b: int) -> BrauerClass:
-    # the Hasse class plus the symbol (-1, b), b a signed squarefree int
-    # whose primes divide the entries: every place where either ramifies
-    # is a support place, and no argument is factored again
-    s = q.square_classes
-    return BrauerClass(frozenset(
-        v for v in _support_places(s)
-        if _local_hasse(s, v) * _hilbert_core(-1, b, v) == -1))
+@dataclass(frozen=True)
+class Invariants:
+    """The classifying invariants of a form over Q: the first four settle
+    isometry, the Clifford class is the Hasse class with the dimension
+    correction, and e1 and the kernel dimension derive from them."""
+
+    dim: int
+    det: int
+    signature: int
+    hasse: BrauerClass
+    clifford: BrauerClass
+
+    @property
+    def e1(self) -> int:
+        return -self.det if self.dim % 4 in (2, 3) else self.det
+
+    kernel_dim = property(_kernel_dim)
+
+
+# The builder below works on a diagonal given by its square classes: a
+# sequence of signed squarefree ints, as QuadForm.square_classes caches
+# them.  Nothing in it builds a form or factors a product.
+
+def _support_places(s: Sequence[int]) -> list:
+    # the real place, 2 and the primes of the classes: the only places
+    # where a symbol (x, y) of products of the classes can ramify; each
+    # class is squarefree, so factoring it just lists its primes
+    primes = {2}
+    for x in s:
+        primes.update(p for p, _ in factor(abs(x)))
+    return [REAL] + sorted(primes)
+
+
+def _local_hasse(s: Sequence[int], v) -> int:
+    # the prefix form of the Hasse class at the checked place v, one
+    # Hilbert symbol per class; the running product stays a class
+    if not s:
+        return 1
+    eps, prefix = 1, s[0]
+    for x in s[1:]:
+        eps *= _hilbert_core(prefix, x, v)
+        prefix = _class_mul(prefix, x)
+    return eps
 
 
 def _correction_slot(dim: int, det: int) -> int:
@@ -163,14 +194,53 @@ def _correction_slot(dim: int, det: int) -> int:
     return 1
 
 
+def _invariants(s: Sequence[int]) -> Invariants:
+    """The record of the diagonal with square classes s, in one pass.
+
+    The Hasse class sum_{i<j} (a_i, a_j), grouped by second index, is
+    sum_j (a_1 ... a_{j-1}, a_j): n - 1 symbols instead of n(n - 1)/2.  The
+    Clifford bit at each place is the Hasse bit times the correction
+    (-1, b), b = +-1 or +-det (not the signed discriminant; pinned by
+    C0(<1,1,1>) = (-1,-1) and C(<1,1,1,-1>) split), so no det is factored.
+    """
+    det = _class_product(s)
+    b = _correction_slot(len(s), det)
+    hasse, clifford = [], []
+    for v in _support_places(s):
+        eps = _local_hasse(s, v)
+        if eps == -1:
+            hasse.append(v)
+        if eps != _hilbert_core(-1, b, v):
+            clifford.append(v)
+    # the classes carry the signs of the entries
+    return Invariants(len(s), det, sum(1 if x > 0 else -1 for x in s),
+                      BrauerClass(frozenset(hasse)),
+                      BrauerClass(frozenset(clifford)))
+
+
+def det_class(q: QuadForm) -> int:
+    return q.invariants.det
+
+
+def e1(q: QuadForm) -> int:
+    """Signed discriminant (-1)^(n(n-1)/2) det, as a signed squarefree int."""
+    return q.invariants.e1
+
+
+def signature(q: QuadForm) -> int:
+    return q.invariants.signature
+
+
+def hasse_class(q: QuadForm) -> BrauerClass:
+    """Hasse-Witt invariant sum_{i<j} (a_i, a_j), packaged as a Brauer
+    class."""
+    return q.invariants.hasse
+
+
 def clifford_class(q: QuadForm) -> BrauerClass:
     """The Clifford (Witt) invariant: the Hasse class with the dimension
-    correction, constant on Witt classes.
-
-    The correction uses the determinant class d, not the signed discriminant;
-    pinned by C0(<1,1,1>) = (-1,-1) and C(<1,1,1,-1>) split.
-    """
-    return _hasse_plus(q, _correction_slot(q.dim, det_class(q)))
+    correction, constant on Witt classes."""
+    return q.invariants.clifford
 
 
 def e2(q: QuadForm) -> BrauerClass:
@@ -188,55 +258,21 @@ def e3(q: QuadForm) -> H3Class:
     return H3Class((sig // 8) % 2)
 
 
+def witt_index(q: QuadForm) -> int:
+    """The Witt index of q, read off its invariants; nothing is searched."""
+    return (q.dim - q.invariants.kernel_dim) // 2
+
+
 # --- isotropy over Q ------------------------------------------------------
 
-# The local-global core below works on a diagonal given by its square
-# classes: a sequence of signed squarefree ints, as QuadForm.square_classes
-# caches them.  Nothing in it builds a form or factors a product.
-
-def _support_places(s: Sequence[int]) -> list:
-    # the real place, 2 and the primes of the classes: the only places
-    # where a symbol (x, y) of products of the classes can ramify; each
-    # class is squarefree, so factoring it just lists its primes
-    primes = {2}
-    for x in s:
-        primes.update(p for p, _ in factor(abs(x)))
-    return [REAL] + sorted(primes)
-
-
-def _local_hasse(s: Sequence[int], v) -> int:
-    # the prefix form of hasse_class at the checked place v, one Hilbert
-    # symbol per class; the running product stays a class
-    if not s:
-        return 1
-    eps, prefix = 1, s[0]
-    for x in s[1:]:
-        eps *= _hilbert_core(prefix, x, v)
-        prefix = _class_mul(prefix, x)
-    return eps
-
-
 def _isotropic(s: Sequence[int]) -> bool:
-    # Hasse-Minkowski for the diagonal with square classes s
+    # isotropic iff the kernel is smaller than the form; the kernel is at
+    # least |sig| and local kernels have dim <= 4, so the classes' signs give
+    # _kernel_dim's answer for definite forms and past dim 4 with no record
     n = len(s)
-    if n <= 1:
+    if n < 2 or not min(s) < 0 < max(s):
         return False
-    if n == 2:
-        return s[0] == -s[1]
-    if n >= 5:
-        # indefinite iff the classes, which carry the entries' signs,
-        # take both signs
-        return min(s) < 0 < max(s)
-    d = _class_product(s)
-    for v in _support_places(s):
-        eps = _local_hasse(s, v)
-        if n == 3:
-            if _hilbert_core(-1, -d, v) != eps:
-                return False
-        else:
-            if _local_square_core(d, v) and eps != _hilbert_core(-1, -1, v):
-                return False
-    return True
+    return n >= 5 or _invariants(s).kernel_dim < n
 
 
 def is_isotropic(q: QuadForm) -> bool:
@@ -246,7 +282,7 @@ def is_isotropic(q: QuadForm) -> bool:
 
 def _sqrt_fraction(f: Fraction) -> Fraction:
     rn, rd = isqrt(f.numerator), isqrt(f.denominator)
-    assert rn * rn == f.numerator and rd * rd == f.denominator, f
+    require(rn * rn == f.numerator and rd * rd == f.denominator, f)
     return Fraction(rn, rd)
 
 
@@ -312,7 +348,7 @@ def _lagrange_descent(a: int, b: int) -> tuple[int, int, int]:
     if 2 * t > abs(b):
         t -= abs(b)
     k, r = divmod(t * t - a, b)
-    assert r == 0, (a, b, t)
+    require(r == 0, a, b, t)
     if k == 0:
         return t, 1, 0
     b2 = squarefree_part(k)
@@ -333,7 +369,7 @@ def _ternary_zero(s: list[int]) -> tuple[int, ...]:
     v = isqrt(big_b // be)
     x, y, z = _lagrange_descent(al, be)
     out = _primitive((Fraction(y, u), Fraction(z, v), Fraction(x, s[2])))
-    assert any(out) and sum(c * t * t for c, t in zip(s, out)) == 0, (s, out)
+    require(any(out) and sum(c * t * t for c, t in zip(s, out)) == 0, s, out)
     return out
 
 
@@ -361,10 +397,10 @@ def _int_isotropic(s: list[int]) -> tuple[int, ...]:
         if not (_isotropic((s[0], s[1], -c)) and _isotropic((*rest, c))):
             continue
         x, y, w = _ternary_zero([s[0], s[1], -c])
-        assert w != 0, (s, c)  # the binary part is anisotropic
+        require(w != 0, s, c)  # the binary part is anisotropic
         sub = _int_isotropic(rest + [c])
         t = sub[-1]
-        assert t != 0, (s, c, sub)  # as is rest
+        require(t != 0, s, c, sub)  # as is rest
         full = ([Fraction(x * t, w), Fraction(y * t, w)]
                 + [Fraction(z) for z in sub[:-1]])
         return _primitive(full)
@@ -429,32 +465,6 @@ class WittClass:
         return self.kernel.dim + 2 * self.index
 
 
-def _kernel_dim(n: int, d: int, c: BrauerClass, sig: int) -> int:
-    """The anisotropic kernel dimension of an n-dim form with invariants
-    (e1, Clifford, signature) = (d, c, sig).
-
-    The Witt index over Q is the least local one (Hasse-Minkowski, one
-    hyperbolic plane at a time), so the kernel is the largest local kernel:
-    |sig| at the real place; at a prime p, for odd n 3 if c ramifies at p
-    else 1, for even n 4 if d is a square at p and c ramifies there, 2 if
-    d is not a square at p (as a squarefree d != 1 is at some p), else 0.
-    """
-    finite = [v for v in c.ramified if v != REAL]
-    if n % 2:
-        local = 3 if finite else 1
-    elif any(_local_square_core(d, v) for v in finite):
-        local = 4
-    else:
-        local = 0 if d == 1 else 2
-    return max(abs(sig), local)
-
-
-def witt_index(q: QuadForm) -> int:
-    """The Witt index of q, read off its invariants; nothing is searched."""
-    dim0 = _kernel_dim(q.dim, e1(q), clifford_class(q), signature(q))
-    return (q.dim - dim0) // 2
-
-
 def _peel_unit(dim0: int, d: int, c: BrauerClass, x: int,
                ) -> tuple[int, BrauerClass]:
     """Invariants (e1, Clifford) of k with <x> + k carrying (d, c) in
@@ -494,8 +504,8 @@ def _quaternary_rep(d: int, c: BrauerClass, sig: int) -> QuadForm:
 
 def _anisotropic_rep(dim0: int, d: int, c: BrauerClass,
                      sig: int) -> QuadForm:
-    """A small-entry anisotropic form of dimension dim0 = _kernel_dim(...)
-    with the given invariants."""
+    """A small-entry anisotropic form of dimension dim0, the kernel
+    dimension of the given invariants."""
     if dim0 == 0:
         return diagonal()
     if dim0 == 1:
@@ -524,29 +534,28 @@ def witt_decompose(q: QuadForm) -> WittClass:
     invariants rather than peeled off vector by vector, and verified once
     before it is returned.
     """
-    d, c, sig = e1(q), clifford_class(q), signature(q)
-    dim0 = _kernel_dim(q.dim, d, c, sig)
-    kernel = _anisotropic_rep(dim0, d, c, sig)
-    require(e1(kernel) == d and clifford_class(kernel) == c
-            and signature(kernel) == sig and not is_isotropic(kernel),
-            q, kernel)
+    inv = q.invariants
+    dim0 = inv.kernel_dim
+    kernel = _anisotropic_rep(dim0, inv.e1, inv.clifford, inv.signature)
+    # the record of the kernel's own entries: same Witt class, and a form
+    # whose kernel dimension is its dimension is anisotropic
+    k = kernel.invariants
+    require((k.e1, k.clifford, k.signature, k.kernel_dim)
+            == (inv.e1, inv.clifford, inv.signature, kernel.dim), q, kernel)
     return WittClass(kernel, (q.dim - dim0) // 2)
 
 
 # --- classification -------------------------------------------------------
 
 def isometric(q1: QuadForm, q2: QuadForm) -> bool:
-    """Isometry over Q: dimension, signed discriminant, Hasse class and
-    signature settle it."""
-    return (q1.dim == q2.dim
-            and e1(q1) == e1(q2)
-            and signature(q1) == signature(q2)
-            and hasse_class(q1) == hasse_class(q2))
+    """Isometry over Q: dimension, determinant class, Hasse class and
+    signature settle it, so the invariant records agree."""
+    return q1.invariants == q2.invariants
 
 
 def is_hyperbolic(q: QuadForm) -> bool:
-    return (q.dim % 2 == 0 and e1(q) == 1 and signature(q) == 0
-            and clifford_class(q).is_zero())
+    """Whether the anisotropic kernel of q is 0."""
+    return q.invariants.kernel_dim == 0
 
 
 def witt_equivalent(q1: QuadForm, q2: QuadForm) -> bool:
@@ -567,20 +576,10 @@ def is_hyperbolic_over(q: QuadForm, d: Rational) -> bool:
         raise DomainError("d must be a nonsquare")
     if q.dim % 2:
         raise DomainError("odd-dimensional forms are never hyperbolic")
-    if q.dim == 0:
-        return True
-    disc = e1(q)
-    if disc != 1 and disc != sd:
+    inv = q.invariants
+    if inv.e1 not in (1, sd) or (sd > 0 and inv.signature != 0):
         return False
-    if sd > 0 and signature(q) != 0:
-        return False
-    for v in clifford_class(q).ramified:
-        if v == REAL:
-            if sd > 0:
-                return False
-        elif is_local_square(sd, v):
-            return False
-    return True
+    return not any(is_local_square(sd, v) for v in inv.clifford.ramified)
 
 
 # --- serialization --------------------------------------------------------

@@ -94,8 +94,8 @@ def test_timing_flag_fills_the_slot(tmp_path, capsys):
 
 
 def test_form_on_stdin(monkeypatch, capsys):
-    monkeypatch.setattr(sys, "stdin",
-                        io.StringIO(json.dumps({"entries": ["1", "-1"]})))
+    raw = json.dumps({"entries": ["1", "-1"]}).encode()
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw)))
     code, out, _ = _run(capsys, "qf", "invariants", "-")
     assert code == 0
     assert json.loads(out)["outputs"]["witt_index"] == 1
@@ -271,17 +271,23 @@ def test_deep_json_is_malformed_input(tmp_path, capsys):
 
 
 def test_non_utf8_input_is_malformed_input(tmp_path, capsys, monkeypatch):
+    # a file and stdin are read as bytes and decoded as UTF-8 alike, also
+    # where the locale would let stdin smuggle the bytes in as surrogates
     raw = b'\xff\xfe{"entries": [1]}'
     path = tmp_path / "form.json"
     path.write_bytes(raw)
     code, out, err = _run(capsys, "qf", "invariants", str(path))
     assert code == 2 and out == ""
-    assert json.loads(err)["error"] == "malformed-input"
-    monkeypatch.setattr(sys, "stdin",
-                        io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
-    code, out, err = _run(capsys, "qf", "invariants", "-")
-    assert code == 2 and out == ""
-    assert json.loads(err)["error"] == "malformed-input"
+    from_file = json.loads(err)
+    assert from_file["error"] == "malformed-input"
+    for errors in ("strict", "surrogateescape"):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+            io.BytesIO(raw), encoding="utf-8", errors=errors))
+        code, out, err = _run(capsys, "qf", "invariants", "-")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "error": "malformed-input",
+            "message": from_file["message"].replace(str(path), "-")}
 
 
 def test_bad_rational_is_malformed_input(tmp_path, capsys):
@@ -411,6 +417,21 @@ def test_witness_check_survives_python_O():
               "qf._int_isotropic = lambda s: (1,) * len(s)\n"
               "try:\n"
               "    qf.isotropic_vector(qf.diagonal(1, -1, 3))\n"
+              "except AssertionError:\n"
+              "    print('refused')\n")
+    proc = _python("-O", "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "refused\n"
+
+
+def test_kernel_check_survives_python_O():
+    # a built kernel with the wrong Clifford class must not escape
+    # witt_decompose even with asserts stripped
+    script = ("import wittforge.quadform as qf\n"
+              "qf._anisotropic_rep = lambda dim0, d, c, sig: "
+              "qf.diagonal(1, 2, 15)\n"
+              "try:\n"
+              "    qf.witt_decompose(qf.diagonal(2, 3, 5))\n"
               "except AssertionError:\n"
               "    print('refused')\n")
     proc = _python("-O", "-c", script)

@@ -1,13 +1,17 @@
 """Quadratic form invariants, isotropy, witnesses, Witt decomposition.
 
-Isotropy gets two independent oracles: the classical two/three-square
-characterizations for <1,1,-n> and <1,1,1,-n>, and a brute-force box search
-on the positive side.  The Clifford table is pinned by hypothesis tests of
-Witt invariance across every dimension residue.
+Isotropy gets three oracles independent of the library's kernel-dimension
+criterion: the classical two/three-square characterizations for <1,1,-n>
+and <1,1,1,-n>, the per-place Hasse conditions for dims 3 and 4 written
+with pairwise Hilbert symbols, and a brute-force box search on the
+positive side.  The Clifford table is pinned by hypothesis tests of Witt
+invariance across every dimension residue.
 """
 
+import json
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +20,9 @@ from hypothesis import strategies as st
 from wittforge import quadform
 from wittforge.cohomology import ZERO, H3Class, brauer_from_symbol, brauer_sum
 from wittforge.errors import DomainError
-from wittforge.qarith import (REAL, hilbert_symbol, square_class_product,
-                              squarefree_part)
+from wittforge.cli import main
+from wittforge.qarith import (REAL, _local_square_core, hilbert_symbol,
+                              square_class_product, squarefree_part)
 from wittforge.quadform import (
     QuadForm,
     _local_hasse,
@@ -104,8 +109,7 @@ def test_isotropy_frozen():
 @given(entries_strategy)
 @settings(max_examples=60)
 def test_isotropic_forms_yield_exact_zeros(q):
-    # _isotropic and _kernel_dim encode the local-global principle apart
-    assert is_isotropic(q) == (witt_index(q) > 0)
+    assert is_isotropic(q) == _local_isotropic(q)
     if is_isotropic(q):
         v = isotropic_vector(q)
         assert q(v) == 0 and any(v)
@@ -359,6 +363,46 @@ def _pairwise_local_hasse(q: QuadForm, v) -> int:
     return eps
 
 
+def _local_isotropic(q: QuadForm) -> bool:
+    """Hasse-Minkowski as the textbook states it, the reference for
+    is_isotropic: a binary is isotropic iff -det is a square, a ternary iff
+    its pairwise Hasse invariant is (-1, -det) at every place, a quaternary
+    iff it is (-1, -1) wherever det is a local square, a longer form iff it
+    is indefinite.  (-1, -det) is expanded entry by entry and det is kept
+    as a square class, so no product past the trial division budget is
+    factored."""
+    n = q.dim
+    if n <= 1:
+        return False
+    d = square_class_product(*q.entries)
+    if n == 2:
+        return d == -1
+    if n >= 5:
+        return min(q.entries) < 0 < max(q.entries)
+    for v in _support_places(q.square_classes):
+        eps = _pairwise_local_hasse(q, v)
+        minus_one = hilbert_symbol(-1, -1, v)
+        if n == 3:
+            minus_det = minus_one
+            for a in q.entries:
+                minus_det *= hilbert_symbol(-1, a, v)
+            if eps != minus_det:
+                return False
+        elif _local_square_core(d, v) and eps != minus_one:
+            return False
+    return True
+
+
+@given(st.one_of(hasse_forms, large_prime_forms))
+@settings(max_examples=120, deadline=None)
+def test_isotropy_matches_the_local_conditions(q):
+    # every leading subform up to dim 5, so dims 3 and 4 are always met
+    for k in range(min(q.dim, 5) + 1):
+        head = QuadForm(q.entries[:k])
+        assert is_isotropic(head) == _local_isotropic(head), head
+    assert is_isotropic(q) == _local_isotropic(q), q
+
+
 @given(st.one_of(hasse_forms, large_prime_forms))
 @settings(max_examples=120, deadline=None)
 def test_hasse_class_matches_pairwise_definition(q):
@@ -400,11 +444,19 @@ def test_ternary_isotropy_matches_its_quaternion_algebra(entries):
 @given(hasse_forms)
 @settings(max_examples=60, deadline=None)
 def test_equal_forms_carry_equal_cached_invariants(q):
-    invariants = (e1(q), hasse_class(q), clifford_class(q), signature(q))
-    twin = QuadForm(tuple(q.entries))
-    assert twin == q and hash(twin) == hash(q)
-    assert (e1(twin), hasse_class(twin), clifford_class(twin),
-            signature(twin)) == invariants
+    # each form builds its invariant record once, and every reader reuses it
+    q, twin = QuadForm(q.entries), QuadForm(tuple(q.entries))
+    with mock.patch.object(quadform, "_invariants",
+                           wraps=quadform._invariants) as build:
+        invariants = (e1(q), hasse_class(q), clifford_class(q), signature(q),
+                      det_class(q), witt_index(q), is_hyperbolic(q))
+        assert build.call_count == 1 and q.invariants is q.invariants
+        assert twin == q and hash(twin) == hash(q)
+        assert (e1(twin), hasse_class(twin), clifford_class(twin),
+                signature(twin), det_class(twin), witt_index(twin),
+                is_hyperbolic(twin)) == invariants
+        assert twin.invariants == q.invariants and isometric(q, twin)
+        assert build.call_count == 2
     assert twin.square_classes == q.square_classes == tuple(
         squarefree_part(e) for e in q.entries)
     if q.dim:
@@ -423,3 +475,38 @@ def test_represent_value_runs_one_isotropy_test(monkeypatch):
     with pytest.raises(DomainError, match="form does not represent 7"):
         represent_value(q, 7)
     assert len(calls) == 2
+
+
+def _count_record_builds(monkeypatch) -> tuple[list, list]:
+    # the square classes of every record built, and every place at which a
+    # local Hasse invariant is taken
+    builds, places = [], []
+    build, local_hasse = quadform._invariants, quadform._local_hasse
+    monkeypatch.setattr(quadform, "_invariants",
+                        lambda s: builds.append(s) or build(s))
+    monkeypatch.setattr(quadform, "_local_hasse",
+                        lambda s, v: places.append(v) or local_hasse(s, v))
+    return builds, places
+
+
+def test_qf_invariants_builds_one_record(tmp_path, capsys, monkeypatch):
+    # e1, e2, signature, the Witt index and e3 of a 12-dim form in I^3
+    q = direct_sum(scale(-3, pfister(-1, -2, -5)), hyperbolic(2))
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(to_json(q)))
+    builds, places = _count_record_builds(monkeypatch)
+    assert main(["qf", "invariants", str(path)]) == 0
+    outputs = json.loads(capsys.readouterr().out)["outputs"]
+    assert outputs["e2"] == [] and outputs["e3"] == 1
+    assert len(builds) == 1
+    assert len(places) == len(_support_places(builds[0]))
+
+
+def test_witt_decompose_builds_two_records(monkeypatch):
+    # one record for q and one for its kernel; every local Hasse invariant
+    # is taken inside a record build
+    builds, places = _count_record_builds(monkeypatch)
+    w = witt_decompose(diagonal(1, 2, 3, 5, 7))
+    assert w.index == 0 and w.kernel.dim == 5
+    assert len(builds) == 2
+    assert len(places) == sum(len(_support_places(s)) for s in builds)
