@@ -9,7 +9,7 @@ of Q are the real place (the string "real") and the rational primes.
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import Iterable, Union
+from typing import Sequence, Union
 
 from .config import FACTOR_BOUND
 from .errors import BoundExceeded, DomainError, require
@@ -165,21 +165,16 @@ def _class_mul(x: int, y: int) -> int:
     return (x // g) * (y // g)
 
 
-def _class_product(classes: Iterable[int]) -> int:
-    # the square class of a product of signed squarefree ints
-    out = 1
-    for s in classes:
-        out = _class_mul(out, s)
-    return out
-
-
 def square_class_product(*xs: Rational) -> int:
     """Squarefree part of a product, taken term by term.
 
     The terms are usually individually within the trial-division budget
     while their product is far beyond it, so never multiply first.
     """
-    return _class_product(squarefree_part(x) for x in xs)
+    out = 1
+    for x in xs:
+        out = _class_mul(out, squarefree_part(x))
+    return out
 
 
 def is_square(x: Rational) -> bool:
@@ -300,15 +295,21 @@ def hilbert_symbol(a: Rational, b: Rational, v: Place) -> int:
     return _hilbert_core(squarefree_part(a), squarefree_part(b), v)
 
 
+def _support_places(s: Sequence[int]) -> list:
+    # 2, the primes of the classes, then the real place: the only places
+    # where a symbol (x, y) of products of the classes can ramify; each
+    # class is squarefree, so factoring it just lists its primes
+    primes = {2}
+    for x in s:
+        primes.update(p for p, _ in factor(abs(x)))
+    return sorted(primes) + [REAL]
+
+
 def ramified_places(a: Rational, b: Rational) -> frozenset[Place]:
     """All places where (a, b)_v = -1.  Always of even cardinality."""
     sa, sb = squarefree_part(a), squarefree_part(b)
-    candidates: set[Place] = {REAL, 2}
-    for p, _ in factor(abs(sa)):
-        candidates.add(p)
-    for p, _ in factor(abs(sb)):
-        candidates.add(p)
-    ram = frozenset(v for v in candidates if _hilbert_core(sa, sb, v) == -1)
+    ram = frozenset(v for v in _support_places((sa, sb))
+                    if _hilbert_core(sa, sb, v) == -1)
     require(len(ram) % 2 == 0, (sa, sb, ram))
     return ram
 

@@ -5,8 +5,8 @@ rediagonalizes exactly over Fraction.  The classifying data over Q is one
 `Invariants` record (dim, determinant class, signature, Hasse class,
 Clifford class), built in one pass over the places that can ramify and
 cached on the form; e1, e2, e3, the Witt index, isometry and hyperbolicity
-are read off it, and isotropy off the record of the square classes (past
-dim 4, off their signs).  Hasse-Minkowski lives in `_kernel_dim` alone.
+are read off it; isotropy stops that pass at the first place deciding it
+(past dim 4, the signs do).  Hasse-Minkowski lives in `_kernel_dim` alone.
 All searches (isotropic vectors, represented values) return exact
 witnesses or raise BoundExceeded; nothing here is approximate.
 """
@@ -27,11 +27,10 @@ from .qarith import (
     REAL,
     Rational,
     _class_mul,
-    _class_product,
     _hilbert_core,
     _local_square_core,
+    _support_places,
     as_fraction,
-    factor,
     is_local_square,
     rational_from_json,
     sqrt_mod_squarefree,
@@ -117,24 +116,29 @@ def hyperbolic(m: int = 1) -> QuadForm:
 
 # --- invariants -----------------------------------------------------------
 
-def _kernel_dim(inv: "Invariants") -> int:
-    """The anisotropic kernel dimension of a form with invariants inv.
+def _kernel_dim(dim: int, e1: int, sig: int, clifford: Iterable) -> int:
+    """The anisotropic kernel dimension of a form from its invariants.
 
     The Witt index over Q is the least local one (Hasse-Minkowski, one
     hyperbolic plane at a time), so the kernel is the largest local kernel:
     |sig| at the real place; at a prime p, for odd dim 3 if the Clifford
     class c ramifies at p else 1, for even dim 4 if e1 is a square at p and
     c ramifies there, 2 if e1 is not a square at p (as a squarefree
-    e1 != 1 is at some p), else 0.
+    e1 != 1 is at some p), else 0.  clifford, the places where c ramifies,
+    is read only up to the first local kernel of 3 or 4, so it may be lazy.
     """
-    finite = [v for v in inv.clifford.ramified if v != REAL]
-    if inv.dim % 2:
-        local = 3 if finite else 1
-    elif any(_local_square_core(inv.e1, v) for v in finite):
+    finite = (v for v in clifford if v != REAL)
+    if dim % 2:
+        local = 1 if next(finite, None) is None else 3
+    elif any(_local_square_core(e1, v) for v in finite):
         local = 4
     else:
-        local = 0 if inv.e1 == 1 else 2
-    return max(abs(inv.signature), local)
+        local = 0 if e1 == 1 else 2
+    return max(abs(sig), local)
+
+
+def _e1(dim: int, det: int) -> int:
+    return -det if dim % 4 in (2, 3) else det
 
 
 @dataclass(frozen=True)
@@ -151,34 +155,34 @@ class Invariants:
 
     @property
     def e1(self) -> int:
-        return -self.det if self.dim % 4 in (2, 3) else self.det
+        return _e1(self.dim, self.det)
 
-    kernel_dim = property(_kernel_dim)
+    @property
+    def kernel_dim(self) -> int:
+        return _kernel_dim(self.dim, self.e1, self.signature,
+                           self.clifford.ramified)
 
 
 # The builder below works on a diagonal given by its square classes: a
 # sequence of signed squarefree ints, as QuadForm.square_classes caches
 # them.  Nothing in it builds a form or factors a product.
 
-def _support_places(s: Sequence[int]) -> list:
-    # the real place, 2 and the primes of the classes: the only places
-    # where a symbol (x, y) of products of the classes can ramify; each
-    # class is squarefree, so factoring it just lists its primes
-    primes = {2}
-    for x in s:
-        primes.update(p for p, _ in factor(abs(x)))
-    return [REAL] + sorted(primes)
-
-
-def _local_hasse(s: Sequence[int], v) -> int:
-    # the prefix form of the Hasse class at the checked place v, one
-    # Hilbert symbol per class; the running product stays a class
-    if not s:
-        return 1
-    eps, prefix = 1, s[0]
+def _hasse_symbols(s: Sequence[int]) -> tuple[list, int]:
+    # the Hasse class sum_{i<j} (a_i, a_j), grouped by second index, is
+    # sum_j (a_1 ... a_{j-1}, a_j): n - 1 symbols instead of n(n - 1)/2;
+    # the running product stays a class and ends as the det class
+    symbols, prefix = [], s[0] if s else 1
     for x in s[1:]:
-        eps *= _hilbert_core(prefix, x, v)
+        symbols.append((prefix, x))
         prefix = _class_mul(prefix, x)
+    return symbols, prefix
+
+
+def _local_hasse(symbols: Sequence[tuple[int, int]], v) -> int:
+    # the Hasse class at the checked place v, from _hasse_symbols
+    eps = 1
+    for a, x in symbols:
+        eps *= _hilbert_core(a, x, v)
     return eps
 
 
@@ -194,28 +198,32 @@ def _correction_slot(dim: int, det: int) -> int:
     return 1
 
 
-def _invariants(s: Sequence[int]) -> Invariants:
-    """The record of the diagonal with square classes s, in one pass.
+def _place_bits(s: Sequence[int]):
+    """The det class of the diagonal with square classes s, and a lazy
+    stream of (v, Hasse bit, Clifford bit) over its support places v.
 
-    The Hasse class sum_{i<j} (a_i, a_j), grouped by second index, is
-    sum_j (a_1 ... a_{j-1}, a_j): n - 1 symbols instead of n(n - 1)/2.  The
-    Clifford bit at each place is the Hasse bit times the correction
+    The Clifford bit at each place is the Hasse bit times the correction
     (-1, b), b = +-1 or +-det (not the signed discriminant; pinned by
     C0(<1,1,1>) = (-1,-1) and C(<1,1,1,-1>) split), so no det is factored.
     """
-    det = _class_product(s)
+    symbols, det = _hasse_symbols(s)
     b = _correction_slot(len(s), det)
-    hasse, clifford = [], []
-    for v in _support_places(s):
-        eps = _local_hasse(s, v)
-        if eps == -1:
-            hasse.append(v)
-        if eps != _hilbert_core(-1, b, v):
-            clifford.append(v)
+
+    def bits():
+        for v in _support_places(s):
+            h = _local_hasse(symbols, v)
+            yield v, h, h * _hilbert_core(-1, b, v)
+    return det, bits()
+
+
+def _invariants(s: Sequence[int]) -> Invariants:
+    """The record of the diagonal with square classes s, in one pass."""
+    det, bits = _place_bits(s)
+    bits = list(bits)
     # the classes carry the signs of the entries
     return Invariants(len(s), det, sum(1 if x > 0 else -1 for x in s),
-                      BrauerClass(frozenset(hasse)),
-                      BrauerClass(frozenset(clifford)))
+                      BrauerClass(frozenset(v for v, h, _ in bits if h < 0)),
+                      BrauerClass(frozenset(v for v, _, c in bits if c < 0)))
 
 
 def det_class(q: QuadForm) -> int:
@@ -267,12 +275,16 @@ def witt_index(q: QuadForm) -> int:
 
 def _isotropic(s: Sequence[int]) -> bool:
     # isotropic iff the kernel is smaller than the form; the kernel is at
-    # least |sig| and local kernels have dim <= 4, so the classes' signs give
-    # _kernel_dim's answer for definite forms and past dim 4 with no record
+    # least |sig| and local kernels have dim <= 4, so the signs decide for
+    # definite forms and past dim 4; else _kernel_dim reads places lazily
     n = len(s)
     if n < 2 or not min(s) < 0 < max(s):
         return False
-    return n >= 5 or _invariants(s).kernel_dim < n
+    if n >= 5:
+        return True
+    det, bits = _place_bits(s)
+    return _kernel_dim(n, _e1(n, det), sum(1 if x > 0 else -1 for x in s),
+                       (v for v, _, c in bits if c < 0)) < n
 
 
 def is_isotropic(q: QuadForm) -> bool:

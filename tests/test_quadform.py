@@ -25,6 +25,7 @@ from wittforge.qarith import (REAL, _local_square_core, hilbert_symbol,
                               square_class_product, squarefree_part)
 from wittforge.quadform import (
     QuadForm,
+    _hasse_symbols,
     _local_hasse,
     _support_places,
     clifford_class,
@@ -409,7 +410,7 @@ def test_hasse_class_matches_pairwise_definition(q):
     cls = hasse_class(q)
     assert cls == _pairwise_hasse(q), q
     for v in _support_places(q.square_classes) + [11]:
-        eps = _local_hasse(q.square_classes, v)
+        eps = _local_hasse(_hasse_symbols(q.square_classes)[0], v)
         assert eps == _pairwise_local_hasse(q, v), (q, v)
         assert (eps == -1) == cls.is_ramified_at(v), (q, v)
 
@@ -510,3 +511,14 @@ def test_witt_decompose_builds_two_records(monkeypatch):
     assert w.index == 0 and w.kernel.dim == 5
     assert len(builds) == 2
     assert len(places) == sum(len(_support_places(s)) for s in builds)
+
+
+def test_isotropy_stops_at_the_first_deciding_place(monkeypatch):
+    # <3, 5, -7> is anisotropic, which the place 3 already shows: the
+    # isotropy test reads 2 and 3 only, while the record reads all five
+    builds, places = _count_record_builds(monkeypatch)
+    q = diagonal(3, 5, -7)
+    assert not is_isotropic(q) and builds == [] and places == [2, 3]
+    assert witt_index(q) == 0 and len(builds) == 1
+    assert places[2:] == _support_places(q.square_classes) == [2, 3, 5, 7,
+                                                               REAL]
