@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass
 from random import Random
 
 from wittforge import sampling
@@ -25,21 +24,15 @@ from wittforge.invol12 import (exists_involution, f3_via_norms,
                                f3_via_symbol, has_trivial_invariants)
 
 
-@dataclass(frozen=True)
-class SurveyConfig:
-    seed: int = 0
-    trials: int = 200
-    coeff_bound: int = 15
-
-
-def run_survey(cfg: SurveyConfig) -> dict:
-    rng = Random(cfg.seed)
+def run_survey(seed: int = 0, trials: int = 200,
+               coeff_bound: int = 15) -> dict:
+    rng = Random(seed)
     statuses: Counter = Counter()
     bits: Counter = Counter()
     disagreements = []
-    for _ in range(cfg.trials):
-        h1 = sampling.random_algebra(rng, cfg.coeff_bound)
-        h2 = sampling.random_algebra(rng, cfg.coeff_bound)
+    for _ in range(trials):
+        h1 = sampling.random_algebra(rng, coeff_bound)
+        h2 = sampling.random_algebra(rng, coeff_bound)
         outcome = exists_involution(h1, h2)
         statuses[outcome.status] += 1
         if outcome.presentation is None:
@@ -54,7 +47,8 @@ def run_survey(cfg: SurveyConfig) -> dict:
                                   "h2": [str(h2.a), str(h2.b)],
                                   "norms": norms, "symbol": symbol})
     return {
-        "config": asdict(cfg),
+        "config": {"seed": seed, "trials": trials,
+                   "coeff_bound": coeff_bound},
         "statuses": dict(statuses),
         "f3_bits": {str(k): v for k, v in sorted(bits.items())},
         "disagreements": disagreements,
@@ -69,9 +63,8 @@ def main() -> None:
     parser.add_argument("--coeff-bound", type=int, default=15,
                         help="sup norm cap on sampled symbol slots")
     args = parser.parse_args()
-    cfg = SurveyConfig(seed=args.seed, trials=args.trials,
-                       coeff_bound=args.coeff_bound)
-    print(json.dumps(run_survey(cfg), indent=2, sort_keys=True))
+    print(json.dumps(run_survey(args.seed, args.trials, args.coeff_bound),
+                     indent=2, sort_keys=True))
 
 
 if __name__ == "__main__":

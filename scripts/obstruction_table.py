@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 from wittforge import ramlattice
@@ -23,16 +22,10 @@ from wittforge import ramlattice
 DEFAULT_SLOTS = (((1, 0, 0, 0), (0, 1, 0, 0)), ((0, 0, 1, 0), (0, 0, 0, 1)))
 
 
-@dataclass(frozen=True)
-class TableConfig:
-    slots_path: str | None = None
-    limit: int = 8
-
-
-def _load_slots(cfg: TableConfig):
-    if cfg.slots_path is None:
+def _load_slots(slots_path: str | None):
+    if slots_path is None:
         return DEFAULT_SLOTS
-    data = json.loads(Path(cfg.slots_path).read_text())
+    data = json.loads(Path(slots_path).read_text())
     return ramlattice.slots_from_json(data)
 
 
@@ -40,15 +33,15 @@ def _fmt(vectors) -> str:
     return " ".join("(" + ",".join(str(x) for x in v) + ")" for v in vectors)
 
 
-def render_table(cfg: TableConfig) -> None:
-    slots = _load_slots(cfg)
+def render_table(slots_path: str | None = None, limit: int = 8) -> None:
+    slots = _load_slots(slots_path)
     report = ramlattice.analyze_obstruction(slots)
     separated = sum(1 for c in report.checks if c.separated)
     print(f"slots: {_fmt(slots[0])} | {_fmt(slots[1])}")
     print(f"split factor: {report.split_factor}")
     print(f"splittings: {len(report.checks)}, separated: {separated}")
     print(f"obstructed: {report.obstructed}")
-    shown = report.checks if cfg.limit <= 0 else report.checks[:cfg.limit]
+    shown = report.checks if limit <= 0 else report.checks[:limit]
     for k, check in enumerate(shown):
         print(f"[{k:3d}] S=<{_fmt(check.splitting.s_gens())}> "
               f"T=<{_fmt(check.splitting.t_gens())}> "
@@ -67,7 +60,7 @@ def main() -> None:
     parser.add_argument("--limit", type=int, default=8,
                         help="rows to print, 0 for the full table")
     args = parser.parse_args()
-    render_table(TableConfig(slots_path=args.slots_path, limit=args.limit))
+    render_table(args.slots_path, args.limit)
 
 
 if __name__ == "__main__":

@@ -6,6 +6,8 @@ plain Gaussian elimination is fine.
 
 from fractions import Fraction
 
+from .errors import require
+
 Matrix = list[list[Fraction]]
 
 
@@ -19,7 +21,7 @@ def identity(n: int) -> Matrix:
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n, k, m = len(a), len(b), len(b[0])
-    assert all(len(row) == k for row in a)
+    require(all(len(row) == k for row in a), n, k)
     return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)]
             for i in range(n)]
 

@@ -22,17 +22,13 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
-from pathlib import Path
-from random import Random
 
-from . import hermitian, invol12, quadform, ramlattice, sampling
-from .cohomology import BrauerClass
 from .errors import BoundExceeded, DomainError, require
-from .qarith import ramified_places, rational_from_json
-from .quat import algebra
-from .quadform import (direct_sum, e1, e2, e3, pfister, scale, signature,
-                       witt_equivalent, witt_index)
+
+# Each handler imports the library modules it runs, so a cold command
+# loads (and, without cached bytecode, compiles) only its own family:
+# qf invariants and hyper-over load quadform, decompose12 and the alg
+# commands invol12, val ramlattice, selftest sampling and the rest.
 
 
 class _LoadError(Exception):
@@ -42,8 +38,11 @@ class _LoadError(Exception):
 def _read_source(path: str) -> str:
     # bytes decoded as UTF-8, the JSON encoding, whatever the locale
     try:
-        raw = (sys.stdin.buffer.read() if path == "-"
-               else Path(path).read_bytes())
+        if path == "-":
+            raw = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as fh:
+                raw = fh.read()
         return raw.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise _LoadError(f"cannot read {path}: {exc}") from exc
@@ -64,6 +63,7 @@ def _load(path: str, decode):
 
 
 def _rational(text: str) -> Fraction:
+    from .qarith import rational_from_json
     try:
         return rational_from_json(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -90,6 +90,8 @@ def _report(command: str, inputs: dict, outputs: dict,
 # --- qf ---------------------------------------------------------------------
 
 def _cmd_qf_invariants(args) -> tuple[dict, int]:
+    from . import quadform
+    from .quadform import e1, e2, e3, signature, witt_index
     q = _load(args.form, quadform.from_json)
     det = e1(q)
     in_i2 = q.dim % 2 == 0 and det == 1
@@ -108,6 +110,7 @@ def _cmd_qf_invariants(args) -> tuple[dict, int]:
 
 
 def _cmd_qf_decompose12(args) -> tuple[dict, int]:
+    from . import invol12, quadform
     psi = _load(args.form, quadform.from_json)
     # decompose_split12 checks the reconstruction against psi before returning
     dec = invol12.decompose_split12(psi)
@@ -122,6 +125,7 @@ def _cmd_qf_decompose12(args) -> tuple[dict, int]:
 
 
 def _cmd_qf_hyper_over(args) -> tuple[dict, int]:
+    from . import quadform
     q = _load(args.form, quadform.from_json)
     d = _rational(args.d)
     out = quadform.is_hyperbolic_over(q, d)
@@ -133,6 +137,7 @@ def _cmd_qf_hyper_over(args) -> tuple[dict, int]:
 # --- alg --------------------------------------------------------------------
 
 def _cmd_alg_f3(args) -> tuple[dict, int]:
+    from . import invol12
     p = _load(args.presentation, invol12.presentation_from_json)
     via_norms = invol12.f3_via_norms(p)
     via_symbol = invol12.f3_via_symbol(p)
@@ -148,6 +153,8 @@ def _cmd_alg_f3(args) -> tuple[dict, int]:
 
 
 def _cmd_alg_exists(args) -> tuple[dict, int]:
+    from . import invol12
+    from .quat import algebra
     a1, b1 = _symbol_pair(args.h1)
     a2, b2 = _symbol_pair(args.h2)
     h1, h2 = algebra(a1, b1), algebra(a2, b2)
@@ -165,6 +172,7 @@ def _cmd_alg_exists(args) -> tuple[dict, int]:
 
 
 def _cmd_alg_additive(args) -> tuple[dict, int]:
+    from . import invol12
     p = _load(args.presentation, invol12.presentation_from_json)
     group = invol12.decomposition_group(p)
     pairs = zip(group[2::2], group[3::2])
@@ -181,6 +189,7 @@ def _cmd_alg_additive(args) -> tuple[dict, int]:
 # --- val --------------------------------------------------------------------
 
 def _cmd_val_obstruction(args) -> tuple[dict, int]:
+    from . import ramlattice
     slots = _load(args.slots, ramlattice.slots_from_json)
     rep = ramlattice.analyze_obstruction(slots)
     table = [{
@@ -200,9 +209,50 @@ def _cmd_val_obstruction(args) -> tuple[dict, int]:
                    outputs, {}), 0
 
 
+# where the val obstruction table sits while the rest of the report is
+# encoded; no input or output string holds a NUL
+_TABLE_SLOT = "\0table"
+
+
+def _table_json(table: list[dict]) -> str:
+    # the table as json.dumps(indent=2, sort_keys=True) writes it at its
+    # depth in the report, for rows of the one shape the val handler
+    # builds: sorted keys, each value a list of int vectors except the
+    # "separated" flag
+    def vectors(vecs):
+        return ("[\n          [\n            "
+                + "\n          ],\n          [\n            ".join(
+                    ",\n            ".join(map(str, v)) for v in vecs)
+                + "\n          ]\n        ]")
+    rows = (f'      {{\n        "intersection": {vectors(row["intersection"])}'
+            f',\n        "s": {vectors(row["s"])}'
+            f',\n        "separated": {"true" if row["separated"] else "false"}'
+            f',\n        "t": {vectors(row["t"])}\n      }}'
+            for row in table)
+    return "[\n" + ",\n".join(rows) + "\n    ]"
+
+
+def _encode(report: dict) -> str:
+    """The report as json.dumps(report, indent=2, sort_keys=True) writes it.
+
+    With indent set, json runs its pure-Python encoder, which spends more
+    than the whole certification on the ~450 KB val obstruction table; so
+    the table is written by _table_json and spliced in.
+    """
+    table = report["outputs"].get("table")
+    if not table:
+        return json.dumps(report, indent=2, sort_keys=True)
+    slotted = {**report,
+               "outputs": {**report["outputs"], "table": _TABLE_SLOT}}
+    text = json.dumps(slotted, indent=2, sort_keys=True)
+    return text.replace(json.dumps(_TABLE_SLOT), _table_json(table), 1)
+
+
 # --- selftest ---------------------------------------------------------------
 
 def _suite_reciprocity(rng: Random, count: int) -> int:
+    from . import sampling
+    from .qarith import ramified_places
     for _ in range(count):
         a = sampling.nonzero_int(rng, 10 ** 4)
         b = sampling.nonzero_int(rng, 10 ** 4)
@@ -211,6 +261,8 @@ def _suite_reciprocity(rng: Random, count: int) -> int:
 
 
 def _suite_witt_identity(rng: Random, count: int) -> int:
+    from . import sampling
+    from .quadform import direct_sum, pfister, scale, witt_equivalent
     for _ in range(count):
         lam, mu, nu = (sampling.square_class(rng) for _ in range(3))
         lhs = pfister(lam, mu * nu)
@@ -220,6 +272,8 @@ def _suite_witt_identity(rng: Random, count: int) -> int:
 
 
 def _suite_hermitian_disc(rng: Random, count: int) -> int:
+    from . import hermitian, sampling
+    from .quadform import e1
     for _ in range(count):
         alg = sampling.split_algebra(rng)
         form = sampling.random_skew_form(rng, alg, rng.randrange(1, 4))
@@ -229,6 +283,7 @@ def _suite_hermitian_disc(rng: Random, count: int) -> int:
 
 
 def _suite_decompose12(rng: Random, count: int) -> int:
+    from . import invol12, sampling
     cases = max(1, count // 10)
     for _ in range(cases):
         psi, _, _ = sampling.split12_instance(rng)
@@ -238,6 +293,7 @@ def _suite_decompose12(rng: Random, count: int) -> int:
 
 
 def _suite_obstruction(rng: Random, count: int) -> int:
+    from . import ramlattice
     slots = (((1, 0, 0, 0), (0, 1, 0, 0)), ((0, 0, 1, 0), (0, 0, 0, 1)))
     require(ramlattice.obstruction_check(slots))
     return 1
@@ -253,6 +309,7 @@ _SUITES = (
 
 
 def _cmd_selftest(args) -> tuple[dict, int]:
+    from random import Random
     suites = {}
     failed = False
     for name, run in _SUITES:
@@ -363,7 +420,7 @@ def main(argv=None) -> int:
     if args.timing:
         report["timing_ms"] = round((time.perf_counter() - start) * 1000)
     try:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_encode(report))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader left early; devnull takes the interpreter's last flush

@@ -6,9 +6,9 @@ with the real place as the only obstruction, so a degree 3 class is a bit and
 the cup product (a) . [Q] has an explicit closed form.
 """
 
-from dataclasses import dataclass
 from typing import Iterable
 
+from ._record import Record, set_field
 from .config import HEIGHT_BOUND
 from .errors import BoundExceeded, DomainError
 from .qarith import (
@@ -22,17 +22,25 @@ from .qarith import (
 )
 
 
-@dataclass(frozen=True)
-class BrauerClass:
+class BrauerClass(Record):
     """A class in the 2-torsion of Br(Q), as its set of ramified places."""
 
     ramified: frozenset[Place]
 
-    def __post_init__(self):
-        for v in self.ramified:
+    def __init__(self, ramified: frozenset[Place]):
+        for v in ramified:
             check_place(v)
-        if len(self.ramified) % 2:
-            raise DomainError(f"odd ramification set {set(self.ramified)}")
+        if len(ramified) % 2:
+            raise DomainError(f"odd ramification set {set(ramified)}")
+        set_field(self, "ramified", ramified)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ramified,) == (other.ramified,)
+
+    def __hash__(self):
+        return hash((self.ramified,))
 
     def __add__(self, other: "BrauerClass") -> "BrauerClass":
         return BrauerClass(self.ramified ^ other.ramified)
@@ -111,15 +119,23 @@ def find_quaternion_symbol(cls: BrauerClass) -> tuple[int, int]:
     return a, second_slot(a, cls)
 
 
-@dataclass(frozen=True)
-class H3Class:
+class H3Class(Record):
     """An element of H^3(Q, mu_2) = Z/2."""
 
     bit: int
 
-    def __post_init__(self):
-        if self.bit not in (0, 1):
+    def __init__(self, bit: int):
+        if bit not in (0, 1):
             raise DomainError("H3 classes are bits")
+        set_field(self, "bit", bit)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.bit,) == (other.bit,)
+
+    def __hash__(self):
+        return hash((self.bit,))
 
     def __add__(self, other: "H3Class") -> "H3Class":
         return H3Class(self.bit ^ other.bit)

@@ -10,10 +10,10 @@ splits.  The transport is the independent route used to cross-check the
 closed-form discriminant.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg
+from ._record import Record, set_field
 from .errors import DomainError, require
 from .qarith import squarefree_part
 from .quadform import QuadForm
@@ -22,21 +22,30 @@ from .quat import Quat, QuaternionAlgebra, algebra_from_json, algebra_to_json, \
     pure_with_square
 
 
-@dataclass(frozen=True)
-class SkewHermForm:
+class SkewHermForm(Record):
     """<q1, ..., qn> with pure invertible entries."""
 
     alg: QuaternionAlgebra
     entries: tuple[Quat, ...]
 
-    def __post_init__(self):
-        if not self.entries:
+    def __init__(self, alg: QuaternionAlgebra, entries: tuple[Quat, ...]):
+        if not entries:
             raise DomainError("rank must be positive")
-        for q in self.entries:
-            if q.alg != self.alg:
+        for q in entries:
+            if q.alg != alg:
                 raise DomainError("entry from a different algebra")
             if not q.is_pure() or not q.is_invertible():
                 raise DomainError("entries must be pure and invertible")
+        set_field(self, "alg", alg)
+        set_field(self, "entries", entries)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.alg, self.entries) == (other.alg, other.entries)
+
+    def __hash__(self):
+        return hash((self.alg, self.entries))
 
     @property
     def rank(self) -> int:

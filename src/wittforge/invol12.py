@@ -14,10 +14,10 @@ invariant of a 12-dimensional difference of norm forms and once as a cup
 product over a common quadratic splitting field, and the two must agree.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from ._record import Record, set_field
 from .cohomology import (
     H3_ZERO,
     ZERO,
@@ -63,15 +63,23 @@ from .quat import (
 )
 
 
-@dataclass(frozen=True)
-class Split6:
+class Split6(Record):
     """Adjoint of a 6-dimensional quadratic form; the split degree 6 case."""
 
     form: QuadForm
 
-    def __post_init__(self):
-        if self.form.dim != 6:
+    def __init__(self, form: QuadForm):
+        if form.dim != 6:
             raise DomainError("the split description needs a dim 6 form")
+        set_field(self, "form", form)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.form,) == (other.form,)
+
+    def __hash__(self):
+        return hash((self.form,))
 
     brauer = ZERO
 
@@ -79,15 +87,23 @@ class Split6:
         return e1(self.form)
 
 
-@dataclass(frozen=True)
-class M3H:
+class M3H(Record):
     """Adjoint of a rank 3 skew-hermitian form over a quaternion algebra."""
 
     h: SkewHermForm
 
-    def __post_init__(self):
-        if self.h.rank != 3:
+    def __init__(self, h: SkewHermForm):
+        if h.rank != 3:
             raise DomainError("the hermitian description needs rank 3")
+        set_field(self, "h", h)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.h,) == (other.h,)
+
+    def __hash__(self):
+        return hash((self.h,))
 
     def d0(self) -> int:
         return disc_adjoint(self.h)
@@ -100,30 +116,50 @@ class M3H:
 Deg6Invol = Split6 | M3H
 
 
-@dataclass(frozen=True)
-class QuatInvol:
+class QuatInvol(Record):
     """rho = Int(i_elem) o conj on H; its discriminant is d = i_elem^2."""
 
     alg: QuaternionAlgebra
     i_elem: Quat
 
-    def __post_init__(self):
-        if self.i_elem.alg != self.alg:
+    def __init__(self, alg: QuaternionAlgebra, i_elem: Quat):
+        if i_elem.alg != alg:
             raise DomainError("i_elem from a different algebra")
-        if not self.i_elem.is_pure() or not self.i_elem.is_invertible():
+        if not i_elem.is_pure() or not i_elem.is_invertible():
             raise DomainError("i_elem must be pure and invertible")
+        set_field(self, "alg", alg)
+        set_field(self, "i_elem", i_elem)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.alg, self.i_elem) == (other.alg, other.i_elem)
+
+    def __hash__(self):
+        return hash((self.alg, self.i_elem))
 
     def d(self) -> int:
         return squarefree_part(self.i_elem.square_scalar())
 
 
-@dataclass(frozen=True)
-class ProductPresentation:
+class ProductPresentation(Record):
     """(A0, sigma0) x (H, rho).  d0, d, (d, d0) and the aligned
     presentation are computed on first read and kept."""
 
     a0: Deg6Invol
     hrho: QuatInvol
+
+    def __init__(self, a0: Deg6Invol, hrho: QuatInvol):
+        set_field(self, "a0", a0)
+        set_field(self, "hrho", hrho)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a0, self.hrho) == (other.a0, other.hrho)
+
+    def __hash__(self):
+        return hash((self.a0, self.hrho))
 
     @cached_property
     def d0(self) -> int:
@@ -156,17 +192,29 @@ class ProductPresentation:
                           "hermitian description cannot be repaired in place")
 
 
-@dataclass(frozen=True)
-class PfisterDecomposition:
+class PfisterDecomposition(Record):
     """psi = (<a1><<b1>> + <a2><<b2>> + <a3><<b3>>) x <<d>>, b1 b2 b3 = 1."""
 
     d: int
     alphas: tuple[Fraction, Fraction, Fraction]
     betas: tuple[int, int, int]
 
-    def __post_init__(self):
-        if squarefree_part(self.betas[0] * self.betas[1] * self.betas[2]) != 1:
+    def __init__(self, d: int, alphas: tuple[Fraction, Fraction, Fraction],
+                 betas: tuple[int, int, int]):
+        if squarefree_part(betas[0] * betas[1] * betas[2]) != 1:
             raise DomainError("beta product must be a square")
+        set_field(self, "d", d)
+        set_field(self, "alphas", alphas)
+        set_field(self, "betas", betas)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.d, self.alphas, self.betas)
+                == (other.d, other.alphas, other.betas))
+
+    def __hash__(self):
+        return hash((self.d, self.alphas, self.betas))
 
     def reconstruction(self) -> QuadForm:
         blocks = direct_sum(*(scale(a, pfister(b))
@@ -319,14 +367,27 @@ def f3_via_symbol(p: ProductPresentation) -> H3Class:
     return out
 
 
-@dataclass(frozen=True)
-class ExistsOutcome:
+class ExistsOutcome(Record):
     """Result of the existence search: "witness" with a presentation, or
     "unknown" when the search ran past its budget.  Over Q a witness
     always exists (see `common_value_witness`)."""
 
     status: str   # "witness" | "unknown"
-    presentation: ProductPresentation | None = None
+    presentation: ProductPresentation | None
+
+    def __init__(self, status: str,
+                 presentation: ProductPresentation | None = None):
+        set_field(self, "status", status)
+        set_field(self, "presentation", presentation)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.status, self.presentation)
+                == (other.status, other.presentation))
+
+    def __hash__(self):
+        return hash((self.status, self.presentation))
 
 
 def exists_involution(h1: QuaternionAlgebra,

@@ -11,13 +11,13 @@ All searches (isotropic vectors, represented values) return exact
 witnesses or raise BoundExceeded; nothing here is approximate.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd, isqrt
 from typing import Iterable, Sequence
 
+from ._record import Record, set_field
 from .cohomology import (BrauerClass, H3Class, _signed_squarefree_by_height,
                          brauer_from_symbol, find_quaternion_symbol,
                          second_slot)
@@ -38,8 +38,7 @@ from .qarith import (
 )
 
 
-@dataclass(frozen=True)
-class QuadForm:
+class QuadForm(Record):
     """A regular diagonal form <d1, ..., dn>, entries nonzero rationals.
 
     The square classes of the entries and the invariant record built from
@@ -48,12 +47,20 @@ class QuadForm:
 
     entries: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        coerced = tuple(as_fraction(e) for e in self.entries)
+    def __init__(self, entries: Iterable[Rational]):
+        coerced = tuple(as_fraction(e) for e in entries)
         for e in coerced:
             if e == 0:
                 raise DomainError("diagonal entries must be nonzero")
-        object.__setattr__(self, "entries", coerced)
+        set_field(self, "entries", coerced)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.entries,) == (other.entries,)
+
+    def __hash__(self):
+        return hash((self.entries,))
 
     @property
     def dim(self) -> int:
@@ -141,8 +148,7 @@ def _e1(dim: int, det: int) -> int:
     return -det if dim % 4 in (2, 3) else det
 
 
-@dataclass(frozen=True)
-class Invariants:
+class Invariants(Record):
     """The classifying invariants of a form over Q: the first four settle
     isometry, the Clifford class is the Hasse class with the dimension
     correction, and e1 and the kernel dimension derive from them."""
@@ -152,6 +158,25 @@ class Invariants:
     signature: int
     hasse: BrauerClass
     clifford: BrauerClass
+
+    def __init__(self, dim: int, det: int, signature: int,
+                 hasse: BrauerClass, clifford: BrauerClass):
+        set_field(self, "dim", dim)
+        set_field(self, "det", det)
+        set_field(self, "signature", signature)
+        set_field(self, "hasse", hasse)
+        set_field(self, "clifford", clifford)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.dim, self.det, self.signature, self.hasse,
+                 self.clifford) == (other.dim, other.det, other.signature,
+                                    other.hasse, other.clifford))
+
+    def __hash__(self):
+        return hash((self.dim, self.det, self.signature, self.hasse,
+                     self.clifford))
 
     @property
     def e1(self) -> int:
@@ -347,7 +372,8 @@ def _lagrange_descent(a: int, b: int) -> tuple[int, int, int]:
         return 1, 1, 0
     if b == 1:
         return 1, 0, 1
-    assert a < 0 or b < 0 or a > 1  # (-1, -1) style pairs are unsolvable
+    # (-1, -1) style pairs are unsolvable
+    require(a < 0 or b < 0 or a > 1, a, b)
     if abs(b) <= 16:
         for y, z in _shells(64):
             x2 = a * y * y + b * z * z
@@ -396,7 +422,7 @@ def _int_isotropic(s: list[int]) -> tuple[int, ...]:
     if short is not None:
         return short
     n = len(s)
-    assert n >= 3, s
+    require(n >= 3, s)
     if n == 3:
         return _ternary_zero(s)
     rest = s[2:]
@@ -465,12 +491,23 @@ def represent_value(q: QuadForm, c: Rational) -> tuple[Fraction, ...]:
 
 # --- Witt decomposition ---------------------------------------------------
 
-@dataclass(frozen=True)
-class WittClass:
+class WittClass(Record):
     """Anisotropic kernel plus Witt index."""
 
     kernel: QuadForm
     index: int
+
+    def __init__(self, kernel: QuadForm, index: int):
+        set_field(self, "kernel", kernel)
+        set_field(self, "index", index)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kernel, self.index) == (other.kernel, other.index)
+
+    def __hash__(self):
+        return hash((self.kernel, self.index))
 
     @property
     def total_dim(self) -> int:

@@ -7,11 +7,11 @@ exactly when they are orthogonal for it; that is what the constructive
 helpers below exploit.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from . import _linalg
+from ._record import Record, set_field
 from .cohomology import BrauerClass, brauer_from_symbol, find_quaternion_symbol
 from .errors import DomainError, require
 from .qarith import Rational, as_fraction, rational_from_json, squarefree_part
@@ -19,17 +19,24 @@ from .quadform import QuadForm, diagonal, direct_sum, isotropic_vector, \
     neg, represent_value
 
 
-@dataclass(frozen=True)
-class QuaternionAlgebra:
+class QuaternionAlgebra(Record):
     a: Fraction
     b: Fraction
 
-    def __post_init__(self):
-        af, bf = as_fraction(self.a), as_fraction(self.b)
+    def __init__(self, a: Rational, b: Rational):
+        af, bf = as_fraction(a), as_fraction(b)
         if af == 0 or bf == 0:
             raise DomainError("quaternion parameters must be nonzero")
-        object.__setattr__(self, "a", af)
-        object.__setattr__(self, "b", bf)
+        set_field(self, "a", af)
+        set_field(self, "b", bf)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b) == (other.a, other.b)
+
+    def __hash__(self):
+        return hash((self.a, self.b))
 
     @cached_property
     def brauer(self) -> BrauerClass:
@@ -71,10 +78,22 @@ def algebra_from_class(cls: BrauerClass) -> QuaternionAlgebra:
     return algebra(a, b)
 
 
-@dataclass(frozen=True)
-class Quat:
+class Quat(Record):
     alg: QuaternionAlgebra
     coeffs: tuple[Fraction, Fraction, Fraction, Fraction]
+
+    def __init__(self, alg: QuaternionAlgebra,
+                 coeffs: tuple[Fraction, Fraction, Fraction, Fraction]):
+        set_field(self, "alg", alg)
+        set_field(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.alg, self.coeffs) == (other.alg, other.coeffs)
+
+    def __hash__(self):
+        return hash((self.alg, self.coeffs))
 
     def _check(self, other: "Quat") -> None:
         if self.alg != other.alg:

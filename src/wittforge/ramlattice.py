@@ -22,11 +22,11 @@ splittings then meets in exactly 2*Gamma_F.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
+from ._record import Record, set_field
 from .errors import DomainError, require
 
 DIM = 4
@@ -91,8 +91,7 @@ def _row_hnf(rows: Iterable[Sequence[int]], width: int) -> list[list[int]]:
     return out
 
 
-@dataclass(frozen=True)
-class ValueLattice:
+class ValueLattice(Record):
     """Full rank sublattice of Z^4 in doubled coordinates.
 
     rows is the Hermite normal form basis, so equal lattices compare
@@ -103,9 +102,18 @@ class ValueLattice:
 
     rows: tuple[Vec, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.rows) != DIM:
+    def __init__(self, rows: tuple[Vec, ...]):
+        if len(rows) != DIM:
             raise DomainError("generators do not span a full rank lattice")
+        set_field(self, "rows", rows)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rows,) == (other.rows,)
+
+    def __hash__(self):
+        return hash((self.rows,))
 
     @staticmethod
     def from_generators(*gens: Sequence[int]) -> "ValueLattice":
@@ -206,22 +214,31 @@ def armature_valuation(coeff_values: Sequence[Sequence[int] | None],
     return min(candidates, key=lex_key)
 
 
-@dataclass(frozen=True)
-class ArmatureDecomposition:
+class ArmatureDecomposition(Record):
     """Splitting of Gamma_D/Gamma_F = (Z/2)^4 into two rank 2 halves."""
 
     s: frozenset[Vec]
     t: frozenset[Vec]
 
-    def __post_init__(self) -> None:
-        for part in (self.s, self.t):
+    def __init__(self, s: frozenset[Vec], t: frozenset[Vec]):
+        for part in (s, t):
             if len(part) != 4 or ZERO_VEC not in part:
                 raise DomainError("each half is a subgroup of order four")
             for u, v in combinations(part, 2):
                 if _xor(u, v) not in part:
                     raise DomainError("each half must be closed under addition")
-        if self.s & self.t != {ZERO_VEC}:
+        if s & t != {ZERO_VEC}:
             raise DomainError("the two halves must meet trivially")
+        set_field(self, "s", s)
+        set_field(self, "t", t)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.s, self.t) == (other.s, other.t)
+
+    def __hash__(self):
+        return hash((self.s, self.t))
 
     def s_gens(self) -> tuple[Vec, Vec]:
         return _two_generators(self.s)
@@ -304,20 +321,48 @@ def _mod2_rank(vectors: Sequence[Vec]) -> int:
     return len(pivots)
 
 
-@dataclass(frozen=True)
-class SplittingCheck:
+class SplittingCheck(Record):
     """Outcome of the norm-value test for one armature decomposition."""
 
     splitting: ArmatureDecomposition
     intersection: ValueLattice
     separated: bool
 
+    def __init__(self, splitting: ArmatureDecomposition,
+                 intersection: ValueLattice, separated: bool):
+        set_field(self, "splitting", splitting)
+        set_field(self, "intersection", intersection)
+        set_field(self, "separated", separated)
 
-@dataclass(frozen=True)
-class ObstructionReport:
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.splitting, self.intersection, self.separated)
+                == (other.splitting, other.intersection, other.separated))
+
+    def __hash__(self):
+        return hash((self.splitting, self.intersection, self.separated))
+
+
+class ObstructionReport(Record):
     slots: tuple[tuple[Vec, Vec], tuple[Vec, Vec]]
     split_factor: bool
     checks: tuple[SplittingCheck, ...]
+
+    def __init__(self, slots: tuple[tuple[Vec, Vec], tuple[Vec, Vec]],
+                 split_factor: bool, checks: tuple[SplittingCheck, ...]):
+        set_field(self, "slots", slots)
+        set_field(self, "split_factor", split_factor)
+        set_field(self, "checks", checks)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.slots, self.split_factor, self.checks)
+                == (other.slots, other.split_factor, other.checks))
+
+    def __hash__(self):
+        return hash((self.slots, self.split_factor, self.checks))
 
     @property
     def obstructed(self) -> bool:

@@ -165,6 +165,8 @@ def test_obstruction_on_totally_ramified_slots(tmp_path, capsys):
     assert set(row) == {"s", "t", "intersection", "separated"}
     # obstruction means every candidate splitting fails the value test
     assert all(r["separated"] is True for r in outputs["table"])
+    # the table has its own writer; the bytes are json.dumps's all the same
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 def test_obstruction_reports_a_split_factor(tmp_path, capsys):
@@ -245,6 +247,53 @@ def test_obstruction_table_survives_python_O():
     plain = _stdout(*args)
     assert json.loads(plain)["outputs"]["ok"] is True
     assert _stdout("-O", *args) == plain
+
+
+def _cold_modules(*argv) -> set[str]:
+    # the modules a fresh interpreter holds after running one command
+    script = ("import json, os, sys\n"
+              "from wittforge.cli import main\n"
+              "out, sys.stdout = sys.stdout, open(os.devnull, 'w')\n"
+              "code = main(sys.argv[1:])\n"
+              "out.write(json.dumps([code, sorted(sys.modules)]))\n")
+    proc = _python("-c", script, *argv)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout)
+    assert code == 0
+    return set(modules)
+
+
+def test_qf_invariants_loads_only_quadform(tmp_path):
+    loaded = _cold_modules("qf", "invariants",
+                           _form_file(tmp_path, [1, 2, -3]))
+    assert "wittforge.quadform" in loaded
+    for name in ("invol12", "hermitian", "quat", "ramlattice", "sampling"):
+        assert f"wittforge.{name}" not in loaded, name
+
+
+def test_val_obstruction_loads_only_ramlattice(tmp_path):
+    loaded = _cold_modules("val", "obstruction", _write(
+        tmp_path, "slots.json", TOTALLY_RAMIFIED_SLOTS))
+    ours = {m for m in loaded if m.startswith("wittforge")}
+    # ramlattice and errors, plus what those two import
+    assert ours == {"wittforge", "wittforge.cli", "wittforge.errors",
+                    "wittforge.ramlattice", "wittforge._record"}
+
+
+def test_no_command_loads_dataclasses(tmp_path):
+    # dataclasses pulls in inspect, ast and dis: more start-up than the
+    # arithmetic of most commands
+    slots = _write(tmp_path, "slots.json", TOTALLY_RAMIFIED_SLOTS)
+    pres = _write(tmp_path, "pres.json", EXISTS_PRESENTATION)
+    form = _form_file(tmp_path, SPLIT12_ENTRIES)
+    for argv in (["qf", "invariants", form], ["qf", "decompose12", form],
+                 ["qf", "hyper-over", form, "--d", "5"],
+                 ["alg", "exists", "--h1=-1,-1", "--h2=2,3"],
+                 ["alg", "f3", pres], ["alg", "additive", pres],
+                 ["val", "obstruction", slots],
+                 ["selftest", "--count", "1"]):
+        loaded = _cold_modules(*argv)
+        assert "dataclasses" not in loaded and "inspect" not in loaded, argv
 
 
 def test_missing_file_is_malformed_input(capsys):
@@ -399,9 +448,10 @@ def test_selftest_refuses_counts_below_1(capsys):
 def test_selftest_fails_under_python_O():
     # a broken invariant must fail the suite even with asserts stripped
     script = ("import sys\n"
-              "import wittforge.cli as cli\n"
-              "cli.witt_equivalent = lambda q1, q2: False\n"
-              "sys.exit(cli.main(['selftest', '--seed', '0']))\n")
+              "import wittforge.quadform as qf\n"
+              "from wittforge.cli import main\n"
+              "qf.witt_equivalent = lambda q1, q2: False\n"
+              "sys.exit(main(['selftest', '--seed', '0']))\n")
     proc = _python("-O", "-c", script)
     assert proc.returncode == 1, proc.stderr
     outputs = json.loads(proc.stdout)["outputs"]
@@ -457,9 +507,10 @@ def test_decompose12_check_survives_python_O():
 def test_failed_verification_exits_5():
     # the same refusal through the driver: a diagnostic, not a traceback
     script = ("import sys\n"
-              "import wittforge.cli as cli\n"
-              "cli.invol12.isometric = lambda q1, q2: False\n"
-              "sys.exit(cli.main(['qf', 'decompose12', '-']))\n")
+              "import wittforge.invol12 as invol12\n"
+              "from wittforge.cli import main\n"
+              "invol12.isometric = lambda q1, q2: False\n"
+              "sys.exit(main(['qf', 'decompose12', '-']))\n")
     form = json.dumps({"entries": ["1", "-1"] * 6})
     proc = _python("-O", "-c", script, stdin=form)
     assert proc.returncode == 5 and proc.stdout == ""
