@@ -39,14 +39,6 @@ class SkewHermForm(Record):
         set_field(self, "alg", alg)
         set_field(self, "entries", entries)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.alg, self.entries) == (other.alg, other.entries)
-
-    def __hash__(self):
-        return hash((self.alg, self.entries))
-
     @property
     def rank(self) -> int:
         return len(self.entries)

@@ -73,14 +73,6 @@ class Split6(Record):
             raise DomainError("the split description needs a dim 6 form")
         set_field(self, "form", form)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.form,) == (other.form,)
-
-    def __hash__(self):
-        return hash((self.form,))
-
     brauer = ZERO
 
     def d0(self) -> int:
@@ -96,14 +88,6 @@ class M3H(Record):
         if h.rank != 3:
             raise DomainError("the hermitian description needs rank 3")
         set_field(self, "h", h)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.h,) == (other.h,)
-
-    def __hash__(self):
-        return hash((self.h,))
 
     def d0(self) -> int:
         return disc_adjoint(self.h)
@@ -130,14 +114,6 @@ class QuatInvol(Record):
         set_field(self, "alg", alg)
         set_field(self, "i_elem", i_elem)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.alg, self.i_elem) == (other.alg, other.i_elem)
-
-    def __hash__(self):
-        return hash((self.alg, self.i_elem))
-
     def d(self) -> int:
         return squarefree_part(self.i_elem.square_scalar())
 
@@ -152,14 +128,6 @@ class ProductPresentation(Record):
     def __init__(self, a0: Deg6Invol, hrho: QuatInvol):
         set_field(self, "a0", a0)
         set_field(self, "hrho", hrho)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a0, self.hrho) == (other.a0, other.hrho)
-
-    def __hash__(self):
-        return hash((self.a0, self.hrho))
 
     @cached_property
     def d0(self) -> int:
@@ -206,15 +174,6 @@ class PfisterDecomposition(Record):
         set_field(self, "d", d)
         set_field(self, "alphas", alphas)
         set_field(self, "betas", betas)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.d, self.alphas, self.betas)
-                == (other.d, other.alphas, other.betas))
-
-    def __hash__(self):
-        return hash((self.d, self.alphas, self.betas))
 
     def reconstruction(self) -> QuadForm:
         blocks = direct_sum(*(scale(a, pfister(b))
@@ -379,15 +338,6 @@ class ExistsOutcome(Record):
                  presentation: ProductPresentation | None = None):
         set_field(self, "status", status)
         set_field(self, "presentation", presentation)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.status, self.presentation)
-                == (other.status, other.presentation))
-
-    def __hash__(self):
-        return hash((self.status, self.presentation))
 
 
 def exists_involution(h1: QuaternionAlgebra,

@@ -54,14 +54,6 @@ class QuadForm(Record):
                 raise DomainError("diagonal entries must be nonzero")
         set_field(self, "entries", coerced)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.entries,) == (other.entries,)
-
-    def __hash__(self):
-        return hash((self.entries,))
-
     @property
     def dim(self) -> int:
         return len(self.entries)
@@ -166,17 +158,6 @@ class Invariants(Record):
         set_field(self, "signature", signature)
         set_field(self, "hasse", hasse)
         set_field(self, "clifford", clifford)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.dim, self.det, self.signature, self.hasse,
-                 self.clifford) == (other.dim, other.det, other.signature,
-                                    other.hasse, other.clifford))
-
-    def __hash__(self):
-        return hash((self.dim, self.det, self.signature, self.hasse,
-                     self.clifford))
 
     @property
     def e1(self) -> int:
@@ -500,14 +481,6 @@ class WittClass(Record):
     def __init__(self, kernel: QuadForm, index: int):
         set_field(self, "kernel", kernel)
         set_field(self, "index", index)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kernel, self.index) == (other.kernel, other.index)
-
-    def __hash__(self):
-        return hash((self.kernel, self.index))
 
     @property
     def total_dim(self) -> int:

@@ -30,14 +30,6 @@ class QuaternionAlgebra(Record):
         set_field(self, "a", af)
         set_field(self, "b", bf)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b) == (other.a, other.b)
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
     @cached_property
     def brauer(self) -> BrauerClass:
         return brauer_from_symbol(self.a, self.b)
@@ -86,14 +78,6 @@ class Quat(Record):
                  coeffs: tuple[Fraction, Fraction, Fraction, Fraction]):
         set_field(self, "alg", alg)
         set_field(self, "coeffs", coeffs)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.alg, self.coeffs) == (other.alg, other.coeffs)
-
-    def __hash__(self):
-        return hash((self.alg, self.coeffs))
 
     def _check(self, other: "Quat") -> None:
         if self.alg != other.alg:

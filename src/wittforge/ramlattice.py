@@ -107,14 +107,6 @@ class ValueLattice(Record):
             raise DomainError("generators do not span a full rank lattice")
         set_field(self, "rows", rows)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.rows,) == (other.rows,)
-
-    def __hash__(self):
-        return hash((self.rows,))
-
     @staticmethod
     def from_generators(*gens: Sequence[int]) -> "ValueLattice":
         hnf = _row_hnf([_vec(g) for g in gens], DIM)
@@ -221,24 +213,14 @@ class ArmatureDecomposition(Record):
     t: frozenset[Vec]
 
     def __init__(self, s: frozenset[Vec], t: frozenset[Vec]):
-        for part in (s, t):
-            if len(part) != 4 or ZERO_VEC not in part:
-                raise DomainError("each half is a subgroup of order four")
-            for u, v in combinations(part, 2):
-                if _xor(u, v) not in part:
-                    raise DomainError("each half must be closed under addition")
+        subgroups = _rank2_subgroups()
+        if s not in subgroups or t not in subgroups:
+            raise DomainError("each half must be a rank 2 subgroup of 0/1 "
+                              "coset vectors")
         if s & t != {ZERO_VEC}:
             raise DomainError("the two halves must meet trivially")
         set_field(self, "s", s)
         set_field(self, "t", t)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.s, self.t) == (other.s, other.t)
-
-    def __hash__(self):
-        return hash((self.s, self.t))
 
     def s_gens(self) -> tuple[Vec, Vec]:
         return _two_generators(self.s)
@@ -334,15 +316,6 @@ class SplittingCheck(Record):
         set_field(self, "intersection", intersection)
         set_field(self, "separated", separated)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.splitting, self.intersection, self.separated)
-                == (other.splitting, other.intersection, other.separated))
-
-    def __hash__(self):
-        return hash((self.splitting, self.intersection, self.separated))
-
 
 class ObstructionReport(Record):
     slots: tuple[tuple[Vec, Vec], tuple[Vec, Vec]]
@@ -354,15 +327,6 @@ class ObstructionReport(Record):
         set_field(self, "slots", slots)
         set_field(self, "split_factor", split_factor)
         set_field(self, "checks", checks)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.slots, self.split_factor, self.checks)
-                == (other.slots, other.split_factor, other.checks))
-
-    def __hash__(self):
-        return hash((self.slots, self.split_factor, self.checks))
 
     @property
     def obstructed(self) -> bool:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wittforge import cohomology
 from wittforge.cohomology import (
     H3Class,
     ZERO,
@@ -19,6 +20,7 @@ from wittforge.cohomology import (
 from wittforge.errors import DomainError
 from wittforge.qarith import (REAL, hilbert_symbol, is_local_square,
                               ramified_places)
+from wittforge.quadform import diagonal
 
 nonzero = st.fractions(
     min_value=Fraction(-200), max_value=Fraction(200), max_denominator=20
@@ -30,6 +32,29 @@ def test_brauer_class_rejects_odd_sets():
         BrauerClass(frozenset({2}))
     with pytest.raises(DomainError):
         BrauerClass(frozenset({REAL, 2, 5}))
+
+
+def test_package_built_classes_skip_the_place_check(monkeypatch):
+    # classes built from factored places or their sums are not re-proven
+    # prime; only a place asked about from outside is checked
+    seen = []
+    check_place = cohomology.check_place
+
+    def counting(v):
+        seen.append(v)
+        return check_place(v)
+
+    monkeypatch.setattr(cohomology, "check_place", counting)
+    inv = diagonal(1000003, 1000033, 1).invariants
+    a = brauer_from_symbol(-1, -1)
+    b = brauer_from_symbol(1000003, 1000033)
+    total = a + b + inv.hasse + inv.clifford
+    assert seen == []
+    assert total.ramified == frozenset({2, 1000033})
+    assert a.is_ramified_at(REAL)
+    assert seen == [REAL]
+    with pytest.raises(DomainError):
+        total.is_ramified_at(1000033 * 3)
 
 
 def test_brauer_addition_is_symmetric_difference():

@@ -154,6 +154,10 @@ def test_armature_decomposition_validation():
         ArmatureDecomposition(frozenset({ZERO, E1, E2, E3}), t)   # not closed
     with pytest.raises(DomainError):
         ArmatureDecomposition(frozenset({E1, E2}), t)
+    # closed under addition mod 2, but not a subgroup of 0/1 coset vectors
+    even = frozenset({ZERO, (2, 0, 0, 0), (0, 2, 0, 0), (2, 2, 0, 0)})
+    with pytest.raises(DomainError):
+        ArmatureDecomposition(even, t)
 
 
 def test_splitting_enumeration_matches_brute_force():
