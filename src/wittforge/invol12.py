@@ -19,7 +19,6 @@ from functools import cached_property
 
 from ._record import Record, set_field
 from .cohomology import (
-    H3_ZERO,
     ZERO,
     BrauerClass,
     H3Class,

@@ -5,8 +5,9 @@ rediagonalizes exactly over Fraction.  The classifying data over Q is one
 `Invariants` record (dim, determinant class, signature, Hasse class,
 Clifford class), built in one pass over the places that can ramify and
 cached on the form; e1, e2, e3, the Witt index, isometry and hyperbolicity
-are read off it; isotropy stops that pass at the first place deciding it
-(past dim 4, the signs do).  Hasse-Minkowski lives in `_kernel_dim` alone.
+are read off it, and Witt classes are compared by its `witt_class`;
+isotropy stops that pass at the first place deciding it (past dim 4, the
+signs do).  Hasse-Minkowski lives in `_kernel_dim` alone.
 All searches (isotropic vectors, represented values) return exact
 witnesses or raise BoundExceeded; nothing here is approximate.
 """
@@ -19,8 +20,8 @@ from typing import Iterable, Sequence
 
 from ._record import Record, set_field
 from .cohomology import (BrauerClass, H3Class, _signed_squarefree_by_height,
-                         brauer_from_symbol, find_quaternion_symbol,
-                         second_slot)
+                         brauer_from_symbol, brauer_sum,
+                         find_quaternion_symbol, second_slot)
 from .config import HEIGHT_BOUND
 from .errors import BoundExceeded, DomainError, require
 from .qarith import (
@@ -162,6 +163,12 @@ class Invariants(Record):
     @property
     def e1(self) -> int:
         return _e1(self.dim, self.det)
+
+    @property
+    def witt_class(self) -> tuple[int, BrauerClass, int]:
+        """(e1, Clifford class, signature), which classify Witt classes
+        over Q."""
+        return self.e1, self.clifford, self.signature
 
     @property
     def kernel_dim(self) -> int:
@@ -443,7 +450,7 @@ def represents(q: QuadForm, c: Rational) -> bool:
     cf = as_fraction(c)
     if cf == 0:
         raise DomainError("representation of 0 is isotropy; use is_isotropic")
-    return is_isotropic(direct_sum(q, diagonal(-cf)))
+    return _isotropic(q.square_classes + (squarefree_part(-cf),))
 
 
 def represent_value(q: QuadForm, c: Rational) -> tuple[Fraction, ...]:
@@ -487,17 +494,21 @@ class WittClass(Record):
         return self.kernel.dim + 2 * self.index
 
 
-def _peel_unit(dim0: int, d: int, c: BrauerClass, x: int,
-               ) -> tuple[int, BrauerClass]:
-    """Invariants (e1, Clifford) of k with <x> + k carrying (d, c) in
-    dimension dim0."""
-    det = d if (dim0 * (dim0 - 1) // 2) % 2 == 0 else -d
-    det2 = _class_mul(det, x)
-    d2 = det2 if ((dim0 - 1) * (dim0 - 2) // 2) % 2 == 0 else -det2
-    c2 = (c + brauer_from_symbol(-1, _correction_slot(dim0, det))
-          + brauer_from_symbol(x, det2)
-          + brauer_from_symbol(-1, _correction_slot(dim0 - 1, det2)))
-    return d2, c2
+def _peel_units(dim0: int, d: int, c: BrauerClass, x: int, m: int,
+                ) -> tuple[int, BrauerClass]:
+    """Invariants (e1, Clifford) of k with <x, ..., x> (m copies) + k
+    carrying (d, c) in dimension dim0, x = +-1, in closed form."""
+    det = _e1(dim0, d)             # _e1 is its own inverse
+    xm = x ** m
+    det_k = det * xm
+    # Hasse(K) = Hasse(k) + (x^m, det k) + C(m, 2) (x, x); each Clifford
+    # class is its Hasse class plus the dimension correction (-1, b)
+    symbols = [(-1, _correction_slot(dim0, det)), (xm, det_k),
+               (-1, _correction_slot(dim0 - m, det_k))]
+    if m * (m - 1) // 2 % 2:
+        symbols.append((x, x))
+    return _e1(dim0 - m, det_k), c + brauer_sum(
+        brauer_from_symbol(a, b) for a, b in symbols)
 
 
 def _binary_rep(d: int, c: BrauerClass) -> QuadForm:
@@ -515,15 +526,6 @@ def _ternary_rep(d: int, c: BrauerClass) -> QuadForm:
     return scale(-d, diagonal(-al, -be, al * be))
 
 
-def _quaternary_rep(d: int, c: BrauerClass, sig: int) -> QuadForm:
-    # an anisotropic quaternary q represents x exactly when q + <-x> is
-    # isotropic, that is indefinite: x = 1 unless q is negative definite;
-    # the rest is then the anisotropic ternary with the peeled invariants
-    x = -1 if sig == -4 else 1
-    d3, c3 = _peel_unit(4, d, c, x)
-    return direct_sum(diagonal(x), _ternary_rep(d3, c3))
-
-
 def _anisotropic_rep(dim0: int, d: int, c: BrauerClass,
                      sig: int) -> QuadForm:
     """A small-entry anisotropic form of dimension dim0, the kernel
@@ -536,16 +538,12 @@ def _anisotropic_rep(dim0: int, d: int, c: BrauerClass,
         return _binary_rep(d, c)
     if dim0 == 3:
         return _ternary_rep(d, c)
-    if dim0 == 4:
-        return _quaternary_rep(d, c, sig)
-    # past dim 4 the kernel is definite: <eps, ..., eps> + a definite
-    # quaternary, whose invariants come from peeling the units off one by one
-    eps = 1 if sig > 0 else -1
-    d4, c4 = d, c
-    for dim in range(dim0, 4, -1):
-        d4, c4 = _peel_unit(dim, d4, c4, eps)
-    units = diagonal(*[eps] * (dim0 - 4))
-    return direct_sum(units, _quaternary_rep(d4, c4, 4 * eps))
+    # an anisotropic K of dim >= 4 represents x = -1 if negative definite,
+    # else x = 1 (K + <-x> is indefinite of dim >= 5, so isotropic); past
+    # dim 4 K is definite, so every unit split off it is x, down to dim 3
+    x = -1 if sig == -dim0 else 1
+    d3, c3 = _peel_units(dim0, d, c, x, dim0 - 3)
+    return direct_sum(diagonal(*[x] * (dim0 - 3)), _ternary_rep(d3, c3))
 
 
 def witt_decompose(q: QuadForm) -> WittClass:
@@ -562,8 +560,8 @@ def witt_decompose(q: QuadForm) -> WittClass:
     # the record of the kernel's own entries: same Witt class, and a form
     # whose kernel dimension is its dimension is anisotropic
     k = kernel.invariants
-    require((k.e1, k.clifford, k.signature, k.kernel_dim)
-            == (inv.e1, inv.clifford, inv.signature, kernel.dim), q, kernel)
+    require(k.witt_class == inv.witt_class and k.kernel_dim == kernel.dim,
+            q, kernel)
     return WittClass(kernel, (q.dim - dim0) // 2)
 
 
@@ -581,7 +579,8 @@ def is_hyperbolic(q: QuadForm) -> bool:
 
 
 def witt_equivalent(q1: QuadForm, q2: QuadForm) -> bool:
-    return is_hyperbolic(direct_sum(q1, neg(q2)))
+    """Witt equivalence over Q, read off the two cached records."""
+    return q1.invariants.witt_class == q2.invariants.witt_class
 
 
 # --- behaviour over a quadratic extension ---------------------------------

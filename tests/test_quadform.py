@@ -247,6 +247,21 @@ def test_witt_decompose_refuses_a_wrong_kernel(monkeypatch):
         with pytest.raises(AssertionError):
             witt_decompose(diagonal(2, 3, 5))
 
+@pytest.mark.parametrize("n", [*range(4, 13), 400])
+@pytest.mark.parametrize("s", [1, -1])
+def test_definite_kernels_peel_in_one_step(monkeypatch, s, n):
+    # the units split off a definite kernel are peeled in closed form: at
+    # most 4 symbols whatever the dim (dims 4-12 cover every count of
+    # units mod 4, so the (x, x) term shows for negative definite kernels)
+    calls = []
+    symbol = quadform.brauer_from_symbol
+    monkeypatch.setattr(quadform, "brauer_from_symbol",
+                        lambda a, b: calls.append((a, b)) or symbol(a, b))
+    w = witt_decompose(diagonal(*[s] * n))
+    assert (w.kernel.dim, w.index, signature(w.kernel)) == (n, 0, s * n)
+    assert len(calls) <= 4
+
+
 @given(entries_strategy)
 @settings(max_examples=50, deadline=None)
 def test_witt_decompose_roundtrip(q):
@@ -280,6 +295,39 @@ def test_isometry_respects_permutation_and_squares(q):
 def test_witt_equivalence_mod_hyperbolic(q):
     assert witt_equivalent(q, direct_sum(q, hyperbolic(2)))
     assert witt_equivalent(direct_sum(q, neg(q)), hyperbolic(q.dim))
+
+
+fraction_forms = st.lists(
+    st.fractions(min_value=-40, max_value=40, max_denominator=12).filter(
+        lambda f: f != 0),
+    max_size=9,
+).map(lambda xs: diagonal(*xs))
+
+
+@st.composite
+def witt_pairs(draw):
+    # random pairs are rarely Witt equivalent, so half the time q2 becomes
+    # q1 + q2 + (-c) q2, which is equivalent to q1 exactly when <1, -c> q2
+    # is hyperbolic: always for c = 1, 4, sometimes for the others
+    q1, q2 = draw(fraction_forms), draw(fraction_forms)
+    if draw(st.booleans()):
+        c = draw(st.sampled_from([1, 4, -1, 2, 3, Fraction(5, 9)]))
+        q2 = direct_sum(q1, q2, scale(-c, q2))
+    return q1, q2
+
+
+@given(witt_pairs())
+@settings(max_examples=150, deadline=None)
+def test_witt_equivalent_reads_the_two_records(pair):
+    q1, q2 = pair
+    # the old definition, q1 + (-q2) hyperbolic, builds a third form; the
+    # records of q1 and q2 are all witt_equivalent reads
+    expected = is_hyperbolic(direct_sum(q1, neg(q2)))
+    with pytest.MonkeyPatch.context() as mp:
+        builds, _ = _count_record_builds(mp)
+        assert witt_equivalent(q1, q2) == expected
+    assert builds == [q1.square_classes, q2.square_classes]
+    assert witt_equivalent(q1, direct_sum(q2, hyperbolic(1))) == expected
 
 
 def test_hyperbolic_over_extension_values():

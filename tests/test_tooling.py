@@ -24,3 +24,40 @@ def test_no_assert_statements(path):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Assert)]
     assert lines == [], f"assert statements at lines {lines}"
+
+
+def _top_level_imports(tree: ast.Module) -> dict[str, int]:
+    # the name each top-level import binds, with its line
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                bound[name] = node.lineno
+    return bound
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    # the string entries of a top-level __all__ list or tuple
+    names = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            names |= {elt.value for elt in node.value.elts
+                      if isinstance(elt, ast.Constant)}
+    return names
+
+
+@pytest.mark.parametrize("path", SOURCES,
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    # a top-level import that nothing reads is dead code, and after a
+    # deletion it is the usual leftover
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = {name: line for name, line in _top_level_imports(tree).items()
+              if name not in used and name not in _exported(tree)}
+    assert unused == {}, f"unused imports (name: line) {unused}"
