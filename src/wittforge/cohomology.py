@@ -131,9 +131,6 @@ class H3Class(Record):
         return self.bit == 0
 
 
-H3_ZERO = H3Class(0)
-
-
 def cup_h3(a: Rational, q: BrauerClass) -> H3Class:
     """The cup product (a) . q in H^3(Q, mu_2).
 

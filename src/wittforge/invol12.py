@@ -9,9 +9,10 @@ degree 6 discriminant, the two Clifford components of the product are
 to symbol arithmetic in those terms, so no 12x12 matrices ever appear.
 
 The f3 invariant of a presentation with trivial discriminant and Clifford
-invariant is computed along two independent routes, once through the Arason
-invariant of a 12-dimensional difference of norm forms and once as a cup
-product over a common quadratic splitting field, and the two must agree.
+invariant is computed along two independent routes, through the Arason
+invariant of a difference of norm forms and as a cup product over a common
+quadratic splitting field, and the two must agree.  Neither route, nor the
+additive decomposition, builds a complementary slot.
 """
 
 from fractions import Fraction
@@ -118,8 +119,8 @@ class QuatInvol(Record):
 
 
 class ProductPresentation(Record):
-    """(A0, sigma0) x (H, rho).  d0, d, (d, d0) and the aligned
-    presentation are computed on first read and kept."""
+    """(A0, sigma0) x (H, rho).  d0, d and (d, d0) are computed on first
+    read and kept."""
 
     a0: Deg6Invol
     hrho: QuatInvol
@@ -142,21 +143,6 @@ class ProductPresentation(Record):
     @cached_property
     def disc_symbol(self) -> BrauerClass:
         return brauer_from_symbol(self.d, self.d0)
-
-    @cached_property
-    def aligned(self) -> "ProductPresentation":
-        """An equivalent presentation with (d, d0) = [H], the component
-        the f3 formulas are written for: self, or its repair when the
-        degree 6 factor is split."""
-        if not has_trivial_invariants(self):
-            raise DomainError("f3 needs trivial discriminant and Clifford "
-                              "invariant")
-        if is_aligned(self):
-            return self
-        if isinstance(self.a0, Split6):
-            return repair_decomposition(self)
-        raise DomainError("(d, d0) matches the degree 6 class and the "
-                          "hermitian description cannot be repaired in place")
 
 
 class PfisterDecomposition(Record):
@@ -202,6 +188,19 @@ def is_aligned(p: ProductPresentation) -> bool:
     return p.disc_symbol == p.hrho.alg.brauer
 
 
+def _f3_domain(p: ProductPresentation) -> None:
+    # f3 is written for (d, d0) = [H].  `repair_decomposition` takes a split
+    # degree 6 factor with (d, d0) = [A0] there by changing d0 alone, and
+    # neither route reads d0 (only d, [H], [A0] = 0, [A] and the type of
+    # the degree 6 factor), so both compute on p itself.
+    if not has_trivial_invariants(p):
+        raise DomainError("f3 needs trivial discriminant and Clifford "
+                          "invariant")
+    if not (is_aligned(p) or isinstance(p.a0, Split6)):
+        raise DomainError("(d, d0) matches the degree 6 class and the "
+                          "hermitian description cannot be repaired in place")
+
+
 def repair_decomposition(p: ProductPresentation) -> ProductPresentation:
     """Move (d, d0) from the degree 6 component onto the quaternion one.
 
@@ -212,7 +211,7 @@ def repair_decomposition(p: ProductPresentation) -> ProductPresentation:
     has <q> = <u q u-bar> = <c q>, so replacing lam6 by c lam6 in phi
     leaves the involution alone.  It multiplies d0 by c, and [H] = (d, c) since
     i_elem and u generate H, so the new symbol is
-    (d, c d0) = [H] + (d, d0) = [H].
+    (d, c d0) = [H] + (d, d0) = [H].  No library caller: f3 reads no d0.
     """
     if not isinstance(p.a0, Split6):
         raise DomainError("repair needs a split degree 6 factor")
@@ -254,8 +253,8 @@ def decompose_split12(psi: QuadForm) -> PfisterDecomposition:
 def additive_decomposition(p: ProductPresentation,
                            ) -> list[tuple[BrauerClass, BrauerClass]]:
     """The three (H_i, Q_i) = ((a_i d0, d), (a_i, b_i d)) symbol pairs of a
-    hermitian presentation <q1, q2, q3>, where a_i = q_i^2 and b_i is a
-    complementary slot of the base algebra at a_i."""
+    hermitian <q1, q2, q3> over H', a_i = q_i^2, b_i any slot with
+    (a_i, b_i) = [H']: Q_i = [H'] + (a_i, d), so no b_i is built."""
     if not isinstance(p.a0, M3H):
         raise DomainError("additive decomposition needs a hermitian "
                           "degree 6 factor")
@@ -264,11 +263,10 @@ def additive_decomposition(p: ProductPresentation,
     out = []
     for q in p.a0.h.entries:
         a = squarefree_part(q.square_scalar())
-        b = complement_slot(base, a, witness=q)
         h_i = brauer_from_symbol(a * d0, d)
-        q_i = brauer_from_symbol(a, b * d)
-        # (a, b) = [H'] makes each pair sum to [H'] + (d, d0) on the nose
-        require(h_i + q_i == base.brauer + p.disc_symbol, p, a, b)
+        q_i = base.brauer + brauer_from_symbol(a, d)
+        # (a d0, d) + (a, d) = (d0, d): each pair sums to [H'] + (d, d0)
+        require(h_i + q_i == base.brauer + p.disc_symbol, p, a)
         out.append((h_i, q_i))
     return out
 
@@ -290,7 +288,7 @@ def f3_via_norms(p: ProductPresentation) -> H3Class:
     difference form is 12-dimensional and lands in I^3 because the three
     classes sum to zero, which is asserted rather than trusted.
     """
-    p = p.aligned
+    _f3_domain(p)
     h_alg = p.hrho.alg
     # a symbol representative of [A]; finding one is the index <= 2 check
     q_alg = algebra_from_class(p.a_class())
@@ -318,7 +316,7 @@ def f3_via_symbol(p: ProductPresentation) -> H3Class:
     cup against [H'] must give the same bit, and does, which is checked on
     every call.
     """
-    p = p.aligned
+    _f3_domain(p)
     e = -1 if p.hrho.alg.brauer.is_ramified_at(REAL) else 1
     out = cup_h3(p.d * e, p.a_class())
     require(out == cup_h3(p.d * e, p.a0.brauer), p, e)

@@ -37,6 +37,8 @@ ZERO_VEC: Vec = (0, 0, 0, 0)
 
 
 def _vec(data: Sequence[int]) -> Vec:
+    if not isinstance(data, (list, tuple)):
+        raise DomainError(f"value vectors are lists, got {type(data).__name__}")
     if len(data) != DIM:
         raise DomainError(f"value vectors have {DIM} coordinates, got {len(data)}")
     out = []
@@ -337,11 +339,11 @@ class ObstructionReport(Record):
 
 def _symbol_slots(d: Sequence[Sequence[Sequence[int]]]
                   ) -> tuple[tuple[Vec, Vec], tuple[Vec, Vec]]:
-    if len(d) != 2:
+    if not isinstance(d, (list, tuple)) or len(d) != 2:
         raise DomainError("expected a pair of quaternion symbols")
     out = []
     for factor in d:
-        if len(factor) != 2:
+        if not isinstance(factor, (list, tuple)) or len(factor) != 2:
             raise DomainError("a symbol has exactly two slots")
         out.append((_vec(factor[0]), _vec(factor[1])))
     return tuple(out)
@@ -392,7 +394,4 @@ def slots_to_json(slots) -> dict:
 def slots_from_json(data) -> tuple[tuple[Vec, Vec], tuple[Vec, Vec]]:
     if not isinstance(data, dict) or "slots" not in data:
         raise DomainError('symbol input wants {"slots": [[vec, vec], [vec, vec]]}')
-    raw = data["slots"]
-    if not isinstance(raw, list):
-        raise DomainError("slots must be a list of two symbol slot pairs")
-    return _symbol_slots(raw)
+    return _symbol_slots(data["slots"])

@@ -18,8 +18,9 @@ from pathlib import Path
 
 import pytest
 
-from wittforge import invol12
+from wittforge import invol12, quadform, ramlattice
 from wittforge.cli import main
+from wittforge.errors import DomainError
 
 TOTALLY_RAMIFIED_SLOTS = {"slots": [[[1, 0, 0, 0], [0, 1, 0, 0]],
                                     [[0, 0, 1, 0], [0, 0, 0, 1]]]}
@@ -188,6 +189,70 @@ def test_obstruction_rejects_dependent_monomials(tmp_path, capsys):
     code, out, err = _run(capsys, "val", "obstruction", path)
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == "domain"
+
+
+@pytest.mark.parametrize("slots", [
+    [1, 2], [[1, 2], [3, 4]], [[None, [0, 1, 0, 0]], [[0, 0, 1, 0], True]],
+    [[[1, 0, 0, 0], [0, 1, 0, 0]], [[0, 0, 1, 0], 1.5]], "ab"])
+def test_obstruction_rejects_wrong_typed_slots(tmp_path, capsys, slots):
+    # a number, null or bool where a list belongs is malformed input
+    path = _write(tmp_path, "slots.json", {"slots": slots})
+    code, out, err = _run(capsys, "val", "obstruction", path)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "malformed-input"
+
+
+# a split degree 6 presentation; EXISTS_PRESENTATION below is a hermitian one
+_SPLIT_PAYLOAD = {
+    "a0": {"split": {"entries": ["3", "-6", "-5", "-55", "7", "154"]}},
+    "h": {"alg": {"a": "-3", "b": "-7"},
+          "i": {"alg": {"a": "-3", "b": "-7"},
+                "coords": ["0", "1", "2", "-1"]}}}
+
+
+def _loaders():
+    return {
+        "form": (quadform.from_json, {"entries": ["3", "-1/2", "5"]}),
+        "m3h": (invol12.presentation_from_json, EXISTS_PRESENTATION),
+        "split": (invol12.presentation_from_json, _SPLIT_PAYLOAD),
+        "slots": (ramlattice.slots_from_json, TOTALLY_RAMIFIED_SLOTS),
+    }
+
+
+def _paths(data, prefix=()):
+    # the path of every value in a JSON tree, the root included
+    yield prefix
+    if isinstance(data, dict):
+        items = data.items()
+    elif isinstance(data, list):
+        items = enumerate(data)
+    else:
+        return
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _replaced(data, path, value):
+    if not path:
+        return value
+    copy = dict(data) if isinstance(data, dict) else list(data)
+    copy[path[0]] = _replaced(data[path[0]], path[1:], value)
+    return copy
+
+
+@pytest.mark.parametrize("bad", [None, True, 0, 1.5, "", "x", [], [1, 2], {},
+                                 [[1, 2], [3, 4]]], ids=repr)
+@pytest.mark.parametrize("kind", ["form", "m3h", "split", "slots"])
+def test_loaders_raise_only_domain_errors(kind, bad):
+    # whatever value sits at whatever path of a valid payload, a loader
+    # answers or raises DomainError, which the driver maps to exit 2
+    load, payload = _loaders()[kind]
+    load(payload)
+    for path in _paths(payload):
+        try:
+            load(_replaced(payload, path, bad))
+        except DomainError:
+            pass
 
 
 def _env(**env_overrides) -> dict:

@@ -26,7 +26,7 @@ from random import Random
 import pytest
 
 from split12 import split12_with_primes
-from wittforge import cohomology, invol12
+from wittforge import cohomology, invol12, quat
 from wittforge.cli import main
 from wittforge.quadform import diagonal, isotropic_vector, witt_decompose
 
@@ -73,6 +73,19 @@ SPLIT6 = {"a0": {"split": {"entries": ["3", "-6", "-5", "-55", "7", "154"]}},
                 "i": {"alg": {"a": "-3", "b": "-7"},
                       "coords": ["0", "1", "2", "-1"]}}}
 
+# over (-1, -1) with x = (0, 1102061, 14414, 246): a complementary slot of
+# (-1, -1) at x^2 has the cofactor 1214746211117 = 1002017 * 1212301, past
+# the factor bound, so these answer only because no slot is built
+_M = {"a": "-1", "b": "-1"}
+_X = {"alg": _M, "coords": ["0", "1102061", "14414", "246"]}
+_I = {"alg": _M, "coords": ["0", "1", "0", "0"]}
+SLOT_COFACTOR = {
+    "additive": {"a0": {"m3h": {"alg": _M, "entries": [_X, _X, _I]}},
+                 "h": {"alg": _M, "i": _I}},
+    "f3": {"a0": {"split": {"entries": ["1", "1", "1", "1", "1", "-1"]}},
+           "h": {"alg": _M, "i": _X}},
+}
+
 TOTALLY_RAMIFIED = {"slots": [[[1, 0, 0, 0], [0, 1, 0, 0]],
                               [[0, 0, 1, 0], [0, 0, 0, 1]]]}
 SPLIT_FACTOR = {"slots": [[[0, 0, 0, 0], [0, 1, 0, 0]],
@@ -107,6 +120,8 @@ def _cases() -> dict:
         cases[f"f3-{name}"] = (["alg", "f3", "{file}"], pres)
         cases[f"additive-{name}"] = (["alg", "additive", "{file}"], pres)
     cases["f3-split6"] = (["alg", "f3", "{file}"], SPLIT6)
+    for command, pres in SLOT_COFACTOR.items():
+        cases[f"{command}-slot-cofactor"] = (["alg", command, "{file}"], pres)
     cases["obstruction-ramified"] = (["val", "obstruction", "{file}"],
                                      TOTALLY_RAMIFIED)
     cases["obstruction-split"] = (["val", "obstruction", "{file}"],
@@ -164,6 +179,10 @@ GOLDEN = {
         0, "94fe3fe83588cae97ff7b5572feeaa045717636a439dbc1b521623e6b21a7841"),
     "f3-split6": (
         0, "a9753d40b23b687a02dbc1e5be5e890ceeaa6bb5e096e21244bae197826caed6"),
+    "additive-slot-cofactor": (
+        0, "bcf980aaf7c4ef0083ca6de77a8ed51b1650b665528ada4a1664eeaf66d4bf73"),
+    "f3-slot-cofactor": (
+        0, "babe683dde6a1f2a58d95cb9083b9da54969c75029f4f7abe045357eb418f3b3"),
     "obstruction-ramified": (
         0, "a948ec43273deca8215af5df97ad573581a8dd01b53daaa872569c96b0ab132d"),
     "obstruction-split": (
@@ -298,6 +317,23 @@ def test_f3_symbol_runs_no_slot_walk(monkeypatch):
     for pres in (PRESENTATIONS["exists--2,-5-7,-3"], SPLIT6):
         p = invol12.presentation_from_json(pres)
         assert invol12.f3_via_symbol(p).bit == 0
+
+
+def test_alg_reports_build_no_complementary_slot(tmp_path, monkeypatch):
+    # f3 and the additive decomposition read Brauer classes only, so their
+    # reports stay the same with every slot construction broken
+    def refuse(*args, **kwargs):
+        raise RuntimeError("complementary slot built")
+
+    for module in (quat, invol12):
+        monkeypatch.setattr(module, "complement_slot", refuse)
+        monkeypatch.setattr(module, "repair_decomposition", refuse,
+                            raising=False)
+    cases = {name: case for name, case in _cases().items()
+             if name.startswith(("f3-", "additive-"))}
+    assert len(cases) == 7
+    for name, (argv, payload) in cases.items():
+        assert _run(tmp_path, argv, payload) == GOLDEN[name], name
 
 
 @pytest.mark.parametrize("entries, vector", FROZEN_ISOTROPIC)

@@ -7,6 +7,7 @@ code beyond the symbol layer, so their agreement is a real cross-check.
 """
 
 from fractions import Fraction
+from math import prod
 from random import Random
 
 import pytest
@@ -59,6 +60,7 @@ from wittforge.quat import (
     pure,
     pure_with_square,
 )
+from wittforge.sampling import random_algebra
 
 from split12 import split12_with_primes
 
@@ -214,6 +216,39 @@ FROZEN_REPAIRS = (
     (["-2", "12", "5", "5", "-3/4", "-9/2"], (-1, -1), (0, 1, 0),
      ["-2", "12", "5", "5", "-3/4", "9/2"]),
 )
+
+
+def _split6_draws(rng, count):
+    # split degree 6 factors with (d, d0) = 0 = [A0] != [H]: H = (-u, -v)
+    # ramifies at the real place, and the last entry of phi makes
+    # e1(phi) = d0, d0 = 1 or -d
+    out = []
+    while len(out) < count:
+        h = algebra(-rng.randint(1, 15), -rng.randint(1, 15))
+        i_elem = pure(h, *(rng.randint(-6, 6) for _ in range(3)))
+        if i_elem.nrd == 0:
+            continue
+        d0 = rng.choice((1, -squarefree_part(i_elem.square_scalar())))
+        head = [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(5)]
+        phi = diagonal(*head, -d0 * prod(head))
+        out.append(ProductPresentation(Split6(phi), QuatInvol(h, i_elem)))
+    return out
+
+
+def test_f3_reads_no_repair():
+    # the repair moves d0 alone, which neither f3 route reads: both give
+    # the same bit on a split presentation and on its repair
+    pool = _split6_draws(Random(515), 25)
+    for entries, slots, coords, _ in FROZEN_REPAIRS:
+        h = algebra(*slots)
+        pool.append(ProductPresentation(
+            Split6(diagonal(*map(Fraction, entries))),
+            QuatInvol(h, pure(h, *coords))))
+    for p in pool:
+        assert has_trivial_invariants(p) and not is_aligned(p), p
+        fixed = repair_decomposition(p)
+        for f3 in (f3_via_norms, f3_via_symbol):
+            assert f3(p) == f3(fixed), (f3.__name__, p)
 
 
 def test_repair_with_square_twist_is_identity():
@@ -399,8 +434,8 @@ def test_f3_requires_trivial_invariants():
 
 
 def test_f3_auto_repairs_split_presentations():
-    # (d, d0) = 0 = [A0] != [H] with a split a0: both routes twist the
-    # quadratic factor internally and still agree
+    # (d, d0) = 0 = [A0] != [H] with a split a0: both routes answer on the
+    # presentation as given, agree, and match its repair
     p = ProductPresentation(Split6(diagonal(1, -1, 1, -1, 1, -1)),
                             QuatInvol(H_HAMILTON, H_HAMILTON.i()))
     assert has_trivial_invariants(p) and not is_aligned(p)
@@ -531,6 +566,24 @@ HERMITIAN_BUILDERS = [
     lambda: exists_involution(algebra(2, 5), H_HAMILTON).presentation,
     lambda: exists_involution(algebra(-3, -1), algebra(-1, 2)).presentation,
 ]
+
+
+def _seeded_witnesses(seed, count):
+    rng = Random(seed)
+    return [exists_involution(random_algebra(rng),
+                              random_algebra(rng)).presentation
+            for _ in range(count)]
+
+
+def test_additive_decomposition_is_the_slot_formula():
+    # Q_i read off [H'] + (a_i, d) is the symbol (a_i, b_i d) of a
+    # complementary slot b_i, built here and nowhere in the library
+    pool = [build() for build in HERMITIAN_BUILDERS]
+    for p in pool + _seeded_witnesses(616, 25):
+        _, d0, d, data = _change_of_base_data(p)
+        assert additive_decomposition(p) == [
+            (brauer_from_symbol(a * d0, d), brauer_from_symbol(a, b * d))
+            for a, b in data], p
 
 
 @pytest.mark.parametrize("build", HERMITIAN_BUILDERS)

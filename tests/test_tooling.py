@@ -61,3 +61,52 @@ def test_no_unused_imports(path):
     unused = {name: line for name, line in _top_level_imports(tree).items()
               if name not in used and name not in _exported(tree)}
     assert unused == {}, f"unused imports (name: line) {unused}"
+
+
+def _defined(tree: ast.Module) -> dict[str, int]:
+    # the names a module's top-level def, class and assignment statements
+    # bind, with their lines; dunder names are the interpreter's
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if not (name.startswith("__") and name.endswith("__")):
+                bound[name] = node.lineno
+    return bound
+
+
+def _referenced(tree: ast.Module) -> set[str]:
+    # every name a module reads, as a bare name, an attribute or an import
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+    return names
+
+
+def test_every_library_definition_is_referenced():
+    # a top-level definition that no source, script, test or bench file
+    # reads is dead code; a name read only in a string does not count
+    readers = [path for folder in ("src", "scripts", "tests", "bench")
+               for path in sorted((ROOT / folder).rglob("*.py"))]
+    read = set().union(*(_referenced(ast.parse(path.read_text(
+        encoding="utf-8"), filename=str(path))) for path in readers))
+    unread = [f"{path.name}:{line} {name}"
+              for path in SOURCES if path.parent.name == "wittforge"
+              for name, line in _defined(ast.parse(path.read_text(
+                  encoding="utf-8"), filename=str(path))).items()
+              if name not in read]
+    assert unread == [], f"top-level definitions nothing reads: {unread}"
