@@ -77,8 +77,29 @@ def _symbol_pair(text: str) -> tuple[Fraction, Fraction]:
     return _rational(parts[0]), _rational(parts[1])
 
 
+# str() refuses an int past the interpreter's digit limit (4,300 by
+# default), and a determinant class of a few large entries passes it; a
+# report writes its ints in decimal chunks of this size instead
+_CHUNK_DIGITS = 1000
+_CHUNK = 10 ** _CHUNK_DIGITS
+
+
+def _int_text(n: int) -> str:
+    """The decimal text of an int of any size, as str(n) writes it."""
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    chunks = []
+    rest = abs(n)
+    while rest:
+        rest, chunk = divmod(rest, _CHUNK)
+        chunks.append(chunk)
+    head, *tail = reversed(chunks)
+    return ("-" if n < 0 else "") + str(head) + "".join(
+        f"{chunk:0{_CHUNK_DIGITS}d}" for chunk in tail)
+
+
 def _class_json(cls: BrauerClass) -> list[str]:
-    return [str(v) for v in cls.sort_key()]
+    return [v if isinstance(v, str) else _int_text(v) for v in cls.sort_key()]
 
 
 def _report(command: str, inputs: dict, outputs: dict,
@@ -99,7 +120,7 @@ def _cmd_qf_invariants(args) -> tuple[dict, int]:
     in_i3 = in_i2 and cls.is_zero()
     outputs = {
         "dim": q.dim,
-        "e1": str(det),
+        "e1": _int_text(det),
         "e2": _class_json(cls) if in_i2 else None,
         "signature": signature(q),
         "witt_index": witt_index(q),
@@ -115,9 +136,9 @@ def _cmd_qf_decompose12(args) -> tuple[dict, int]:
     # decompose_split12 checks the reconstruction against psi before returning
     dec = invol12.decompose_split12(psi)
     outputs = {
-        "d": str(dec.d),
+        "d": _int_text(dec.d),
         "alphas": [str(a) for a in dec.alphas],
-        "betas": [str(b) for b in dec.betas],
+        "betas": [_int_text(b) for b in dec.betas],
     }
     checks = {"round_trip": True}
     return _report("qf decompose12", {"form": quadform.to_json(psi)},

@@ -10,7 +10,7 @@ splits.  The transport is the independent route used to cross-check the
 closed-form discriminant.
 """
 
-from fractions import Fraction
+from math import gcd, lcm
 
 from . import _linalg
 from ._record import Record, set_field
@@ -51,10 +51,13 @@ def skew_form(alg: QuaternionAlgebra, *entries: Quat) -> SkewHermForm:
 def disc_adjoint(form: SkewHermForm) -> int:
     """Discriminant of the adjoint orthogonal involution: (-1)^n prod nrd(qi),
     as a signed squarefree int."""
-    prod = Fraction(1)
+    num, den = (-1) ** form.rank, 1
     for q in form.entries:
-        prod *= q.nrd
-    return squarefree_part(prod * (-1) ** form.rank)
+        n = q.nrd
+        num *= n.numerator
+        den *= n.denominator
+    g = gcd(num, den)
+    return squarefree_part((num // g) * (den // g))
 
 
 def rescale_entry(form: SkewHermForm, idx: int) -> SkewHermForm:
@@ -74,26 +77,35 @@ def rescale_entry(form: SkewHermForm, idx: int) -> SkewHermForm:
 # --- transport to a quadratic form when the algebra splits -----------------
 
 def _split_module_basis(alg: QuaternionAlgebra) -> tuple[Quat, Quat]:
-    """A basis (e, nu e) of the left ideal He for a rank 1 idempotent e."""
+    """Integral multiples (c e, c nu e) of a basis of the left ideal He, for
+    the rank 1 idempotent e = (1 + mu) / 2.  Scaling a basis by one scalar
+    leaves every left multiplication matrix in it unchanged."""
     mu = pure_with_square(alg, 1)
     nu = anticommutant(alg, mu)
-    e = (alg.one() + mu) * Fraction(1, 2)
-    return e, nu * e
+    f = alg.one() + mu
+    f = f * f.den
+    g = nu * f
+    return f * g.den, g * g.den
 
 
-def _left_mult_matrix(x: Quat, basis: tuple[Quat, Quat]) -> _linalg.Matrix:
+def _left_mult_matrix(x: Quat, basis: tuple[Quat, Quat]
+                      ) -> tuple[_linalg.Matrix, int]:
+    """(m, d): m / d is the matrix of left multiplication by x on He in
+    the integral basis."""
+    bmat = _linalg.transpose([b.num for b in basis])
     cols = []
-    bmat = _linalg.transpose(_linalg.mat([b.coeffs for b in basis]))
     for b in basis:
-        target = (x * b).coeffs
-        sol = _linalg.solve(bmat, [Fraction(c) for c in target])
+        target = x * b
+        sol = _linalg.solve(bmat, list(target.num))
         require(sol is not None, x, basis)
-        cols.append(sol)
-    return _linalg.transpose(_linalg.mat(cols))
+        v, d = sol
+        cols.append((v, d * target.den))
+    den = lcm(*(d for _, d in cols))
+    return _linalg.transpose([[c * (den // d) for c in v] for v, d in cols]), den
 
 
-_S = _linalg.mat([[0, 1], [-1, 0]])
-_S_INV = _linalg.mat([[0, -1], [1, 0]])
+_S = [[0, 1], [-1, 0]]
+_S_INV = [[0, -1], [1, 0]]
 
 
 def to_quadratic_form(form: SkewHermForm) -> QuadForm:
@@ -104,26 +116,32 @@ def to_quadratic_form(form: SkewHermForm) -> QuadForm:
     Conjugation transported to the 2-dimensional simple module is the
     symplectic adjoint for S = [[0,1],[-1,0]], so S times the left
     multiplication matrix of a pure entry is symmetric and the blocks
-    assemble into a Gram matrix over Q.
+    assemble into a Gram matrix over Q, diagonalized over one common
+    denominator.
     """
     if not form.alg.is_split():
         raise DomainError("transport needs a split algebra")
     basis = _split_module_basis(form.alg)
-    n = form.rank
-    gram = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-    for t, q in enumerate(form.entries):
-        lm = _left_mult_matrix(q, basis)
-        conj = _left_mult_matrix(q.conjugate(), basis)
+    blocks = []
+    for q in form.entries:
+        lm, d = _left_mult_matrix(q, basis)
+        conj, dc = _left_mult_matrix(q.conjugate(), basis)
         adj = _linalg.mat_mul(_linalg.mat_mul(_S_INV, _linalg.transpose(lm)), _S)
-        require(conj == adj, q, lm)
+        require(all(u * d == v * dc for cu, cv in zip(conj, adj)
+                    for u, v in zip(cu, cv)), q, lm)
         block = _linalg.mat_mul(_S, lm)
         require(block[0][1] == block[1][0], q)
+        blocks.append((block, d))
+    den = lcm(*(d for _, d in blocks))
+    n = form.rank
+    gram = [[0] * (2 * n) for _ in range(2 * n)]
+    for t, (block, d) in enumerate(blocks):
         for r in range(2):
             for c in range(2):
-                gram[2 * t + r][2 * t + c] = block[r][c]
-    diag, _ = _linalg.congruence_diagonalize(gram)
+                gram[2 * t + r][2 * t + c] = block[r][c] * (den // d)
+    diag = _linalg.congruence_diagonalize(gram)
     require(all(x != 0 for x in diag), form)
-    return QuadForm(tuple(diag))
+    return QuadForm(tuple(x / den for x in diag))
 
 
 # --- serialization ---------------------------------------------------------

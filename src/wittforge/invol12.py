@@ -346,17 +346,20 @@ def exists_involution(h1: QuaternionAlgebra,
     norm of h2 yields one: write q as a product of three pures for the
     hermitian side and turn j into the conjugation twist on the other.
     The construction gives (d, d0) = [H] exactly, so the witness is
-    aligned, never merely trivial.
+    aligned, never merely trivial.  Checking that factors d = i_elem^2,
+    which may run past the primality budget like the search itself: both
+    give "unknown".
     """
     try:
         q, j = common_value_witness(h1, h2)
         q1, q2, q3 = three_pure_product(h1, q)
         i_elem = anticommutant(h2, j)
+        pres = ProductPresentation(M3H(skew_form(h1, q1, q2, q3)),
+                                   QuatInvol(h2, i_elem))
+        aligned = is_aligned(pres)
     except BoundExceeded:
         return ExistsOutcome("unknown")
-    pres = ProductPresentation(M3H(skew_form(h1, q1, q2, q3)),
-                               QuatInvol(h2, i_elem))
-    require(is_aligned(pres), h1, h2, pres)
+    require(aligned, h1, h2, pres)
     return ExistsOutcome("witness", pres)
 
 

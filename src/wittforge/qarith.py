@@ -207,6 +207,12 @@ def legendre(a: int, p: int) -> int:
     """Legendre symbol (a|p) in {-1, 0, 1} for an odd prime p."""
     if p == 2 or not is_prime(p):
         raise DomainError(f"legendre symbol wants an odd prime, got {p}")
+    return _legendre(a, p)
+
+
+def _legendre(a: int, p: int) -> int:
+    # Euler's criterion, for an odd p the caller already knows is prime:
+    # one from factor, or a place it proved
     a %= p
     if a == 0:
         return 0
@@ -231,7 +237,7 @@ def sqrt_mod_prime(a: int, p: int) -> int:
         q //= 2
         s += 1
     z = 2
-    while legendre(z, p) != -1:
+    while _legendre(z, p) != -1:
         z += 1
     m, c = s, pow(z, q, p)
     t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
@@ -263,7 +269,8 @@ def sqrt_mod_squarefree(a: int, m: int) -> int:
 @lru_cache(maxsize=None)
 def _hilbert_core(a: int, b: int, v: Place) -> int:
     # a, b signed squarefree, so valuations are 0 or 1 and the unit parts
-    # stay integers; everything runs on ints
+    # stay integers; everything runs on ints.  v is a place the caller
+    # checked or took from factor, so it is not proved prime again
     if v == REAL:
         return -1 if (a < 0 and b < 0) else 1
     p = v
@@ -274,9 +281,9 @@ def _hilbert_core(a: int, b: int, v: Place) -> int:
         if alpha and beta and (p - 1) // 2 % 2:
             sign = -sign
         if beta:
-            sign *= legendre(u, p)
+            sign *= _legendre(u, p)
         if alpha:
-            sign *= legendre(w, p)
+            sign *= _legendre(w, p)
         return sign
     # the mod 2 classes of (u - 1)/2 and (u^2 - 1)/8 only depend on u mod 8
     eps_u, eps_w = (u - 1) // 2 % 2, (w - 1) // 2 % 2
@@ -331,4 +338,4 @@ def _local_square_core(s: int, v: Place) -> bool:
         return False
     if v == 2:
         return s % 8 == 1
-    return legendre(s, v) == 1
+    return _legendre(s, v) == 1

@@ -1,7 +1,13 @@
 """Quaternion algebras (a, b) over Q with exact element arithmetic.
 
-Basis 1, i, j, k with i^2 = a, j^2 = b, k = ij = -ji.  Elements carry their
-algebra so cross-algebra arithmetic fails loudly.  The reduced norm on pure
+Basis 1, i, j, k with i^2 = a, j^2 = b, k = ij = -ji.  An element is four
+ints over one positive denominator, reduced by their gcd, so equal elements
+have equal fields.  Products, norms, inverses and sums are integer
+arithmetic against s, a s, b s and ab s, where s is the product of the
+denominators of a and b, read once per algebra; a and b themselves stay
+as given.  `coeffs` is the rational view for serialization; the linear
+algebra below reads the integer numerators.  Elements carry their algebra
+so cross-algebra arithmetic fails loudly.  The reduced norm on pure
 quaternions is the diagonal form <-a, -b, ab>, and two pures anticommute
 exactly when they are orthogonal for it; that is what the constructive
 helpers below exploit.
@@ -9,6 +15,7 @@ helpers below exploit.
 
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 
 from . import _linalg
 from ._record import Record, set_field
@@ -17,6 +24,16 @@ from .errors import DomainError, require
 from .qarith import Rational, as_fraction, rational_from_json, squarefree_part
 from .quadform import QuadForm, diagonal, direct_sum, isotropic_vector, \
     neg, represent_value
+
+
+def _ratio(x: Rational) -> tuple[int, int]:
+    # numerator and positive denominator of an exact rational, with no
+    # Fraction built for an int
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    raise DomainError(f"expected an exact rational, got {type(x).__name__}")
 
 
 class QuaternionAlgebra(Record):
@@ -29,6 +46,12 @@ class QuaternionAlgebra(Record):
             raise DomainError("quaternion parameters must be nonzero")
         set_field(self, "a", af)
         set_field(self, "b", bf)
+        # (s, a s, b s, ab s) for s the product of the denominators: the
+        # integer weights of the element arithmetic, not a field
+        s = af.denominator * bf.denominator
+        set_field(self, "_weights", (s, af.numerator * bf.denominator,
+                                     bf.numerator * af.denominator,
+                                     af.numerator * bf.numerator))
 
     @cached_property
     def brauer(self) -> BrauerClass:
@@ -44,20 +67,21 @@ class QuaternionAlgebra(Record):
         return diagonal(-self.a, -self.b, self.a * self.b)
 
     def element(self, t: Rational, x: Rational, y: Rational, z: Rational) -> "Quat":
-        return Quat(self, (as_fraction(t), as_fraction(x),
-                           as_fraction(y), as_fraction(z)))
+        ratios = [_ratio(c) for c in (t, x, y, z)]
+        den = lcm(*(d for _, d in ratios))
+        return _quat(self, *(n * (den // d) for n, d in ratios), den)
 
     def one(self) -> "Quat":
-        return self.element(1, 0, 0, 0)
+        return _quat(self, 1, 0, 0, 0, 1)
 
     def i(self) -> "Quat":
-        return self.element(0, 1, 0, 0)
+        return _quat(self, 0, 1, 0, 0, 1)
 
     def j(self) -> "Quat":
-        return self.element(0, 0, 1, 0)
+        return _quat(self, 0, 0, 1, 0, 1)
 
     def k(self) -> "Quat":
-        return self.element(0, 0, 0, 1)
+        return _quat(self, 0, 0, 0, 1, 1)
 
 
 def algebra(a: Rational, b: Rational) -> QuaternionAlgebra:
@@ -71,13 +95,28 @@ def algebra_from_class(cls: BrauerClass) -> QuaternionAlgebra:
 
 
 class Quat(Record):
-    alg: QuaternionAlgebra
-    coeffs: tuple[Fraction, Fraction, Fraction, Fraction]
+    """t + x i + y j + z k with (t, x, y, z) = num / den, den > 0 and
+    gcd(num, den) = 1."""
 
-    def __init__(self, alg: QuaternionAlgebra,
-                 coeffs: tuple[Fraction, Fraction, Fraction, Fraction]):
+    alg: QuaternionAlgebra
+    num: tuple[int, int, int, int]
+    den: int
+
+    def __init__(self, alg: QuaternionAlgebra, num: tuple[int, int, int, int],
+                 den: int):
+        if (len(num) != 4 or den == 0
+                or not all(type(n) is int for n in (*num, den))):
+            raise DomainError("a quaternion is four ints over a nonzero int")
+        g = gcd(*num, den) if den > 0 else -gcd(*num, den)
         set_field(self, "alg", alg)
-        set_field(self, "coeffs", coeffs)
+        set_field(self, "num", tuple(n // g for n in num))
+        set_field(self, "den", den // g)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        """The four rational coordinates."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.num)
 
     def _check(self, other: "Quat") -> None:
         if self.alg != other.alg:
@@ -85,47 +124,56 @@ class Quat(Record):
 
     def __add__(self, other: "Quat") -> "Quat":
         self._check(other)
-        return Quat(self.alg, tuple(p + q for p, q in zip(self.coeffs, other.coeffs)))
+        d1, d2 = self.den, other.den
+        return _quat(self.alg, *(p * d2 + q * d1
+                                 for p, q in zip(self.num, other.num)), d1 * d2)
 
     def __sub__(self, other: "Quat") -> "Quat":
-        self._check(other)
-        return Quat(self.alg, tuple(p - q for p, q in zip(self.coeffs, other.coeffs)))
+        return self + -other
 
     def __neg__(self) -> "Quat":
-        return Quat(self.alg, tuple(-p for p in self.coeffs))
+        t, x, y, z = self.num
+        return _quat(self.alg, -t, -x, -y, -z, self.den)
 
     def __mul__(self, other) -> "Quat":
-        if isinstance(other, (int, Fraction)):
-            c = as_fraction(other)
-            return Quat(self.alg, tuple(c * p for p in self.coeffs))
+        if not isinstance(other, Quat):
+            cn, cd = _ratio(other)
+            t, x, y, z = self.num
+            return _quat(self.alg, cn * t, cn * x, cn * y, cn * z, cd * self.den)
         self._check(other)
-        a, b = self.alg.a, self.alg.b
-        t1, x1, y1, z1 = self.coeffs
-        t2, x2, y2, z2 = other.coeffs
-        return Quat(self.alg, (
-            t1 * t2 + a * x1 * x2 + b * y1 * y2 - a * b * z1 * z2,
-            t1 * x2 + x1 * t2 - b * y1 * z2 + b * z1 * y2,
-            t1 * y2 + y1 * t2 + a * x1 * z2 - a * z1 * x2,
-            t1 * z2 + z1 * t2 + x1 * y2 - y1 * x2,
-        ))
+        s, sa, sb, sab = self.alg._weights
+        t1, x1, y1, z1 = self.num
+        t2, x2, y2, z2 = other.num
+        # the Hamilton products of the coordinates, times s
+        return _quat(
+            self.alg,
+            s * t1 * t2 + sa * x1 * x2 + sb * y1 * y2 - sab * z1 * z2,
+            s * (t1 * x2 + x1 * t2) + sb * (z1 * y2 - y1 * z2),
+            s * (t1 * y2 + y1 * t2) + sa * (x1 * z2 - z1 * x2),
+            s * (t1 * z2 + z1 * t2 + x1 * y2 - y1 * x2),
+            s * self.den * other.den)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "Quat":
-        t, x, y, z = self.coeffs
-        return Quat(self.alg, (t, -x, -y, -z))
+        t, x, y, z = self.num
+        return _quat(self.alg, t, -x, -y, -z, self.den)
 
     @cached_property
-    def nrd(self) -> Fraction:
-        t, x, y, z = self.coeffs
-        a, b = self.alg.a, self.alg.b
-        return t * t - a * x * x - b * y * y + a * b * z * z
+    def nrd(self) -> Rational:
+        """t^2 - a x^2 - b y^2 + ab z^2, an int when it is integral."""
+        s, sa, sb, sab = self.alg._weights
+        t, x, y, z = self.num
+        n = s * t * t - sa * x * x - sb * y * y + sab * z * z
+        d = s * self.den * self.den
+        whole, rest = divmod(n, d)
+        return Fraction(n, d) if rest else whole
 
     def is_pure(self) -> bool:
-        return self.coeffs[0] == 0
+        return self.num[0] == 0
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_invertible(self) -> bool:
         return self.nrd != 0
@@ -134,37 +182,57 @@ class Quat(Record):
         n = self.nrd
         if n == 0:
             raise DomainError("element has reduced norm 0")
-        return Quat(self.alg, tuple(c / n for c in self.conjugate().coeffs))
+        # the conjugate times den(n) / num(n)
+        nn, nd = n.numerator, n.denominator
+        if nn < 0:
+            nn, nd = -nn, -nd
+        t, x, y, z = self.num
+        return _quat(self.alg, nd * t, -nd * x, -nd * y, -nd * z,
+                     nn * self.den)
 
-    def square_scalar(self) -> Fraction:
+    def square_scalar(self) -> Rational:
         """The rational value of x^2 for pure x (it is -nrd)."""
         if not self.is_pure():
             raise DomainError("element is not pure")
         return -self.nrd
 
 
+def _quat(alg: QuaternionAlgebra, t: int, x: int, y: int, z: int,
+          den: int) -> Quat:
+    # the element (t, x, y, z) / den for den > 0, reduced by the gcd
+    g = gcd(t, x, y, z, den)
+    if g != 1:
+        t, x, y, z, den = t // g, x // g, y // g, z // g, den // g
+    q = object.__new__(Quat)
+    set_field(q, "alg", alg)
+    set_field(q, "num", (t, x, y, z))
+    set_field(q, "den", den)
+    return q
+
+
 def pure(alg: QuaternionAlgebra, x: Rational, y: Rational, z: Rational) -> Quat:
     return alg.element(0, x, y, z)
 
 
-def _orthogonal_pure(alg: QuaternionAlgebra, v: tuple[Fraction, ...]) -> Quat:
+def _orthogonal_pure(alg: QuaternionAlgebra, p: Quat) -> Quat:
     """The first invertible pure among w1, w2, w1 + w2, w1 - w2, where
-    w1, w2 start a basis of the pures orthogonal to v for the pure norm
-    form.  For v = 0 that basis is i, j, k, and i^2 = a != 0.  Else it
-    spans a plane, where the nondegenerate ternary pure norm form has at
-    most two isotropic lines, so two of the four candidates are invertible.
+    w1, w2 start a basis of the pures orthogonal to the pure part of p for
+    the pure norm form.  For a scalar p that basis is i, j, k, and
+    i^2 = a != 0.  Else it spans a plane, where the nondegenerate ternary
+    pure norm form has at most two isotropic lines, so two of the four
+    candidates are invertible.
     """
-    a, b = alg.a, alg.b
-    x, y, z = v
-    w1, w2, *_ = _linalg.kernel_basis(
-        _linalg.mat([[-a * x, -b * y, a * b * z]]))
+    _, sa, sb, sab = alg._weights
+    _, x, y, z = p.num
+    # the row (-a x, -b y, ab z) times s den(p) > 0: the same kernel
+    (w1, w2, *_), den = _linalg.kernel_basis([[-sa * x, -sb * y, sab * z]])
     for coords in (w1, w2,
                    [s + t for s, t in zip(w1, w2)],
                    [s - t for s, t in zip(w1, w2)]):
-        u = pure(alg, *coords)
+        u = _quat(alg, 0, *coords, den)
         if u.is_invertible():
             return u
-    raise AssertionError(f"no invertible pure orthogonal to {v} in {alg}")
+    raise AssertionError(f"no invertible pure orthogonal to {p} in {alg}")
 
 
 def anticommutant(alg: QuaternionAlgebra, p: Quat) -> Quat:
@@ -173,7 +241,7 @@ def anticommutant(alg: QuaternionAlgebra, p: Quat) -> Quat:
         raise DomainError("element not in the given algebra")
     if not p.is_pure() or not p.is_invertible():
         raise DomainError("need an invertible pure quaternion")
-    u = _orthogonal_pure(alg, p.coeffs[1:])
+    u = _orthogonal_pure(alg, p)
     require((u * p + p * u).is_zero(), p, u)
     return u
 
@@ -228,13 +296,13 @@ def common_value_witness(h1: QuaternionAlgebra, h2: QuaternionAlgebra,
         q = h1.one()
     elif h1.is_split():
         j = h2.i()
-        q = h1.element(*represent_value(n1, n2_pure(j.coeffs[1:])))
+        q = h1.element(*represent_value(n1, j.nrd))
     else:
         v = isotropic_vector(direct_sum(n1, neg(n2_pure)))
         q = h1.element(*v[:4])
         j = pure(h2, *v[4:])
     value = q.nrd
-    require(value == n2_pure(j.coeffs[1:]) and value != 0, q, j)
+    require(value == j.nrd and value != 0, q, j)
     return q, j
 
 
@@ -253,10 +321,10 @@ def three_pure_product(alg: QuaternionAlgebra, q: Quat,
         raise DomainError("need an invertible quaternion")
     q3 = alg.i()
     m = q * q3.inverse()
-    x = _orthogonal_pure(alg, m.coeffs[1:])
+    x = _orthogonal_pure(alg, m)
     q1, q2 = m * x, x.inverse()
     require(q1.is_pure() and q1.is_invertible(), q, q1)
-    require((q1 * q2 * q3).coeffs == q.coeffs, q, q1, q2, q3)
+    require(q1 * q2 * q3 == q, q, q1, q2, q3)
     return q1, q2, q3
 
 
@@ -294,4 +362,4 @@ def elem_from_json(data, expected: QuaternionAlgebra | None = None) -> Quat:
         coeffs = tuple(rational_from_json(c) for c in coords)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"bad rational in quaternion: {exc}") from None
-    return Quat(alg, coeffs)
+    return alg.element(*coeffs)

@@ -482,6 +482,77 @@ def test_factoring_failure_is_bound_exceeded(tmp_path, capsys):
     assert json.loads(err)["error"] == "bound-exceeded"
 
 
+def test_exists_budget_while_checking_the_witness_is_unknown(capsys):
+    # the witness is found, but checking it factors d = i^2, a 28-digit
+    # number whose primality is past the proven Miller-Rabin range
+    code, out, err = _run(capsys, "alg", "exists", "--h1=15,-46",
+                          "--h2=14,-33")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["outputs"] == {"status": "unknown", "presentation": None}
+    assert report["checks"] == {"trivial_invariants": None}
+
+
+def _odd_prime_runs(runs: int, digits: int) -> list[int]:
+    # products of consecutive odd primes from 3, each run cut as soon as
+    # its product passes `digits` digits
+    limit = 20000
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for p in range(2, int(limit ** 0.5) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytearray(len(sieve[p * p::p]))
+    primes = iter(p for p in range(3, limit) if sieve[p])
+    out = []
+    for _ in range(runs):
+        product = 1
+        while product < 10 ** digits:
+            product *= next(primes)
+        out.append(product)
+    return out
+
+
+def test_e1_past_the_str_digit_limit_is_written_in_full(tmp_path, capsys):
+    # five ~993-digit entries over distinct primes up to 11,587: the
+    # determinant class is their ~4,960-digit product, past the 4,300
+    # digits str() converts
+    entries = _odd_prime_runs(5, 990)
+    path = _form_file(tmp_path, entries)
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "qf", "invariants", path)
+    assert time.perf_counter() - start < 2
+    assert code == 0 and err == ""
+    outputs = json.loads(out)["outputs"]
+    text = outputs.pop("e1")
+    assert outputs == {"dim": 5, "e2": None, "signature": 5,
+                       "witt_index": 0, "e3": None}
+    value = 0
+    for i in range(0, len(text), 1000):
+        chunk = text[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    product = 1
+    for e in entries:
+        product *= e
+    assert len(text) > 4300 and text[0] != "0" and value == product
+
+
+def test_invariants_prove_no_place_prime_twice(tmp_path, capsys,
+                                               monkeypatch):
+    # Legendre symbols at places from factor skip the primality test;
+    # only factor itself calls it
+    from wittforge import qarith
+    callers = []
+    prime = qarith.is_prime
+    monkeypatch.setattr(qarith, "is_prime", lambda n: callers.append(
+        sys._getframe(1).f_code.co_name) or prime(n))
+    entries = [999_983, -999_979, 999_961, 999_959 * 2, -999_953 * 3,
+               999_931, 999_907 * 5, -999_883, 999_863, 999_853, 1, -7]
+    code, out, _ = _run(capsys, "qf", "invariants",
+                        _form_file(tmp_path, entries))
+    assert code == 0
+    assert set(callers) <= {"factor"}
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["qf", "frobnicate"])
@@ -665,7 +736,7 @@ def test_quaternion_witness_checks_survive_python_O():
               "except AssertionError:\n"
               "    print('refused')\n"
               "quat.represent_value = right\n"
-              "quat._linalg.kernel_basis = lambda m: [[1, 0, 0], [0, 1, 0]]\n"
+              "quat._linalg.kernel_basis = lambda m: ([[1, 0, 0], [0, 1, 0]], 1)\n"
               "try:\n"
               "    quat.anticommutant(h1, h1.i())\n"
               "except AssertionError:\n"

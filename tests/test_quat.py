@@ -29,7 +29,7 @@ params = st.integers(min_value=-11, max_value=11).filter(lambda n: n != 0)
 
 
 def elements(alg):
-    return st.tuples(coeff, coeff, coeff, coeff).map(lambda c: Quat(alg, c))
+    return st.tuples(coeff, coeff, coeff, coeff).map(lambda c: alg.element(*c))
 
 
 def test_hamilton_table():
