@@ -6,17 +6,23 @@ with the real place as the only obstruction, so a degree 3 class is a bit and
 the cup product (a) . [Q] has an explicit closed form.
 """
 
+from itertools import chain
 from typing import Iterable
 
 from ._record import Record, set_field
-from .config import HEIGHT_BOUND
-from .errors import BoundExceeded, DomainError
+from .errors import BoundExceeded, DomainError, require
 from .qarith import (
+    FACTOR_BOUND,
     REAL,
     Place,
     Rational,
+    _class_mul,
+    _hilbert_core,
+    _legendre,
     check_place,
+    factor,
     is_local_square,
+    is_prime,
     ramified_places,
     squarefree_part,
 )
@@ -65,14 +71,6 @@ def brauer_sum(classes: Iterable[BrauerClass]) -> BrauerClass:
     return total
 
 
-def _signed_squarefree_by_height(limit: int):
-    """1, -1, 2, -2, 3, -3, 5, ... all signed squarefree ints up to limit."""
-    for n in range(1, limit + 1):
-        if squarefree_part(n) == n:
-            yield n
-            yield -n
-
-
 def nonsquare_slot(places: Iterable[Place]) -> int:
     """The product of the listed primes, negated when the real place is
     listed: a local nonsquare at every listed place, found by no search."""
@@ -83,30 +81,63 @@ def nonsquare_slot(places: Iterable[Place]) -> int:
 
 
 def second_slot(a: int, cls: BrauerClass) -> int:
-    """The first signed squarefree b by height with (a, b) = cls.
+    """A signed squarefree b with (a, b) = cls, solved over F2.
 
-    A matching b exists exactly when a is a local nonsquare at every place
-    of cls (one with prime support, by Dirichlet), so a local square there
-    is refused before any search.  This is the package's one symbol walk.
+    b -> (a, b) is F2-linear, so b is a combination of generators: -1,
+    then the primes in increasing order, where a prime outside the rows
+    (2, the primes of a and of cls, the real place) is admitted only when
+    a is a square mod it, so it ramifies nothing new.  b comes from the
+    first prefix whose span holds the target, cls on the rows.  A match
+    exists exactly when a is a local nonsquare at every place of cls (one
+    with prime support, by Dirichlet), so a local square there is refused
+    up front and the factor base never reaches FACTOR_BOUND in practice.
     """
     places = cls.sort_key()
     for v in places:
         if is_local_square(a, v):
             raise DomainError(f"{a} is a local square at {v}, where the "
                               "class ramifies")
-    for b in _signed_squarefree_by_height(HEIGHT_BOUND):
-        if ramified_places(a, b) == cls.ramified:
-            return b
-    listed = ", ".join(str(v) for v in places)
-    raise BoundExceeded(f"no symbol with |b| <= {HEIGHT_BOUND} for "
-                        f"ramification {{{listed}}}")
+    sa = squarefree_part(a)
+    primes = {2, *(p for p, _ in factor(abs(sa)))} | (cls.ramified - {REAL})
+    rows = sorted(primes) + [REAL]
+    target = sum(1 << i for i, v in enumerate(rows) if v in cls.ramified)
+    # echelon rows by leading bit, each carrying the product that spans it
+    pivots: dict[int, tuple[int, int]] = {}
+
+    def reduce(word: int, b: int) -> tuple[int, int]:
+        while word:
+            high = word.bit_length() - 1
+            if high not in pivots:
+                break
+            row, slot = pivots[high]
+            word, b = word ^ row, _class_mul(b, slot)
+        return word, b
+
+    rest, b = target, 1
+    for g in chain((-1,), range(2, FACTOR_BOUND + 1)):
+        if not rest:
+            break
+        if g > 0 and (not is_prime(g)
+                      or (g not in primes and _legendre(sa, g) != 1)):
+            continue
+        word, slot = reduce(sum(1 << i for i, v in enumerate(rows)
+                                if _hilbert_core(sa, g, v) == -1), g)
+        if word:
+            pivots[word.bit_length() - 1] = (word, slot)
+            rest, b = reduce(target, 1)
+    if rest:
+        listed = ", ".join(str(v) for v in places)
+        raise BoundExceeded(f"no symbol over the primes up to "
+                            f"{FACTOR_BOUND} for ramification {{{listed}}}")
+    require(ramified_places(sa, b) == cls.ramified, a, cls, b)
+    return b
 
 
 def find_quaternion_symbol(cls: BrauerClass) -> tuple[int, int]:
     """A symbol (a, b) representing cls, with signed squarefree entries.
 
     The first slot is read off the ramification set (nonsquare_slot); the
-    second is the first match by height (second_slot).  Entries may involve
+    second is solved for over F2 (second_slot).  Entries may involve
     primes outside the ramified set; that is unavoidable for sets like
     {17, 89}.
     """

@@ -2,7 +2,7 @@
 
 Every operation distinguishes "the input is outside the domain of this map"
 (DomainError) from "the answer exists but the search needed to produce a
-witness ran past its configured budget" (BoundExceeded).  Callers that want
+witness ran past its fixed budget" (BoundExceeded).  Callers that want
 to treat exhaustion as a soft failure can catch the latter alone.
 """
 
@@ -12,7 +12,7 @@ class DomainError(ValueError):
 
 
 class BoundExceeded(RuntimeError):
-    """A terminating search exceeded its height or factorization budget."""
+    """A search ran past its height, factor-base or factorization budget."""
 
 
 def require(fact: bool, *detail) -> None:

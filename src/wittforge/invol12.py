@@ -30,7 +30,7 @@ from .errors import BoundExceeded, DomainError, require
 from .hermitian import SkewHermForm, disc_adjoint, skew_form
 from .hermitian import from_json as herm_from_json
 from .hermitian import to_json as herm_to_json
-from .qarith import REAL, squarefree_part
+from .qarith import REAL, square_class_product, squarefree_part
 from .quadform import (
     QuadForm,
     diagonal,
@@ -263,7 +263,7 @@ def additive_decomposition(p: ProductPresentation,
     out = []
     for q in p.a0.h.entries:
         a = squarefree_part(q.square_scalar())
-        h_i = brauer_from_symbol(a * d0, d)
+        h_i = brauer_from_symbol(square_class_product(a, d0), d)
         q_i = base.brauer + brauer_from_symbol(a, d)
         # (a d0, d) + (a, d) = (d0, d): each pair sums to [H'] + (d, d0)
         require(h_i + q_i == base.brauer + p.disc_symbol, p, a)
@@ -281,6 +281,11 @@ def decomposition_group(p: ProductPresentation) -> list[BrauerClass]:
     return out
 
 
+# the norm form of the split quaternion algebra, H' of a split degree 6
+# factor
+_SPLIT_NORM_FORM = algebra(1, 1).norm_form
+
+
 def f3_via_norms(p: ProductPresentation) -> H3Class:
     """f3 as the Arason invariant of n_Q - n_H - <d> n_{H'}.
 
@@ -293,11 +298,11 @@ def f3_via_norms(p: ProductPresentation) -> H3Class:
     # a symbol representative of [A]; finding one is the index <= 2 check
     q_alg = algebra_from_class(p.a_class())
     if isinstance(p.a0, M3H):
-        hp_norm = p.a0.h.alg.norm_form()
+        hp_norm = p.a0.h.alg.norm_form
     else:
-        hp_norm = algebra(1, 1).norm_form()
-    phi = direct_sum(q_alg.norm_form(),
-                     neg(h_alg.norm_form()),
+        hp_norm = _SPLIT_NORM_FORM
+    phi = direct_sum(q_alg.norm_form,
+                     neg(h_alg.norm_form),
                      neg(scale(p.d, hp_norm)))
     require(e1(phi) == 1 and e2(phi).is_zero(), p)
     return e3(phi)

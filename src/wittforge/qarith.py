@@ -11,7 +11,6 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import Sequence, Union
 
-from .config import FACTOR_BOUND
 from .errors import BoundExceeded, DomainError, require
 
 Rational = Union[int, Fraction]
@@ -106,6 +105,11 @@ def check_place(v: Place) -> Place:
     if isinstance(v, int) and not isinstance(v, bool) and is_prime(v):
         return v
     raise DomainError(f"not a place of Q: {v!r}")
+
+
+# trial division in factor stops here; past it a cofactor must be proven
+# prime (or the square of one), and second_slot's factor base ends here
+FACTOR_BOUND = 10**6
 
 
 @lru_cache(maxsize=None)

@@ -19,10 +19,8 @@ from math import gcd, isqrt
 from typing import Iterable, Sequence
 
 from ._record import Record, set_field
-from .cohomology import (BrauerClass, H3Class, _signed_squarefree_by_height,
-                         brauer_from_symbol, brauer_sum,
-                         find_quaternion_symbol, second_slot)
-from .config import HEIGHT_BOUND
+from .cohomology import (BrauerClass, H3Class, brauer_from_symbol,
+                         brauer_sum, find_quaternion_symbol, second_slot)
 from .errors import BoundExceeded, DomainError, require
 from .qarith import (
     REAL,
@@ -399,6 +397,19 @@ def _ternary_zero(s: list[int]) -> tuple[int, ...]:
     return out
 
 
+# the height cap of the splitting-value walk in _int_isotropic, the
+# package's one height search
+_SPLIT_BOUND = 10**4
+
+
+def _signed_squarefree_by_height(limit: int):
+    """1, -1, 2, -2, 3, -3, 5, ... all signed squarefree ints up to limit."""
+    for n in range(1, limit + 1):
+        if squarefree_part(n) == n:
+            yield n
+            yield -n
+
+
 def _int_isotropic(s: list[int]) -> tuple[int, ...]:
     """An isotropic integer vector for the signed squarefree diagonal s.
 
@@ -419,7 +430,7 @@ def _int_isotropic(s: list[int]) -> tuple[int, ...]:
     # both halves anisotropic: find the first square class c represented
     # by <s0, s1> and by -rest, that is with <s0, s1, -c> and rest + <c>
     # both isotropic, then stitch the two exact witnesses
-    for c in _signed_squarefree_by_height(HEIGHT_BOUND):
+    for c in _signed_squarefree_by_height(_SPLIT_BOUND):
         if not (_isotropic((s[0], s[1], -c)) and _isotropic((*rest, c))):
             continue
         x, y, w = _ternary_zero([s[0], s[1], -c])
@@ -430,7 +441,7 @@ def _int_isotropic(s: list[int]) -> tuple[int, ...]:
         full = ([Fraction(x * t, w), Fraction(y * t, w)]
                 + [Fraction(z) for z in sub[:-1]])
         return _primitive(full)
-    raise BoundExceeded(f"no splitting value of height <= {HEIGHT_BOUND}")
+    raise BoundExceeded(f"no splitting value of height <= {_SPLIT_BOUND}")
 
 
 def isotropic_vector(q: QuadForm) -> tuple[Fraction, ...]:

@@ -60,9 +60,11 @@ class QuaternionAlgebra(Record):
     def is_split(self) -> bool:
         return self.brauer.is_zero()
 
+    @cached_property
     def norm_form(self) -> QuadForm:
         return diagonal(1, -self.a, -self.b, self.a * self.b)
 
+    @cached_property
     def pure_norm_form(self) -> QuadForm:
         return diagonal(-self.a, -self.b, self.a * self.b)
 
@@ -268,7 +270,7 @@ def pure_with_square(alg: QuaternionAlgebra, d0: Rational) -> Quat:
     if d0f == 0:
         raise DomainError("a pure square must be nonzero")
     try:
-        coords = represent_value(alg.pure_norm_form(), -d0f)
+        coords = represent_value(alg.pure_norm_form, -d0f)
     except DomainError:
         raise DomainError(
             f"no pure element of ({alg.a}, {alg.b}) squares to {d0f}") from None
@@ -288,8 +290,8 @@ def common_value_witness(h1: QuaternionAlgebra, h2: QuaternionAlgebra,
     forms are anisotropic, so its zero gives a nonzero common value.
     The search may still raise BoundExceeded.
     """
-    n1 = h1.norm_form()
-    n2_pure = h2.pure_norm_form()
+    n1 = h1.norm_form
+    n2_pure = h2.pure_norm_form
     if h2.is_split():
         # pure norms of a split algebra take every value; match nrd(1) = 1
         j = pure(h2, *represent_value(n2_pure, 1))

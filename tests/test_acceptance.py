@@ -172,7 +172,7 @@ def test_norm_form_witt_identities():
             assert is_aligned(p)
             base, d0, d, data = _change_of_base_data(p)
             n_h = pfister(d, d0)
-            n_hp = base.norm_form()
+            n_hp = base.norm_form
             lhs = direct_sum(*(pfister(a * d0, d) for a, _ in data),
                              *(pfister(a, b * d) for a, b in data))
             rhs = direct_sum(*(scale(a, n_h) for a, _ in data),

@@ -680,31 +680,27 @@ EXISTS_PRESENTATION = {
                 "coords": ["0", "4/3", "1", "0"]}}}
 
 
-def test_search_bound_comes_from_the_environment():
+def test_factor_base_cap_diagnostic_ignores_the_hash_seed():
     # f3 by norms builds the quaternion algebra of A's class, ramified at
-    # {5, real}, from a symbol (-5, b); b = 1 and b = -1 both miss it, so
-    # a height bound of 1 runs out, while the default 10^4 finds b = -2
+    # {5, real}, from a symbol (-5, b); the generator -1 alone misses it,
+    # so a factor base capped below 2 runs out, and the exit-4 diagnostic
+    # lists the places in a fixed order, whatever the string hash seed
+    script = ("import sys\n"
+              "from wittforge import cohomology\n"
+              "from wittforge.cli import main\n"
+              "cohomology.FACTOR_BOUND = 1\n"
+              "sys.exit(main(['alg', 'f3', '-']))\n")
     presentation = json.dumps(EXISTS_PRESENTATION)
-    args = ("-m", "wittforge.cli", "alg", "f3", "-")
-    proc = _python(*args, stdin=presentation, WITTFORGE_SEARCH_BOUND="1",
-                   PYTHONHASHSEED="0")
+    proc = _python("-c", script, stdin=presentation, PYTHONHASHSEED="0")
     assert proc.returncode == 4 and proc.stdout == ""
     diagnostic = json.loads(proc.stderr)
     assert diagnostic["error"] == "bound-exceeded"
-    assert "|b| <= 1" in diagnostic["message"]
-    # the diagnostic lists the places in a fixed order, whatever the
-    # string hash seed
+    assert "primes up to 1 " in diagnostic["message"]
     assert diagnostic["message"].endswith("{real, 5}")
     for seed in "123":
-        again = _python(*args, stdin=presentation, WITTFORGE_SEARCH_BOUND="1",
+        again = _python("-c", script, stdin=presentation,
                         PYTHONHASHSEED=seed)
         assert again.stderr == proc.stderr, seed
-    # unset, or not a positive integer: the default applies
-    for value in (None, "0", "ten"):
-        proc = _python(*args, stdin=presentation,
-                       WITTFORGE_SEARCH_BOUND=value)
-        assert proc.returncode == 0, (value, proc.stderr)
-        assert json.loads(proc.stdout)["outputs"]["agree"] is True
 
 
 def test_f3_norms_check_survives_python_O():

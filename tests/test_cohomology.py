@@ -16,11 +16,12 @@ from wittforge.cohomology import (
     cup_h3,
     find_quaternion_symbol,
     nonsquare_slot,
+    second_slot,
 )
 from wittforge.errors import DomainError
 from wittforge.qarith import (REAL, hilbert_symbol, is_local_square,
-                              ramified_places)
-from wittforge.quadform import diagonal
+                              ramified_places, squarefree_part)
+from wittforge.quadform import clifford_class, diagonal, e1
 
 nonzero = st.fractions(
     min_value=Fraction(-200), max_value=Fraction(200), max_denominator=20
@@ -111,6 +112,31 @@ def test_nonsquare_slot_is_a_nonsquare_at_every_listed_place():
     for places in ({REAL, 2}, {3, 7}, {REAL, 5, 17, 89}, {2, 3, 5, 7, 11}):
         a = nonsquare_slot(frozenset(places))
         assert not any(is_local_square(a, v) for v in places), places
+
+
+@given(nonzero, nonzero)
+@settings(max_examples=60)
+def test_second_slot_solves_symbol_classes(x, y):
+    cls = brauer_from_symbol(x, y)
+    a = nonsquare_slot(cls.ramified)
+    b = second_slot(a, cls)
+    assert b == squarefree_part(b)
+    assert ramified_places(a, b) == cls.ramified
+
+
+@given(st.lists(st.integers(min_value=-200, max_value=200).filter(bool),
+                min_size=1, max_size=12))
+@settings(max_examples=60)
+def test_second_slot_on_the_discriminant_of_a_form(entries):
+    # a second slot exists exactly when a is a local nonsquare at every
+    # place of the class
+    q = diagonal(*entries)
+    a, cls = e1(q), clifford_class(q)
+    if any(is_local_square(a, v) for v in cls.ramified):
+        with pytest.raises(DomainError):
+            second_slot(a, cls)
+    else:
+        assert ramified_places(a, second_slot(a, cls)) == cls.ramified
 
 
 def test_cup_product_values():

@@ -6,9 +6,10 @@ guard was last refactored.  A digest that moves means a report changed; if
 the change is intended, recapture the digest in the same change and say so.
 The frozen isotropic vectors pin the search that splits off a common value
 when both halves of a form are anisotropic: another first candidate gives
-another vector.  The frozen Witt kernels pin the symbol walk that builds
-binary and ternary kernels in the same way.  The reports are replayed a
-second time in one `python -O` process, where bare asserts are stripped.
+another vector.  The frozen Witt kernels pin the F2 solve for the second
+slot that builds binary and ternary kernels in the same way.  The reports
+are replayed a second time in one `python -O` process, where bare asserts
+are stripped.
 """
 
 import contextlib
@@ -308,7 +309,7 @@ def test_golden_reports_survive_python_O(tmp_path):
 
 def test_f3_symbol_runs_no_slot_walk(monkeypatch):
     # f3 by symbol reads the sign of its slot off [H] at the real place,
-    # so it answers with every symbol walk broken
+    # so it answers with every second-slot solve broken
     def walk(a, cls):
         raise RuntimeError("second_slot called")
 

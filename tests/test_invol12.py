@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wittforge import qarith
 from wittforge.cohomology import ZERO, brauer_from_symbol
 from wittforge.errors import DomainError
 from wittforge.hermitian import skew_form, to_quadratic_form
@@ -378,6 +379,23 @@ def test_additive_decomposition_square_discriminants():
         assert h_i == ZERO
 
 
+def test_additive_decomposition_factors_no_raw_product(monkeypatch):
+    # nrd(7i + 327j + 945k) = 1000003, a prime, so a_1 d0 holds 1000003^2;
+    # taken class by class it is never factored, which trial division
+    # would run to 10^6
+    q1 = H_HAMILTON.element(0, 7, 327, 945)
+    p = ProductPresentation(
+        M3H(skew_form(H_HAMILTON, q1, H_HAMILTON.j(), H_HAMILTON.i())),
+        QuatInvol(H_HAMILTON, H_HAMILTON.i()))
+    seen = []
+    factor = qarith.factor
+    monkeypatch.setattr(qarith, "factor",
+                        lambda n, *rest: seen.append(n) or factor(n, *rest))
+    group = decomposition_group(p)
+    assert len(group) == 8 and 1000003 in seen
+    assert not [n for n in seen if n % 1000003 ** 2 == 0]
+
+
 def test_additive_decomposition_needs_hermitian_form():
     p = ProductPresentation(Split6(diagonal(1, 2, 3, 4, 5, 6)),
                             QuatInvol(algebra(1, 1), algebra(1, 1).i()))
@@ -595,7 +613,7 @@ def test_additive_norm_aggregate(build):
     base, d0, d, data = _change_of_base_data(p)
     assert is_aligned(p)
     n_h = pfister(d, d0)   # [H] = (d, d0) on aligned instances
-    n_hp = base.norm_form()
+    n_hp = base.norm_form
     lhs = direct_sum(*(pfister(a * d0, d) for a, _ in data),
                      *(pfister(a, b * d) for a, b in data))
     rhs = direct_sum(*(scale(a, n_h) for a, _ in data),
@@ -611,7 +629,7 @@ def test_slot_norms_against_change_of_base(build):
     p = build()
     base, d0, d, data = _change_of_base_data(p)
     n_h = pfister(d, d0)
-    n_hp = base.norm_form()
+    n_hp = base.norm_form
     for a, b in data:
         assert witt_equivalent(pfister(a * d0, d),
                                direct_sum(pfister(a, d), scale(a, n_h)))
@@ -626,7 +644,7 @@ def test_mod_i4_reduction(build):
     p = build()
     base, d0, d, data = _change_of_base_data(p)
     n_h = pfister(d, d0)
-    n_hp = base.norm_form()
+    n_hp = base.norm_form
     a1, a2, a3 = (a for a, _ in data)
     assert squarefree_part(a1 * a2 * a3) == squarefree_part(Fraction(d0))
     for diff in (

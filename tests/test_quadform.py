@@ -9,8 +9,10 @@ invariance across every dimension residue.
 """
 
 import json
+import time
 from fractions import Fraction
 from itertools import combinations
+from random import Random
 from unittest import mock
 
 import pytest
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 
 from wittforge import quadform
 from wittforge.cohomology import ZERO, H3Class, brauer_from_symbol, brauer_sum
-from wittforge.errors import DomainError
+from wittforge.errors import BoundExceeded, DomainError
 from wittforge.cli import main
 from wittforge.qarith import (REAL, _local_square_core, hilbert_symbol,
                               square_class_product, squarefree_part)
@@ -246,6 +248,45 @@ def test_witt_decompose_refuses_a_wrong_kernel(monkeypatch):
                             lambda dim0, d, c, sig, k=wrong: k)
         with pytest.raises(AssertionError):
             witt_decompose(diagonal(2, 3, 5))
+
+
+# a Clifford class ramified at 14 places, which no second slot of height
+# up to 10^4 represents
+FOURTEEN_PLACES = [
+    -69, -164, 178, -197, -22, -58, 40, -26, -82, 49, 85, -163, 17, -177,
+    -2, 87, -112, 52, -70, -33, -160, 137, 106, 161, -110, 128, -24, -195,
+    2, -3, -122, 42, 36, -97, 87, 162, 21, 175, -136, -120, -197, -121, 104,
+    93, 199, 18, -171, 79, -89, 999983]
+
+
+def test_witt_decompose_answers_on_fourteen_places():
+    q = diagonal(*FOURTEEN_PLACES)
+    assert len(q.invariants.clifford.ramified) == 14
+    w = witt_decompose(q)
+    assert (w.kernel.dim, w.index) == (4, 23)
+    assert witt_equivalent(w.kernel, q) and not is_isotropic(w.kernel)
+
+
+def test_witt_decompose_sweep_raises_no_bound():
+    # seeded forms up to dim 50: 55 of them once ran the second-slot
+    # search past its height cap, and now every kernel is solved for
+    rng = Random(7)
+    exceeded = 0
+    start = time.perf_counter()
+    for k in range(1500):
+        dim = rng.randint(1, 50)
+        bound = rng.choice((9, 50, 200))
+        entries = [rng.choice([-1, 1]) * rng.randint(1, bound)
+                   for _ in range(dim)]
+        if k % 7 == 0:
+            entries = [abs(x) for x in entries]
+        try:
+            witt_decompose(diagonal(*entries))
+        except BoundExceeded:
+            exceeded += 1
+    assert exceeded == 0
+    assert time.perf_counter() - start < 10
+
 
 @pytest.mark.parametrize("n", [*range(4, 13), 400])
 @pytest.mark.parametrize("s", [1, -1])

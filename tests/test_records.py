@@ -84,6 +84,8 @@ def test_cached_facts_are_kept_on_the_record():
     q = diagonal(3, -5, 7)
     assert q.invariants is q.invariants
     assert H.brauer is H.brauer
+    assert H.norm_form is H.norm_form
+    assert H.pure_norm_form is H.pure_norm_form
     pres = ProductPresentation(SPLIT6, QuatInvol(H, H.i()))
     assert pres.disc_symbol is pres.disc_symbol
 

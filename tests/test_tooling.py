@@ -26,6 +26,22 @@ def test_no_assert_statements(path):
     assert lines == [], f"assert statements at lines {lines}"
 
 
+_ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+@pytest.mark.parametrize("path", SOURCES,
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_environment_reads(path):
+    # budgets are module constants: one the environment could set would
+    # be an option that no test or benchmark runs both ways
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if (isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT)
+             or (isinstance(node, ast.ImportFrom) and node.module == "os"
+                 and {a.name for a in node.names} & _ENVIRONMENT)]
+    assert lines == [], f"environment reads at lines {lines}"
+
+
 def _top_level_imports(tree: ast.Module) -> dict[str, int]:
     # the name each top-level import binds, with its line
     bound = {}
