@@ -13,6 +13,9 @@ from fractions import Fraction
 
 from .errors import require
 
+__all__ = ["Matrix", "congruence_diagonalize", "kernel_basis", "mat_mul",
+           "rref", "solve", "transpose"]
+
 Matrix = list[list[int]]
 
 

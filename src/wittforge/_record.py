@@ -12,6 +12,8 @@ arithmetic of most of them.
 
 from operator import attrgetter
 
+__all__ = ["Record", "set_field"]
+
 set_field = object.__setattr__
 
 

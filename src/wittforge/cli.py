@@ -25,6 +25,8 @@ import time
 
 from .errors import BoundExceeded, DomainError, require
 
+__all__ = ["main"]
+
 # Each handler imports the library modules it runs, so a cold command
 # loads (and, without cached bytecode, compiles) only its own family:
 # qf invariants and hyper-over load quadform, decompose12 and the alg

@@ -19,13 +19,17 @@ from .qarith import (
     _class_mul,
     _hilbert_core,
     _legendre,
+    _local_square_core,
     check_place,
     factor,
-    is_local_square,
     is_prime,
     ramified_places,
     squarefree_part,
 )
+
+__all__ = ["BrauerClass", "H3Class", "ZERO", "brauer_from_symbol",
+           "brauer_sum", "cup_h3", "find_quaternion_symbol", "nonsquare_slot",
+           "second_slot"]
 
 
 class BrauerClass(Record):
@@ -93,11 +97,11 @@ def second_slot(a: int, cls: BrauerClass) -> int:
     up front and the factor base never reaches FACTOR_BOUND in practice.
     """
     places = cls.sort_key()
+    sa = squarefree_part(a)
     for v in places:
-        if is_local_square(a, v):
+        if _local_square_core(sa, v):
             raise DomainError(f"{a} is a local square at {v}, where the "
                               "class ramifies")
-    sa = squarefree_part(a)
     primes = {2, *(p for p, _ in factor(abs(sa)))} | (cls.ramified - {REAL})
     rows = sorted(primes) + [REAL]
     target = sum(1 << i for i, v in enumerate(rows) if v in cls.ramified)

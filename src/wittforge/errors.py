@@ -6,6 +6,8 @@ witness ran past its fixed budget" (BoundExceeded).  Callers that want
 to treat exhaustion as a soft failure can catch the latter alone.
 """
 
+__all__ = ["BoundExceeded", "DomainError", "require"]
+
 
 class DomainError(ValueError):
     """Input violates a precondition of the requested operation."""

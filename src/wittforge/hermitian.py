@@ -2,12 +2,9 @@
 
 A rank n skew-hermitian form <q1, ..., qn> (entries pure and invertible,
 conjugation as the involution) is the coordinate description of an
-orthogonal involution on a degree 2n algebra.  Two move sets matter here:
-rescaling an entry q by the square of an anticommuting element, which
-preserves the isometry class while changing the written entry, and the
-transport to an honest 2n-dimensional quadratic form when the algebra
-splits.  The transport is the independent route used to cross-check the
-closed-form discriminant.
+orthogonal involution on a degree 2n algebra.  When the algebra splits it
+is transported to an honest 2n-dimensional quadratic form, the independent
+route used to cross-check the closed-form discriminant.
 """
 
 from math import gcd, lcm
@@ -18,8 +15,10 @@ from .errors import DomainError, require
 from .qarith import squarefree_part
 from .quadform import QuadForm
 from .quat import Quat, QuaternionAlgebra, algebra_from_json, algebra_to_json, \
-    anticommutant, complement_slot, elem_from_json, elem_to_json, \
-    pure_with_square
+    anticommutant, elem_from_json, elem_to_json, pure_with_square
+
+__all__ = ["SkewHermForm", "disc_adjoint", "from_json", "skew_form",
+           "to_json", "to_quadratic_form"]
 
 
 class SkewHermForm(Record):
@@ -58,20 +57,6 @@ def disc_adjoint(form: SkewHermForm) -> int:
         den *= n.denominator
     g = gcd(num, den)
     return squarefree_part((num // g) * (den // g))
-
-
-def rescale_entry(form: SkewHermForm, idx: int) -> SkewHermForm:
-    """Replace entry q by c q, c the square of an anticommuting element.
-
-    <q> = <u q u-bar> = <(u^2) q> for invertible pure u with uq = -qu, so the
-    isometry class is untouched; only the written entry moves.
-    """
-    if not 0 <= idx < form.rank:
-        raise DomainError(f"no entry {idx} in a rank {form.rank} form")
-    q = form.entries[idx]
-    entries = list(form.entries)
-    entries[idx] = q * complement_slot(form.alg, q.square_scalar(), q)
-    return SkewHermForm(form.alg, tuple(entries))
 
 
 # --- transport to a quadratic form when the algebra splits -----------------

@@ -11,8 +11,7 @@ to symbol arithmetic in those terms, so no 12x12 matrices ever appear.
 The f3 invariant of a presentation with trivial discriminant and Clifford
 invariant is computed along two independent routes, through the Arason
 invariant of a difference of norm forms and as a cup product over a common
-quadratic splitting field, and the two must agree.  Neither route, nor the
-additive decomposition, builds a complementary slot.
+quadratic splitting field, and the two must agree.
 """
 
 from fractions import Fraction
@@ -33,7 +32,6 @@ from .hermitian import to_json as herm_to_json
 from .qarith import REAL, square_class_product, squarefree_part
 from .quadform import (
     QuadForm,
-    diagonal,
     direct_sum,
     e1,
     e2,
@@ -56,11 +54,17 @@ from .quat import (
     algebra_to_json,
     anticommutant,
     common_value_witness,
-    complement_slot,
     elem_from_json,
     elem_to_json,
     three_pure_product,
 )
+
+__all__ = ["ExistsOutcome", "M3H", "PfisterDecomposition",
+           "ProductPresentation", "QuatInvol", "Split6",
+           "additive_decomposition", "decompose_split12",
+           "decomposition_group", "exists_involution", "f3_via_norms",
+           "f3_via_symbol", "has_trivial_invariants", "is_aligned",
+           "presentation_from_json", "presentation_to_json"]
 
 
 class Split6(Record):
@@ -166,16 +170,6 @@ class PfisterDecomposition(Record):
         return tensor(blocks, pfister(self.d))
 
 
-def tao_e2_coset(p: ProductPresentation) -> tuple[BrauerClass, BrauerClass]:
-    """The two Clifford components: [H] + (d, d0) and [A0] + (d, d0).
-
-    Their difference is always the class of the underlying degree 12
-    algebra, so the pair is a coset and either entry determines the other.
-    """
-    sym = p.disc_symbol
-    return p.hrho.alg.brauer + sym, p.a0.brauer + sym
-
-
 def has_trivial_invariants(p: ProductPresentation) -> bool:
     """Whether e1 and e2 of the product involution both vanish: (d, d0)
     must match the quaternion factor or the degree 6 factor."""
@@ -189,39 +183,18 @@ def is_aligned(p: ProductPresentation) -> bool:
 
 
 def _f3_domain(p: ProductPresentation) -> None:
-    # f3 is written for (d, d0) = [H].  `repair_decomposition` takes a split
-    # degree 6 factor with (d, d0) = [A0] there by changing d0 alone, and
-    # neither route reads d0 (only d, [H], [A0] = 0, [A] and the type of
-    # the degree 6 factor), so both compute on p itself.
+    # f3 is written for (d, d0) = [H].  A split degree 6 factor with
+    # (d, d0) = [A0] gets there by changing d0 alone: scaling one entry of
+    # phi by c = u^2, for a pure u anticommuting with i_elem, leaves the
+    # involution alone and moves the symbol to (d, c d0) = [H].  Neither
+    # route reads d0 (only d, [H], [A0] = 0, [A] and the type of the
+    # degree 6 factor), so both compute on p itself.
     if not has_trivial_invariants(p):
         raise DomainError("f3 needs trivial discriminant and Clifford "
                           "invariant")
     if not (is_aligned(p) or isinstance(p.a0, Split6)):
         raise DomainError("(d, d0) matches the degree 6 class and the "
                           "hermitian description cannot be repaired in place")
-
-
-def repair_decomposition(p: ProductPresentation) -> ProductPresentation:
-    """Move (d, d0) from the degree 6 component onto the quaternion one.
-
-    Take a split degree 6 factor phi = <lam1, ..., lam6> with
-    (d, d0) = [A0] = 0, and c = u^2, the complementary slot of H at d, for
-    a pure u anticommuting with i_elem.  The product involution is adjoint
-    to the hermitian form <lam1 i, ..., lam6 i> over H, whose last entry q
-    has <q> = <u q u-bar> = <c q>, so replacing lam6 by c lam6 in phi
-    leaves the involution alone.  It multiplies d0 by c, and [H] = (d, c) since
-    i_elem and u generate H, so the new symbol is
-    (d, c d0) = [H] + (d, d0) = [H].  No library caller: f3 reads no d0.
-    """
-    if not isinstance(p.a0, Split6):
-        raise DomainError("repair needs a split degree 6 factor")
-    if p.disc_symbol != p.a0.brauer:
-        raise DomainError("repair applies when (d, d0) is the degree 6 class")
-    c = complement_slot(p.hrho.alg, p.d, witness=p.hrho.i_elem)
-    *head, last = p.a0.form.entries
-    repaired = ProductPresentation(Split6(diagonal(*head, last * c)), p.hrho)
-    require(repaired.disc_symbol == p.hrho.alg.brauer, p, c)
-    return repaired
 
 
 def decompose_split12(psi: QuadForm) -> PfisterDecomposition:

@@ -13,6 +13,14 @@ from typing import Sequence, Union
 
 from .errors import BoundExceeded, DomainError, require
 
+# hilbert_symbol and is_local_square prove their place first, for places
+# from outside; the package calls their cores with places factor proved
+__all__ = ["FACTOR_BOUND", "MAX_ENTRY_DIGITS", "MILLER_RABIN_BOUND", "Place",
+           "REAL", "Rational", "as_fraction", "check_place", "factor",
+           "hilbert_symbol", "is_local_square", "is_prime", "ramified_places",
+           "rational_from_json", "sqrt_mod_squarefree", "square_class_product",
+           "squarefree_part"]
+
 Rational = Union[int, Fraction]
 
 REAL = "real"
@@ -181,39 +189,6 @@ def square_class_product(*xs: Rational) -> int:
     return out
 
 
-def is_square(x: Rational) -> bool:
-    f = as_fraction(x)
-    if f <= 0:
-        return False
-    rn = isqrt(f.numerator)
-    rd = isqrt(f.denominator)
-    return rn * rn == f.numerator and rd * rd == f.denominator
-
-
-def padic_valuation(x: Rational, p: int) -> int:
-    check_place(p)
-    f = as_fraction(x)
-    if f == 0:
-        raise DomainError("0 has no finite valuation")
-    v = 0
-    n = f.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = f.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
-
-
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a|p) in {-1, 0, 1} for an odd prime p."""
-    if p == 2 or not is_prime(p):
-        raise DomainError(f"legendre symbol wants an odd prime, got {p}")
-    return _legendre(a, p)
-
-
 def _legendre(a: int, p: int) -> int:
     # Euler's criterion, for an odd p the caller already knows is prime:
     # one from factor, or a place it proved
@@ -224,14 +199,14 @@ def _legendre(a: int, p: int) -> int:
     return 1 if r == 1 else -1
 
 
-def sqrt_mod_prime(a: int, p: int) -> int:
-    """A square root of a mod p (Tonelli-Shanks), p prime."""
+def _sqrt_mod_prime(a: int, p: int) -> int:
+    # a square root of a mod p (Tonelli-Shanks) for a prime p from factor
     if p == 2:
         return a % 2
     a %= p
     if a == 0:
         return 0
-    if legendre(a, p) != 1:
+    if _legendre(a, p) != 1:
         raise DomainError(f"{a} is not a square mod {p}")
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)
@@ -262,7 +237,7 @@ def sqrt_mod_squarefree(a: int, m: int) -> int:
         return 0
     root, mod = 0, 1
     for p, _ in factor(m):
-        rp = sqrt_mod_prime(a, p)
+        rp = _sqrt_mod_prime(a, p)
         # lift the pair (root mod mod, rp mod p) to mod*p
         inv = pow(mod % p, -1, p)
         root = root + mod * ((rp - root) * inv % p)

@@ -30,11 +30,16 @@ from .qarith import (
     _local_square_core,
     _support_places,
     as_fraction,
-    is_local_square,
     rational_from_json,
     sqrt_mod_squarefree,
     squarefree_part,
 )
+
+__all__ = ["QuadForm", "clifford_class", "diagonal", "direct_sum", "e1", "e2",
+           "e3", "from_json", "hyperbolic", "is_hyperbolic_over",
+           "is_isotropic", "isometric", "isotropic_vector", "neg", "pfister",
+           "represent_value", "scale", "signature", "tensor", "to_json",
+           "witt_decompose", "witt_equivalent", "witt_index"]
 
 
 class QuadForm(Record):
@@ -237,10 +242,6 @@ def _invariants(s: Sequence[int]) -> Invariants:
                       BrauerClass(frozenset(v for v, _, c in bits if c < 0)))
 
 
-def det_class(q: QuadForm) -> int:
-    return q.invariants.det
-
-
 def e1(q: QuadForm) -> int:
     """Signed discriminant (-1)^(n(n-1)/2) det, as a signed squarefree int."""
     return q.invariants.e1
@@ -248,12 +249,6 @@ def e1(q: QuadForm) -> int:
 
 def signature(q: QuadForm) -> int:
     return q.invariants.signature
-
-
-def hasse_class(q: QuadForm) -> BrauerClass:
-    """Hasse-Witt invariant sum_{i<j} (a_i, a_j), packaged as a Brauer
-    class."""
-    return q.invariants.hasse
 
 
 def clifford_class(q: QuadForm) -> BrauerClass:
@@ -457,13 +452,6 @@ def isotropic_vector(q: QuadForm) -> tuple[Fraction, ...]:
     return out
 
 
-def represents(q: QuadForm, c: Rational) -> bool:
-    cf = as_fraction(c)
-    if cf == 0:
-        raise DomainError("representation of 0 is isotropy; use is_isotropic")
-    return _isotropic(q.square_classes + (squarefree_part(-cf),))
-
-
 def represent_value(q: QuadForm, c: Rational) -> tuple[Fraction, ...]:
     """An exact vector with q(v) = c."""
     cf = as_fraction(c)
@@ -499,10 +487,6 @@ class WittClass(Record):
     def __init__(self, kernel: QuadForm, index: int):
         set_field(self, "kernel", kernel)
         set_field(self, "index", index)
-
-    @property
-    def total_dim(self) -> int:
-        return self.kernel.dim + 2 * self.index
 
 
 def _peel_units(dim0: int, d: int, c: BrauerClass, x: int, m: int,
@@ -584,11 +568,6 @@ def isometric(q1: QuadForm, q2: QuadForm) -> bool:
     return q1.invariants == q2.invariants
 
 
-def is_hyperbolic(q: QuadForm) -> bool:
-    """Whether the anisotropic kernel of q is 0."""
-    return q.invariants.kernel_dim == 0
-
-
 def witt_equivalent(q1: QuadForm, q2: QuadForm) -> bool:
     """Witt equivalence over Q, read off the two cached records."""
     return q1.invariants.witt_class == q2.invariants.witt_class
@@ -611,7 +590,7 @@ def is_hyperbolic_over(q: QuadForm, d: Rational) -> bool:
     inv = q.invariants
     if inv.e1 not in (1, sd) or (sd > 0 and inv.signature != 0):
         return False
-    return not any(is_local_square(sd, v) for v in inv.clifford.ramified)
+    return not any(_local_square_core(sd, v) for v in inv.clifford.ramified)
 
 
 # --- serialization --------------------------------------------------------

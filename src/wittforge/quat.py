@@ -21,9 +21,14 @@ from . import _linalg
 from ._record import Record, set_field
 from .cohomology import BrauerClass, brauer_from_symbol, find_quaternion_symbol
 from .errors import DomainError, require
-from .qarith import Rational, as_fraction, rational_from_json, squarefree_part
+from .qarith import Rational, as_fraction, rational_from_json
 from .quadform import QuadForm, diagonal, direct_sum, isotropic_vector, \
     neg, represent_value
+
+__all__ = ["Quat", "QuaternionAlgebra", "algebra", "algebra_from_class",
+           "algebra_from_json", "algebra_to_json", "anticommutant",
+           "common_value_witness", "elem_from_json", "elem_to_json", "pure",
+           "pure_with_square", "three_pure_product"]
 
 
 def _ratio(x: Rational) -> tuple[int, int]:
@@ -246,22 +251,6 @@ def anticommutant(alg: QuaternionAlgebra, p: Quat) -> Quat:
     u = _orthogonal_pure(alg, p)
     require((u * p + p * u).is_zero(), p, u)
     return u
-
-
-def complement_slot(alg: QuaternionAlgebra, a: Rational,
-                    witness: Quat) -> int:
-    """A signed squarefree b with alg = (a, b), read off a witness pure
-    that squares to a modulo squares: b is the square class of a pure
-    anticommuting with it."""
-    j = witness
-    if j.alg != alg or not j.is_pure() or j.nrd == 0:
-        raise DomainError("witness must be an invertible pure quaternion")
-    if squarefree_part(j.square_scalar()) != squarefree_part(as_fraction(a)):
-        raise DomainError("witness square is not in the class of a")
-    u = anticommutant(alg, j)
-    b = squarefree_part(u.square_scalar())
-    require(brauer_from_symbol(a, b) == alg.brauer, alg, a, b)
-    return b
 
 
 def pure_with_square(alg: QuaternionAlgebra, d0: Rational) -> Quat:

@@ -29,6 +29,11 @@ from typing import Iterable, Sequence
 from ._record import Record, set_field
 from .errors import DomainError, require
 
+__all__ = ["ArmatureDecomposition", "GAMMA_F", "TWO_GAMMA_F", "ValueLattice",
+           "all_armature_decompositions", "analyze_obstruction",
+           "armature_valuation", "lex_key", "obstruction_check",
+           "slots_from_json", "slots_to_json"]
+
 DIM = 4
 
 Vec = tuple[int, int, int, int]
@@ -98,7 +103,7 @@ class ValueLattice(Record):
 
     rows is the Hermite normal form basis, so equal lattices compare
     equal structurally.  Value groups proper additionally satisfy
-    GAMMA_F <= L <= GAMMA_D; scaled copies such as 2*Gamma_H leave that
+    Gamma_F <= L <= Gamma_D; scaled copies such as 2*Gamma_H leave that
     window but reuse the same arithmetic.
     """
 
@@ -153,36 +158,10 @@ class ValueLattice(Record):
                 if not any(r[:DIM])]
         return ValueLattice.from_generators(*tail)
 
-    def index_in(self, other: "ValueLattice") -> int:
-        if not self.is_sublattice_of(other):
-            raise DomainError("index_in wants a sublattice")
-        me = 1
-        sup = 1
-        for i in range(DIM):
-            me *= self.rows[i][i]
-            sup *= other.rows[i][i]
-        return me // sup
-
 
 GAMMA_F = ValueLattice.value_group()
-GAMMA_D = ValueLattice.from_generators((1, 0, 0, 0), (0, 1, 0, 0),
-                                       (0, 0, 1, 0), (0, 0, 0, 1))
 # norm values of Gamma_F, where every splitting's two factors meet
 TWO_GAMMA_F = GAMMA_F.scaled(2)
-
-
-def value_group_of_symbol(slots: Sequence[Sequence[int]]) -> ValueLattice:
-    """Value group of a quaternion symbol built from two monomials.
-
-    Each slot is the monomial's exponent vector in true coordinates;
-    the symbol's value group is Gamma_F + (1/2)v(m1)Z + (1/2)v(m2)Z, so
-    in doubled coordinates the slot vectors are generators as written.
-    Slots that are squares contribute nothing and the trivial symbol
-    returns Gamma_F itself.
-    """
-    if len(slots) != 2:
-        raise DomainError("a symbol has exactly two slots")
-    return ValueLattice.value_group(_vec(slots[0]), _vec(slots[1]))
 
 
 def armature_valuation(coeff_values: Sequence[Sequence[int] | None],

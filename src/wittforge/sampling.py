@@ -15,6 +15,10 @@ from .qarith import squarefree_part
 from .quadform import QuadForm, diagonal, e1, pfister, tensor
 from .quat import Quat, QuaternionAlgebra, algebra, pure
 
+__all__ = ["nonzero_int", "pure_invertible", "random_algebra", "random_form",
+           "random_skew_form", "split12_instance", "split_algebra",
+           "square_class"]
+
 
 def nonzero_int(rng: Random, bound: int) -> int:
     while True:

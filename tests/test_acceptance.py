@@ -32,7 +32,6 @@ from wittforge.invol12 import (
     f3_via_symbol,
     has_trivial_invariants,
     is_aligned,
-    tao_e2_coset,
 )
 from wittforge.qarith import ramified_places, squarefree_part
 from wittforge.quadform import (
@@ -41,7 +40,6 @@ from wittforge.quadform import (
     direct_sum,
     e1,
     e2,
-    hasse_class,
     is_isotropic,
     isometric,
     neg,
@@ -52,14 +50,10 @@ from wittforge.quadform import (
     witt_decompose,
     witt_equivalent,
 )
-from wittforge.quat import (
-    algebra,
-    algebra_from_class,
-    complement_slot,
-    pure_with_square,
-)
+from wittforge.quat import algebra, algebra_from_class, pure_with_square
 from wittforge.ramlattice import analyze_obstruction, obstruction_check
 
+from slots import change_of_base_data
 from split12 import split12_with_primes
 
 
@@ -142,15 +136,6 @@ def test_f3_routes_agree_and_vanish_on_degenerate_cases():
             seen += 1
 
 
-def _change_of_base_data(p):
-    base = p.a0.h.alg
-    out = []
-    for q in p.a0.h.entries:
-        a = squarefree_part(q.square_scalar())
-        out.append((a, complement_slot(base, a, witness=q)))
-    return base, p.d0, p.d, out
-
-
 def test_norm_form_witt_identities():
     rng = Random(105)
     with _budget("norm form identities", 60):
@@ -170,7 +155,7 @@ def test_norm_form_witt_identities():
             h2 = sampling.random_algebra(rng)
             p = exists_involution(h1, h2).presentation
             assert is_aligned(p)
-            base, d0, d, data = _change_of_base_data(p)
+            base, d0, d, data = change_of_base_data(p)
             n_h = pfister(d, d0)
             n_hp = base.norm_form
             lhs = direct_sum(*(pfister(a * d0, d) for a, _ in data),
@@ -190,10 +175,10 @@ def test_split_case_clifford_oracle():
             h = sampling.split_algebra(rng)
             i_elem = sampling.pure_invertible(rng, h)
             p = ProductPresentation(Split6(phi), QuatInvol(h, i_elem))
-            first, second = tao_e2_coset(p)
             psi = tensor(phi, pfister(p.d))
             assert e1(psi) == 1
-            assert first == second == e2(psi), (phi, h, i_elem)
+            assert p.disc_symbol == e2(psi), (phi, h, i_elem)
+            assert has_trivial_invariants(p) == e2(psi).is_zero()
             done += 1
 
 
@@ -313,10 +298,10 @@ def test_hasse_class_with_entries_near_a_million():
     two = diagonal(1000003, 1000033, 1)
     six = diagonal(999983, -999979, 999961, 999953, -999931, 999917)
     with _budget("Hasse class, entries near 10^6", 2):
-        assert hasse_class(two) == brauer_from_symbol(1000003, 1000033)
+        assert two.invariants.hasse == brauer_from_symbol(1000003, 1000033)
         # at dim 6 the Clifford correction is (-1, -1), free of the det
         for q in (direct_sum(two, diagonal(1, 1, -1)), six):
-            assert hasse_class(q) == pairwise(q)
+            assert q.invariants.hasse == pairwise(q)
             assert e2(q) == pairwise(q) + brauer_from_symbol(-1, -1)
 
 
@@ -330,14 +315,14 @@ def test_clifford_class_and_isotropy_with_entries_near_a_million():
             # dim 3: the correction (-1, -pqc) split by bilinearity
             correction = brauer_sum(brauer_from_symbol(-1, x)
                                     for x in (-c, p, q))
-            assert clifford_class(form) == hasse_class(form) + correction
+            assert clifford_class(form) == form.invariants.hasse + correction
             # <p, q, c> is isotropic iff (-pc, -qc) splits
             assert is_isotropic(form) == brauer_from_symbol(
                 -p * c, -q * c).is_zero()
         assert is_isotropic(diagonal(p, q, 1, -1))
         assert not is_isotropic(diagonal(p, q, 1, 1))
         assert clifford_class(diagonal(p, q, 1, 1)) == (
-            hasse_class(diagonal(p, q, 1, 1))
+            diagonal(p, q, 1, 1).invariants.hasse
             + brauer_sum(brauer_from_symbol(-1, x) for x in (-1, p, q)))
 
 

@@ -19,8 +19,9 @@ from wittforge.cohomology import (
     second_slot,
 )
 from wittforge.errors import DomainError
-from wittforge.qarith import (REAL, hilbert_symbol, is_local_square,
-                              ramified_places, squarefree_part)
+from wittforge.qarith import (REAL, check_place, hilbert_symbol,
+                              is_local_square, ramified_places,
+                              squarefree_part)
 from wittforge.quadform import clifford_class, diagonal, e1
 
 nonzero = st.fractions(
@@ -39,7 +40,6 @@ def test_package_built_classes_skip_the_place_check(monkeypatch):
     # classes built from factored places or their sums are not re-proven
     # prime; only a place asked about from outside is checked
     seen = []
-    check_place = cohomology.check_place
 
     def counting(v):
         seen.append(v)

@@ -322,14 +322,13 @@ def test_f3_symbol_runs_no_slot_walk(monkeypatch):
 
 def test_alg_reports_build_no_complementary_slot(tmp_path, monkeypatch):
     # f3 and the additive decomposition read Brauer classes only, so their
-    # reports stay the same with every slot construction broken
+    # reports stay the same with every anticommuting pure, the source of a
+    # complementary slot, refused
     def refuse(*args, **kwargs):
-        raise RuntimeError("complementary slot built")
+        raise RuntimeError("anticommuting pure built")
 
     for module in (quat, invol12):
-        monkeypatch.setattr(module, "complement_slot", refuse)
-        monkeypatch.setattr(module, "repair_decomposition", refuse,
-                            raising=False)
+        monkeypatch.setattr(module, "anticommutant", refuse)
     cases = {name: case for name, case in _cases().items()
              if name.startswith(("f3-", "additive-"))}
     assert len(cases) == 7

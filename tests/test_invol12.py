@@ -34,8 +34,6 @@ from wittforge.invol12 import (
     is_aligned,
     presentation_from_json,
     presentation_to_json,
-    repair_decomposition,
-    tao_e2_coset,
 )
 from wittforge.qarith import REAL, squarefree_part
 from wittforge.quadform import (
@@ -45,7 +43,6 @@ from wittforge.quadform import (
     e2,
     e3,
     hyperbolic,
-    is_hyperbolic,
     isometric,
     neg,
     pfister,
@@ -57,12 +54,12 @@ from wittforge.quadform import (
 from wittforge.quat import (
     algebra,
     algebra_from_class,
-    complement_slot,
     pure,
     pure_with_square,
 )
 from wittforge.sampling import random_algebra
 
+from slots import change_of_base_data, complement_slot
 from split12 import split12_with_primes
 
 
@@ -90,33 +87,20 @@ def test_type_validation():
 
 
 def test_tao_coset_frozen():
+    # the Clifford components are [H] + (d, d0) and [A0] + (d, d0)
     # split everything with d a square: both components vanish
     p = ProductPresentation(Split6(diagonal(1, -1, 1, -1, 1, -1)),
                             QuatInvol(algebra(1, 1), algebra(1, 1).i()))
     assert p.d == 1 and p.d0 == 1
-    assert tao_e2_coset(p) == (ZERO, ZERO)
+    assert p.disc_symbol == ZERO and has_trivial_invariants(p)
     # M3(Hamilton) with d0 = -1 against the split H = (2, -1), d = 2
     h = algebra(2, -1)
     p = ProductPresentation(hamilton_m3h(), QuatInvol(h, h.i()))
     assert p.d == 2 and p.d0 == -1
-    first, second = tao_e2_coset(p)
-    assert first == ZERO
-    assert second == brauer_from_symbol(-1, -1)
-    assert sorted(map(str, second.ramified)) == ["2", "real"]
-
-
-def test_tao_coset_difference_is_the_algebra_class():
-    pool = [
-        ProductPresentation(hamilton_m3h(),
-                            QuatInvol(H_HAMILTON, H_HAMILTON.i())),
-        ProductPresentation(Split6(diagonal(1, 2, 3, 4, 5, 6)),
-                            QuatInvol(algebra(2, 5), algebra(2, 5).k())),
-        ProductPresentation(hamilton_m3h(),
-                            QuatInvol(algebra(2, -1), algebra(2, -1).i())),
-    ]
-    for p in pool:
-        first, second = tao_e2_coset(p)
-        assert first + second == p.a_class()
+    assert p.disc_symbol == p.hrho.alg.brauer == ZERO
+    assert has_trivial_invariants(p)
+    assert p.a0.brauer == brauer_from_symbol(-1, -1)
+    assert sorted(map(str, p.a0.brauer.ramified)) == ["2", "real"]
 
 
 small = st.integers(min_value=-6, max_value=6).filter(lambda n: n != 0)
@@ -127,17 +111,17 @@ small = st.integers(min_value=-6, max_value=6).filter(lambda n: n != 0)
        st.integers(min_value=0, max_value=3))
 @settings(max_examples=30, deadline=None)
 def test_tao_split_oracle(entries, params, pick):
-    # with both factors split the coset degenerates to (d, d0), which
+    # with both factors split both Clifford components are (d, d0), which
     # must be the Clifford invariant of the transported 12-dim form
     h = algebra(*params)
     i_elem = [h.i(), h.j(), h.k(), pure(h, 1, 1, 0)][pick]
     if i_elem.nrd == 0:
         return
     p = ProductPresentation(Split6(diagonal(*entries)), QuatInvol(h, i_elem))
-    first, second = tao_e2_coset(p)
     psi = tensor(diagonal(*entries), pfister(p.d))
     assert e1(psi) == 1
-    assert first == second == e2(psi)
+    assert p.disc_symbol == e2(psi)
+    assert has_trivial_invariants(p) == e2(psi).is_zero()
 
 
 def test_has_trivial_invariants():
@@ -152,43 +136,19 @@ def test_has_trivial_invariants():
                             QuatInvol(split_h, split_h.i()))
     assert q.d == -1 and q.d0 == -1
     assert not has_trivial_invariants(q) and not is_aligned(q)
-    # either coset component detects triviality
+    # either Clifford component detects triviality
     for pres in (p, q):
-        first, second = tao_e2_coset(pres)
+        first = pres.hrho.alg.brauer + pres.disc_symbol
+        second = pres.a0.brauer + pres.disc_symbol
         a = pres.a_class()
         assert has_trivial_invariants(pres) == (first in (ZERO, a))
         assert has_trivial_invariants(pres) == (second in (ZERO, a))
 
 
-def test_repair_decomposition_frozen():
-    # (d, d0) = (-1, 1) splits while [H] = {real, 2}: trivial invariants
-    # through the split component, so repairable but not yet aligned
-    phi = diagonal(1, -1, 1, -1, 1, -1)
-    p = ProductPresentation(Split6(phi),
-                            QuatInvol(H_HAMILTON, H_HAMILTON.i()))
-    assert p.d0 == 1 and p.d == -1
-    assert p.disc_symbol == ZERO
-    assert has_trivial_invariants(p) and not is_aligned(p)
-    fixed = repair_decomposition(p)
-    assert isinstance(fixed.a0, Split6)
-    # c = (anticommutant of i)^2 = j^2 = -1 lands on the last slot
-    assert fixed.a0.form == diagonal(1, -1, 1, -1, 1, 1)
-    assert fixed.d0 == -1
-    assert is_aligned(fixed) and has_trivial_invariants(fixed)
-    assert tao_e2_coset(fixed)[0] == ZERO
-    for entries, slots, coords, repaired in FROZEN_REPAIRS:
-        h = algebra(*slots)
-        p = ProductPresentation(Split6(diagonal(*map(Fraction, entries))),
-                                QuatInvol(h, pure(h, *coords)))
-        fixed = repair_decomposition(p)
-        assert fixed.a0.form.entries == tuple(map(Fraction, repaired))
-        assert fixed.hrho == p.hrho and is_aligned(fixed)
-
-
-# (phi, H slots, i coords, repaired phi), captured before the repair
-# stopped routing through a rank 6 hermitian form; the ten with definite H
-# are seeded survey `split6` draws, and the last slot moves by c = -15,
-# -2310, ..., 5, -6 and -1
+# (phi, H slots, i coords, repaired phi): scaling the last slot of phi by
+# c = u^2, for a pure u anticommuting with i, moves (d, d0) from [A0] = 0
+# onto [H] and leaves the involution alone; the ten with definite H are
+# seeded survey `split6` draws, and c = -15, -2310, ..., 5, -6 and -1
 FROZEN_REPAIRS = (
     (["-4", "28", "-9", "45", "1", "-35"], (-8, -10), (-1, -2, -4),
      ["-4", "28", "-9", "45", "1", "525"]),
@@ -239,39 +199,23 @@ def _split6_draws(rng, count):
 def test_f3_reads_no_repair():
     # the repair moves d0 alone, which neither f3 route reads: both give
     # the same bit on a split presentation and on its repair
-    pool = _split6_draws(Random(515), 25)
-    for entries, slots, coords, _ in FROZEN_REPAIRS:
+    pairs = []
+    for p in _split6_draws(Random(515), 25):
+        c = complement_slot(p.hrho.alg, p.d, witness=p.hrho.i_elem)
+        *head, last = p.a0.form.entries
+        pairs.append((p, ProductPresentation(Split6(diagonal(*head, last * c)),
+                                             p.hrho)))
+    for entries, slots, coords, repaired in FROZEN_REPAIRS:
         h = algebra(*slots)
-        pool.append(ProductPresentation(
-            Split6(diagonal(*map(Fraction, entries))),
-            QuatInvol(h, pure(h, *coords))))
-    for p in pool:
+        hrho = QuatInvol(h, pure(h, *coords))
+        pairs.append(tuple(
+            ProductPresentation(Split6(diagonal(*map(Fraction, phi))), hrho)
+            for phi in (entries, repaired)))
+    for p, fixed in pairs:
         assert has_trivial_invariants(p) and not is_aligned(p), p
-        fixed = repair_decomposition(p)
+        assert is_aligned(fixed), fixed
         for f3 in (f3_via_norms, f3_via_symbol):
             assert f3(p) == f3(fixed), (f3.__name__, p)
-
-
-def test_repair_with_square_twist_is_identity():
-    # in (1, 1) the anticommutant of i squares to 1: nothing moves
-    split = algebra(1, 1)
-    p = ProductPresentation(Split6(diagonal(1, 2, 3, 4, 5, 6)),
-                            QuatInvol(split, split.i()))
-    fixed = repair_decomposition(p)
-    assert fixed.a0.form == p.a0.form
-
-
-def test_repair_preconditions():
-    with pytest.raises(DomainError):
-        repair_decomposition(
-            ProductPresentation(hamilton_m3h(),
-                                QuatInvol(H_HAMILTON, H_HAMILTON.i())))
-    # (d, d0) nonsplit on a split a0: not the repairable component
-    split_h = algebra(-1, 2)
-    p = ProductPresentation(Split6(diagonal(1, 1, 1, 1, 1, 1)),
-                            QuatInvol(split_h, split_h.i()))
-    with pytest.raises(DomainError):
-        repair_decomposition(p)
 
 
 def test_decompose_split12_frozen():
@@ -284,7 +228,7 @@ def test_decompose_split12_frozen():
 
 def test_decompose_split12_hyperbolic():
     dec = decompose_split12(hyperbolic(6))
-    assert is_hyperbolic(dec.reconstruction())
+    assert dec.reconstruction().invariants.kernel_dim == 0
 
 
 def test_decompose_split12_accepts_the_remark_form():
@@ -458,7 +402,9 @@ def test_f3_auto_repairs_split_presentations():
                             QuatInvol(H_HAMILTON, H_HAMILTON.i()))
     assert has_trivial_invariants(p) and not is_aligned(p)
     assert f3_via_norms(p) == f3_via_symbol(p)
-    fixed = repair_decomposition(p)
+    # c = (anticommutant of i)^2 = j^2 = -1 on the last slot aligns it
+    fixed = ProductPresentation(Split6(diagonal(1, -1, 1, -1, 1, 1)), p.hrho)
+    assert fixed.d0 == -1 and is_aligned(fixed)
     assert f3_via_norms(fixed) == f3_via_norms(p)
 
 
@@ -567,15 +513,6 @@ def test_norm_difference_chain(c, e, ep, d):
     assert witt_equivalent(lhs, rhs)
 
 
-def _change_of_base_data(p):
-    base = p.a0.h.alg
-    out = []
-    for q in p.a0.h.entries:
-        a = squarefree_part(q.square_scalar())
-        out.append((a, complement_slot(base, a, witness=q)))
-    return base, p.d0, p.d, out
-
-
 HERMITIAN_BUILDERS = [
     lambda: ProductPresentation(hamilton_m3h(),
                                 QuatInvol(algebra(2, -1), algebra(2, -1).i())),
@@ -595,10 +532,10 @@ def _seeded_witnesses(seed, count):
 
 def test_additive_decomposition_is_the_slot_formula():
     # Q_i read off [H'] + (a_i, d) is the symbol (a_i, b_i d) of a
-    # complementary slot b_i, built here and nowhere in the library
+    # complementary slot b_i, built in the tests and nowhere in the library
     pool = [build() for build in HERMITIAN_BUILDERS]
     for p in pool + _seeded_witnesses(616, 25):
-        _, d0, d, data = _change_of_base_data(p)
+        _, d0, d, data = change_of_base_data(p)
         assert additive_decomposition(p) == [
             (brauer_from_symbol(a * d0, d), brauer_from_symbol(a, b * d))
             for a, b in data], p
@@ -610,7 +547,7 @@ def test_additive_norm_aggregate(build):
     # sum n_{H_i} + sum n_{Q_i} = <a1,a2,a3> n_H + <d,d,d> n_H'
     #                             + sum <<-1, a_i, d>>
     p = build()
-    base, d0, d, data = _change_of_base_data(p)
+    base, d0, d, data = change_of_base_data(p)
     assert is_aligned(p)
     n_h = pfister(d, d0)   # [H] = (d, d0) on aligned instances
     n_hp = base.norm_form
@@ -627,7 +564,7 @@ def test_slot_norms_against_change_of_base(build):
     # per slot: n_{H_i} = <<a_i, d>> + <a_i> n_H and
     #           n_{Q_i} = <<a_i, d>> + <d> n_H'
     p = build()
-    base, d0, d, data = _change_of_base_data(p)
+    base, d0, d, data = change_of_base_data(p)
     n_h = pfister(d, d0)
     n_hp = base.norm_form
     for a, b in data:
@@ -642,7 +579,7 @@ def test_mod_i4_reduction(build):
     # <a1,a2,a3> n_H = <-d0> n_H and <d,d,d> n_H' = <-d> n_H' mod I^4:
     # both differences have trivial e1, e2 and vanishing e3
     p = build()
-    base, d0, d, data = _change_of_base_data(p)
+    base, d0, d, data = change_of_base_data(p)
     n_h = pfister(d, d0)
     n_hp = base.norm_form
     a1, a2, a3 = (a for a, _ in data)

@@ -18,13 +18,11 @@ from wittforge.qarith import (
     MAX_ENTRY_DIGITS,
     MILLER_RABIN_BOUND,
     REAL,
+    _legendre,
     factor,
     hilbert_symbol,
     is_local_square,
     is_prime,
-    is_square,
-    legendre,
-    padic_valuation,
     ramified_places,
     rational_from_json,
     squarefree_part,
@@ -173,26 +171,12 @@ def test_rational_from_json():
         rational_from_json("sqrt2")
 
 
-def test_is_square():
-    assert is_square(Fraction(49, 64))
-    assert not is_square(Fraction(50, 64))
-    assert not is_square(-4)
-
-
-def test_padic_valuation():
-    assert padic_valuation(Fraction(40, 27), 2) == 3
-    assert padic_valuation(Fraction(40, 27), 3) == -3
-    assert padic_valuation(Fraction(40, 27), 5) == 1
-    with pytest.raises(DomainError):
-        padic_valuation(0, 2)
-
-
 def test_legendre_exhaustive_vs_squares():
     for p in (3, 5, 7, 11, 13):
         squares = {x * x % p for x in range(1, p)}
         for a in range(1, p):
             want = 1 if a in squares else -1
-            assert legendre(a, p) == want
+            assert _legendre(a, p) == want
 
 
 def test_hilbert_real():

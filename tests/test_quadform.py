@@ -9,6 +9,7 @@ invariance across every dimension residue.
 """
 
 import json
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittforge import quadform
+from wittforge import qarith, quadform
 from wittforge.cohomology import ZERO, H3Class, brauer_from_symbol, brauer_sum
 from wittforge.errors import BoundExceeded, DomainError
 from wittforge.cli import main
@@ -31,15 +32,12 @@ from wittforge.quadform import (
     _local_hasse,
     _support_places,
     clifford_class,
-    det_class,
     diagonal,
     direct_sum,
     e1,
     e2,
     e3,
-    hasse_class,
     hyperbolic,
-    is_hyperbolic,
     is_hyperbolic_over,
     is_isotropic,
     isometric,
@@ -47,7 +45,6 @@ from wittforge.quadform import (
     neg,
     pfister,
     represent_value,
-    represents,
     scale,
     signature,
     tensor,
@@ -140,7 +137,7 @@ def test_invariant_values():
     assert e1(q) == 1
     assert signature(q) == 0
     assert clifford_class(q).ramified == frozenset({2, 3})
-    assert det_class(q) == 1
+    assert q.invariants.det == 1
     assert e1(diagonal(1, 1)) == -1
     assert e1(hyperbolic(3)) == 1
 
@@ -189,17 +186,22 @@ def test_e3_values():
         e3(diagonal(1, 1))
 
 
+def _represents(q: QuadForm, c) -> bool:
+    # q represents c != 0 exactly when q + <-c> is isotropic
+    return is_isotropic(direct_sum(q, diagonal(-c)))
+
+
 def test_representation_witnesses():
     q = diagonal(1, 1, 1)
-    assert represents(q, 6)
+    assert _represents(q, 6)
     v = represent_value(q, 6)
     assert q(v) == 6
-    assert not represents(q, 7)
-    assert not represents(q, -1)
+    assert not _represents(q, 7)
+    assert not _represents(q, -1)
     with pytest.raises(DomainError):
         represent_value(q, 7)
     for n in range(1, 40):
-        assert represents(q, n) == _three_square_oracle(n)
+        assert _represents(q, n) == _three_square_oracle(n)
 
 
 @given(entries_strategy, st.lists(st.integers(min_value=-5, max_value=5),
@@ -295,7 +297,7 @@ def test_definite_kernels_peel_in_one_step(monkeypatch, s, n):
     # most 4 symbols whatever the dim (dims 4-12 cover every count of
     # units mod 4, so the (x, x) term shows for negative definite kernels)
     calls = []
-    symbol = quadform.brauer_from_symbol
+    symbol = brauer_from_symbol
     monkeypatch.setattr(quadform, "brauer_from_symbol",
                         lambda a, b: calls.append((a, b)) or symbol(a, b))
     w = witt_decompose(diagonal(*[s] * n))
@@ -309,7 +311,7 @@ def test_witt_decompose_roundtrip(q):
     w = witt_decompose(q)
     assert not is_isotropic(w.kernel)
     assert witt_index(q) == w.index
-    assert w.total_dim == q.dim
+    assert w.kernel.dim + 2 * w.index == q.dim
     rebuilt = direct_sum(w.kernel, hyperbolic(w.index)) if w.index else w.kernel
     assert isometric(rebuilt, q)
 
@@ -363,7 +365,7 @@ def test_witt_equivalent_reads_the_two_records(pair):
     q1, q2 = pair
     # the old definition, q1 + (-q2) hyperbolic, builds a third form; the
     # records of q1 and q2 are all witt_equivalent reads
-    expected = is_hyperbolic(direct_sum(q1, neg(q2)))
+    expected = direct_sum(q1, neg(q2)).invariants.kernel_dim == 0
     with pytest.MonkeyPatch.context() as mp:
         builds, _ = _count_record_builds(mp)
         assert witt_equivalent(q1, q2) == expected
@@ -396,12 +398,40 @@ def test_binary_multiples_are_hyperbolic_over(slots, d):
 
 
 def test_is_hyperbolic():
-    assert is_hyperbolic(hyperbolic(2))
-    assert is_hyperbolic(diagonal(3, -3, 5, -5))
+    # hyperbolic exactly when the anisotropic kernel is 0
+    assert hyperbolic(2).invariants.kernel_dim == 0
+    assert diagonal(3, -3, 5, -5).invariants.kernel_dim == 0
     # <1,1> = <2,2> (2 is a sum of two squares), so this one IS hyperbolic
-    assert is_hyperbolic(diagonal(1, 1, -2, -2))
+    assert diagonal(1, 1, -2, -2).invariants.kernel_dim == 0
     # but <1,1> and <3,3> differ in their Hasse class at 2 and 3
-    assert not is_hyperbolic(diagonal(1, 1, -3, -3))
+    assert diagonal(1, 1, -3, -3).invariants.kernel_dim != 0
+
+
+def test_no_place_prime_is_proved_again(monkeypatch):
+    # primes from factor, and the places of the package's Brauer classes,
+    # skip the primality test: the square roots mod p under
+    # isotropic_vector, the local squares of second_slot under
+    # witt_decompose and those of is_hyperbolic_over
+    callers = []
+    prime = qarith.is_prime
+    monkeypatch.setattr(qarith, "is_prime", lambda n: callers.append(
+        sys._getframe(1).f_code.co_name) or prime(n))
+    rng = Random(3)
+    found = 0
+    while found < 40:
+        q = diagonal(*(rng.choice((1, -1)) * rng.randint(1, 300)
+                       for _ in range(rng.randint(3, 7))))
+        if is_isotropic(q):
+            isotropic_vector(q)
+            found += 1
+    rng = Random(5)
+    for _ in range(40):
+        witt_decompose(diagonal(*(rng.choice((1, -1)) * rng.randint(1, 2000)
+                                  for _ in range(rng.randint(1, 12)))))
+    for entries, d in (((1, -2, 3, -6), 2), ((3, 5, 7, 105), -1),
+                       ((2, 3, -5, -7), 13)):
+        is_hyperbolic_over(diagonal(*entries), d)
+    assert set(callers) <= {"factor"}
 
 
 def test_json_roundtrip():
@@ -496,7 +526,7 @@ def test_isotropy_matches_the_local_conditions(q):
 @given(st.one_of(hasse_forms, large_prime_forms))
 @settings(max_examples=120, deadline=None)
 def test_hasse_class_matches_pairwise_definition(q):
-    cls = hasse_class(q)
+    cls = q.invariants.hasse
     assert cls == _pairwise_hasse(q), q
     for v in _support_places(q.square_classes) + [11]:
         eps = _local_hasse(_hasse_symbols(q.square_classes)[0], v)
@@ -538,19 +568,20 @@ def test_equal_forms_carry_equal_cached_invariants(q):
     q, twin = QuadForm(q.entries), QuadForm(tuple(q.entries))
     with mock.patch.object(quadform, "_invariants",
                            wraps=quadform._invariants) as build:
-        invariants = (e1(q), hasse_class(q), clifford_class(q), signature(q),
-                      det_class(q), witt_index(q), is_hyperbolic(q))
+        invariants = (e1(q), q.invariants.hasse, clifford_class(q),
+                      signature(q), q.invariants.det, witt_index(q),
+                      q.invariants.kernel_dim)
         assert build.call_count == 1 and q.invariants is q.invariants
         assert twin == q and hash(twin) == hash(q)
-        assert (e1(twin), hasse_class(twin), clifford_class(twin),
-                signature(twin), det_class(twin), witt_index(twin),
-                is_hyperbolic(twin)) == invariants
+        assert (e1(twin), twin.invariants.hasse, clifford_class(twin),
+                signature(twin), twin.invariants.det, witt_index(twin),
+                twin.invariants.kernel_dim) == invariants
         assert twin.invariants == q.invariants and isometric(q, twin)
         assert build.call_count == 2
     assert twin.square_classes == q.square_classes == tuple(
         squarefree_part(e) for e in q.entries)
     if q.dim:
-        assert det_class(q) == square_class_product(*q.entries)
+        assert q.invariants.det == square_class_product(*q.entries)
     assert isometric(q, twin)
 
 

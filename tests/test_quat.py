@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 from wittforge import quat
 from wittforge.cohomology import BrauerClass, brauer_from_symbol, second_slot
 from wittforge.errors import DomainError
-from wittforge.qarith import REAL, squarefree_part
 from wittforge.quat import (
     Quat,
     algebra,
     algebra_from_class,
     anticommutant,
     common_value_witness,
-    complement_slot,
     elem_from_json,
     elem_to_json,
     pure,
@@ -132,17 +130,6 @@ def test_cross_algebra_arithmetic_rejected():
     h1, h2 = algebra(-1, -1), algebra(2, 5)
     with pytest.raises(DomainError):
         h1.i() * h2.j()
-
-
-def test_complement_slot():
-    h = algebra(2, 5)
-    # witness pins the choice; class match is required, exact square is not
-    k = h.k()   # k^2 = -10... times the unit 1
-    assert squarefree_part(k.square_scalar()) == -10
-    b = complement_slot(h, -10, witness=k)
-    assert brauer_from_symbol(-10, b) == h.brauer
-    with pytest.raises(DomainError):
-        complement_slot(h, 5, witness=k)
 
 
 def test_second_slot():

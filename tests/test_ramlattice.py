@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from wittforge.errors import DomainError
 from wittforge.ramlattice import (
-    GAMMA_D,
     GAMMA_F,
     TWO_GAMMA_F,
     ArmatureDecomposition,
@@ -26,12 +25,13 @@ from wittforge.ramlattice import (
     obstruction_check,
     slots_from_json,
     slots_to_json,
-    value_group_of_symbol,
 )
 from wittforge.ramlattice import _coset_lattice
 
 E1, E2, E3, E4 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
 ZERO = (0, 0, 0, 0)
+# Gamma_D = (1/2 Z)^4, the value group of the division algebra, doubled
+GAMMA_D = ValueLattice.from_generators(E1, E2, E3, E4)
 
 BASIS_D = [[E1, E2], [E3, E4]]
 
@@ -44,7 +44,8 @@ def test_reference_lattices():
     assert GAMMA_F.rows == ((2, 0, 0, 0), (0, 2, 0, 0),
                             (0, 0, 2, 0), (0, 0, 0, 2))
     assert GAMMA_D.rows == (E1, E2, E3, E4)
-    assert GAMMA_F.index_in(GAMMA_D) == 16
+    assert GAMMA_F.is_sublattice_of(GAMMA_D)
+    assert not GAMMA_D.is_sublattice_of(GAMMA_F)
     assert GAMMA_F.is_value_group() and GAMMA_D.is_value_group()
 
 
@@ -72,32 +73,30 @@ def test_rank_deficient_generators_rejected():
 
 
 def test_contains_and_index():
-    lat = value_group_of_symbol([E1, E2])
+    # index 4 in Gamma_D and over Gamma_F: the rows are E1, E2, 2E3, 2E4
+    lat = ValueLattice.value_group(E1, E2)
     assert lat.contains((1, 3, 2, -4))
     assert not lat.contains((0, 0, 1, 0))
-    assert lat.index_in(GAMMA_D) == 4
-    assert GAMMA_F.index_in(lat) == 4
-    with pytest.raises(DomainError):
-        GAMMA_D.index_in(lat)   # not a sublattice
+    assert lat.is_sublattice_of(GAMMA_D) and GAMMA_F.is_sublattice_of(lat)
+    assert not GAMMA_D.is_sublattice_of(lat)
 
 
 def test_value_group_of_symbol_examples():
-    assert value_group_of_symbol([E1, E2]).rows == (
+    # a symbol's value group is Gamma_F + (1/2)v(m1)Z + (1/2)v(m2)Z for
+    # its slot monomials: in doubled coordinates, the slot vectors as
+    # written; square slots add nothing
+    assert ValueLattice.value_group(E1, E2).rows == (
         (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2))
-    assert value_group_of_symbol([ZERO, (2, 0, -2, 4)]) == GAMMA_F
-    assert value_group_of_symbol([(1, 0, 1, 0), E2]).rows == (
+    assert ValueLattice.value_group(ZERO, (2, 0, -2, 4)) == GAMMA_F
+    assert ValueLattice.value_group((1, 0, 1, 0), E2).rows == (
         (1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2))
 
 
 def test_value_group_of_symbol_validation():
     with pytest.raises(DomainError):
-        value_group_of_symbol([E1])
+        ValueLattice.value_group((1, 0, 0), E2)
     with pytest.raises(DomainError):
-        value_group_of_symbol([E1, E2, E3])
-    with pytest.raises(DomainError):
-        value_group_of_symbol([(1, 0, 0), E2])
-    with pytest.raises(DomainError):
-        value_group_of_symbol([("1", 0, 0, 0), E2])
+        ValueLattice.value_group(("1", 0, 0, 0), E2)
 
 
 BASIS = [ZERO, E1, E2, (1, 1, 0, 0)]

@@ -113,16 +113,73 @@ def _referenced(tree: ast.Module) -> set[str]:
     return names
 
 
+LIBRARY = [path for path in SOURCES if path.parent.name == "wittforge"]
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
 def test_every_library_definition_is_referenced():
-    # a top-level definition that no source, script, test or bench file
-    # reads is dead code; a name read only in a string does not count
-    readers = [path for folder in ("src", "scripts", "tests", "bench")
-               for path in sorted((ROOT / folder).rglob("*.py"))]
-    read = set().union(*(_referenced(ast.parse(path.read_text(
-        encoding="utf-8"), filename=str(path))) for path in readers))
-    unread = [f"{path.name}:{line} {name}"
-              for path in SOURCES if path.parent.name == "wittforge"
-              for name, line in _defined(ast.parse(path.read_text(
-                  encoding="utf-8"), filename=str(path))).items()
-              if name not in read]
+    # a top-level definition that no source or script reads, and that its
+    # module's __all__ does not declare, is dead code; tests and bench
+    # reach the library through __all__, and a name read only in a string
+    # does not count
+    read = set().union(*(_referenced(_parse(path)) for path in SOURCES))
+    unread = [f"{path.name}:{line} {name}" for path in LIBRARY
+              for tree in [_parse(path)]
+              for name, line in _defined(tree).items()
+              if name not in read and name not in _exported(tree)]
     assert unread == [], f"top-level definitions nothing reads: {unread}"
+
+
+@pytest.mark.parametrize("path", LIBRARY,
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_module_declares_its_api(path):
+    # every module declares its API, and each declared name exists
+    tree = _parse(path)
+    declared = _exported(tree)
+    assert declared, "no __all__"
+    bound = set(_defined(tree)) | set(_top_level_imports(tree))
+    assert declared <= bound, f"unbound in __all__: {declared - bound}"
+
+
+def _package_reads(tree: ast.Module) -> set[tuple[str, str]]:
+    # (module, name) for each public name read from wittforge.<module>,
+    # by a from-import or as an attribute of an imported module; names
+    # the package itself exports count against __init__
+    submodules = {path.stem for path in LIBRARY}
+    modules, reads = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "wittforge":
+            for alias in node.names:
+                if alias.name in submodules:
+                    modules[alias.asname or alias.name] = alias.name
+                else:
+                    reads.add(("__init__", alias.name))
+        elif (isinstance(node, ast.ImportFrom) and node.module
+              and node.module.startswith("wittforge.")):
+            module = node.module.split(".")[1]
+            reads |= {(module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            modules.update((alias.asname, alias.name.split(".")[1])
+                           for alias in node.names if alias.asname
+                           and alias.name.startswith("wittforge."))
+    reads |= {(modules[node.value.id], node.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id in modules}
+    return {(module, name) for module, name in reads
+            if not name.startswith("_")}
+
+
+def test_outside_readers_stay_inside_all():
+    # tests, bench and scripts use the library only through what each
+    # module's __all__ declares
+    declared = {path.stem: _exported(_parse(path)) for path in LIBRARY}
+    outside = [f"{path.relative_to(ROOT)}: {module}.{name}"
+               for folder in ("tests", "bench", "scripts")
+               for path in sorted((ROOT / folder).rglob("*.py"))
+               for module, name in sorted(_package_reads(_parse(path)))
+               if name not in declared[module]]
+    assert outside == [], f"read from outside __all__: {outside}"
