@@ -37,7 +37,8 @@ class BrauerClass(Record):
 
     The places are not re-checked: every class the package builds comes
     from places that factor has proven prime, or from a symmetric
-    difference of such sets.  Reciprocity (an even count) is checked.
+    difference of such sets.  Reciprocity (an even count) is checked, and
+    second_slot refuses a class from outside that names a non-place.
     """
 
     ramified: frozenset[Place]
@@ -99,6 +100,11 @@ def second_slot(a: int, cls: BrauerClass) -> int:
     places = cls.sort_key()
     sa = squarefree_part(a)
     for v in places:
+        # a class built from outside may name a non-place; factor proves
+        # the primes, and caches those of the package's own classes
+        if v != REAL and not (isinstance(v, int) and v > 1
+                              and factor(v) == ((v, 1),)):
+            raise DomainError(f"not a place of Q: {v!r}")
         if _local_square_core(sa, v):
             raise DomainError(f"{a} is a local square at {v}, where the "
                               "class ramifies")

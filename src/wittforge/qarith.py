@@ -28,6 +28,9 @@ Place = Union[str, int]
 
 
 def as_fraction(x: Rational) -> Fraction:
+    # a Fraction is immutable, so it is returned as it is
+    if type(x) is Fraction:
+        return x
     if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise DomainError(f"expected an exact rational, got {type(x).__name__}")
     return Fraction(x)
@@ -155,7 +158,9 @@ def factor(n: int, bound: int = FACTOR_BOUND) -> tuple[tuple[int, int], ...]:
 
 def squarefree_part(x: Rational) -> int:
     """The signed squarefree integer representing the square class of x."""
-    if isinstance(x, int) and not isinstance(x, bool):
+    if type(x) is Fraction:
+        n = x.numerator * x.denominator
+    elif isinstance(x, int) and not isinstance(x, bool):
         n = x
     else:
         f = as_fraction(x)

@@ -27,9 +27,11 @@ from .qarith import (
     Rational,
     _class_mul,
     _hilbert_core,
+    _legendre,
     _local_square_core,
     _support_places,
     as_fraction,
+    factor,
     rational_from_json,
     sqrt_mod_squarefree,
     squarefree_part,
@@ -405,12 +407,38 @@ def _signed_squarefree_by_height(limit: int):
             yield -n
 
 
+def _represents(a: int, b: int):
+    """A test of whether the anisotropic binary <a, b> represents c, for
+    signed squarefree a, b and c.
+
+    By Hasse-Minkowski that holds exactly when (c, -ab)_v = (a, b)_v at
+    every place v.  The targets are read once, at the support places of
+    (a, b); at a prime p of c outside them (a, b)_p = 1 and the condition
+    is (-ab / p) = 1, with p from factor, so no place is proved prime.
+    """
+    m = _class_mul(-a, b)
+    places = _support_places((a, b))
+    inside = set(places)
+    targets = [(v, _hilbert_core(a, b, v)) for v in places]
+
+    def test(c: int) -> bool:
+        return (all(p in inside or _legendre(m, p) == 1
+                    for p, _ in factor(abs(c)))
+                and all(_hilbert_core(c, m, v) == t for v, t in targets))
+    return test
+
+
 def _int_isotropic(s: list[int]) -> tuple[int, ...]:
     """An isotropic integer vector for the signed squarefree diagonal s.
 
     Caller guarantees isotropy; ternary instances go through the descent
-    solver and longer diagonals reduce to it by splitting off a common
-    represented value, a search that terminates at small height.
+    solver.  A longer diagonal whose halves <s0, s1> and rest are both
+    anisotropic is split at the first signed squarefree c, in order of
+    height, that <s0, s1> and -rest both represent.  Each candidate is
+    decided by Hilbert symbols (`_represents`): first whether <s0, s1>
+    represents c, then, for rest = <r0, r1>, whether <-r0, -r1> does; a
+    longer rest is tested by `_isotropic` on rest + <c>, and only for
+    candidates that pass the first test.
     """
     short = _pair_shortcut(s)
     if short is not None:
@@ -422,11 +450,14 @@ def _int_isotropic(s: list[int]) -> tuple[int, ...]:
     rest = s[2:]
     if _isotropic(rest):
         return (0, 0) + _int_isotropic(rest)
-    # both halves anisotropic: find the first square class c represented
-    # by <s0, s1> and by -rest, that is with <s0, s1, -c> and rest + <c>
-    # both isotropic, then stitch the two exact witnesses
+    # both halves anisotropic (no pair is, by the shortcut): find c with
+    # <s0, s1, -c> and rest + <c> both isotropic, then stitch the two exact
+    # witnesses
+    first = _represents(s[0], s[1])
+    second = (_represents(-rest[0], -rest[1]) if n == 4
+              else lambda c: _isotropic((*rest, c)))
     for c in _signed_squarefree_by_height(_SPLIT_BOUND):
-        if not (_isotropic((s[0], s[1], -c)) and _isotropic((*rest, c))):
+        if not (first(c) and second(c)):
             continue
         x, y, w = _ternary_zero([s[0], s[1], -c])
         require(w != 0, s, c)  # the binary part is anisotropic

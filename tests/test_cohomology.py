@@ -1,5 +1,6 @@
 """Brauer classes in ramification coordinates and the H^3 cup product."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -137,6 +138,17 @@ def test_second_slot_on_the_discriminant_of_a_form(entries):
             second_slot(a, cls)
     else:
         assert ramified_places(a, second_slot(a, cls)) == cls.ramified
+
+
+def test_second_slot_refuses_a_non_place():
+    # a class built from outside may name places that are not primes; each
+    # is refused at once instead of walking the factor base
+    for a, places, bad in ((3, {4, 6}, "4"), (3, {3, 9}, "9"),
+                           (-3, {REAL, 1}, "1")):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=f"not a place of Q: {bad}$"):
+            second_slot(a, BrauerClass(frozenset(places)))
+        assert time.perf_counter() - start < 0.5
 
 
 def test_cup_product_values():

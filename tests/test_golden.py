@@ -226,6 +226,10 @@ FROZEN_ISOTROPIC = (
      ["2924", "2550", "-1276", "-1276", "1073"]),
     (["3", "6", "-34", "-22", "-19"],
      ["-91", "91", "18", "9", "-57"]),
+    # the longest splitting-value walk of the seed-1 survey pool: 3,732
+    # candidates
+    (["-14", "-15", "-210", "91"],
+     ["-453", "70", "31", "186"]),
 )
 
 

@@ -19,6 +19,7 @@ from wittforge.qarith import (
     MILLER_RABIN_BOUND,
     REAL,
     _legendre,
+    as_fraction,
     factor,
     hilbert_symbol,
     is_local_square,
@@ -89,6 +90,18 @@ def test_squarefree_part_values():
     assert squarefree_part(1) == 1
     with pytest.raises(DomainError):
         squarefree_part(0)
+
+
+@given(st.integers(min_value=-10**6, max_value=10**6).filter(bool),
+       st.integers(min_value=1, max_value=10**6))
+@settings(max_examples=100)
+def test_fractions_are_read_as_they_are(n, d):
+    # a Fraction is immutable, so it is not wrapped again, and its class
+    # is read off numerator * denominator
+    x = Fraction(n, d)
+    assert as_fraction(x) is x
+    assert squarefree_part(x) == squarefree_part(n * d)
+    assert as_fraction(n) == n and type(as_fraction(n)) is Fraction
 
 
 def test_factor_refuses_unfactored_cofactor():

@@ -29,6 +29,7 @@ from wittforge.qarith import (REAL, _local_square_core, hilbert_symbol,
 from wittforge.quadform import (
     QuadForm,
     _hasse_symbols,
+    _isotropic,
     _local_hasse,
     _support_places,
     clifford_class,
@@ -113,6 +114,24 @@ def test_isotropic_forms_yield_exact_zeros(q):
     if is_isotropic(q):
         v = isotropic_vector(q)
         assert q(v) == 0 and any(v)
+
+
+def test_represented_values_by_symbols_match_isotropy():
+    # the splitting-value walk decides each candidate c by Hilbert symbols;
+    # the walk's two tests are this one, for <s0, s1> and for <-r0, -r1>
+    rng = Random(11)
+    values = [c for n in range(1, 301) if squarefree_part(n) == n
+              for c in (n, -n)]
+    binaries = 0
+    while binaries < 30:
+        a, b = (squarefree_part(rng.choice((1, -1)) * rng.randint(1, 400))
+                for _ in range(2))
+        if _isotropic((a, b)):
+            continue
+        binaries += 1
+        test = quadform._represents(a, b)
+        assert [c for c in values if test(c)] == [
+            c for c in values if _isotropic((a, b, -c))], (a, b)
 
 
 @given(entries_strategy)
@@ -424,6 +443,9 @@ def test_no_place_prime_is_proved_again(monkeypatch):
         if is_isotropic(q):
             isotropic_vector(q)
             found += 1
+    # a splitting-value walk of 3,732 candidates, whose Legendre symbols
+    # take their primes from factor
+    isotropic_vector(diagonal(-14, -15, -210, 91))
     rng = Random(5)
     for _ in range(40):
         witt_decompose(diagonal(*(rng.choice((1, -1)) * rng.randint(1, 2000)
