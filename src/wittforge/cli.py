@@ -68,7 +68,7 @@ def _rational(text: str) -> Fraction:
     from .qarith import rational_from_json
     try:
         return rational_from_json(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except DomainError as exc:
         raise _LoadError(f"not a rational number: {text!r}") from exc
 
 

@@ -7,12 +7,12 @@ is transported to an honest 2n-dimensional quadratic form, the independent
 route used to cross-check the closed-form discriminant.
 """
 
-from math import gcd, lcm
+from math import lcm
 
 from . import _linalg
 from ._record import Record, set_field
 from .errors import DomainError, require
-from .qarith import squarefree_part
+from .qarith import square_class_product
 from .quadform import QuadForm
 from .quat import Quat, QuaternionAlgebra, algebra_from_json, algebra_to_json, \
     anticommutant, elem_from_json, elem_to_json, pure_with_square
@@ -49,14 +49,9 @@ def skew_form(alg: QuaternionAlgebra, *entries: Quat) -> SkewHermForm:
 
 def disc_adjoint(form: SkewHermForm) -> int:
     """Discriminant of the adjoint orthogonal involution: (-1)^n prod nrd(qi),
-    as a signed squarefree int."""
-    num, den = (-1) ** form.rank, 1
-    for q in form.entries:
-        n = q.nrd
-        num *= n.numerator
-        den *= n.denominator
-    g = gcd(num, den)
-    return squarefree_part((num // g) * (den // g))
+    as a signed squarefree int, taken class by class."""
+    return square_class_product((-1) ** form.rank,
+                                *(q.nrd for q in form.entries))
 
 
 # --- transport to a quadratic form when the algebra splits -----------------

@@ -158,7 +158,7 @@ class PfisterDecomposition(Record):
 
     def __init__(self, d: int, alphas: tuple[Fraction, Fraction, Fraction],
                  betas: tuple[int, int, int]):
-        if squarefree_part(betas[0] * betas[1] * betas[2]) != 1:
+        if square_class_product(*betas) != 1:
             raise DomainError("beta product must be a square")
         set_field(self, "d", d)
         set_field(self, "alphas", alphas)

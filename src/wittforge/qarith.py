@@ -57,14 +57,18 @@ def rational_from_json(x) -> Fraction:
     """The rational a JSON value spells exactly: an int or a string such as
     "-3", "5/8" or "1.5e3".  Floats are refused rather than read as the
     decimal they print as, since 1.1 is not 11/10 in binary; so is any
-    entry with more than MAX_ENTRY_DIGITS digits or a larger exponent."""
+    entry with more than MAX_ENTRY_DIGITS digits or a larger exponent, and
+    any text Fraction does not read.  Every refusal is a DomainError."""
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise DomainError(f"expected an exact rational string or integer, "
                           f"got {type(x).__name__} {x!r}")
     if (abs(x) >= _ENTRY_BOUND if isinstance(x, int) else _oversized(x)):
         raise DomainError(f"entry exceeds {MAX_ENTRY_DIGITS} digits or "
                           f"exponent {MAX_ENTRY_DIGITS}")
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"bad rational {x!r}: {exc}") from None
 
 
 # Deterministic Miller-Rabin on the first 13 prime bases is proven correct
@@ -124,18 +128,18 @@ FACTOR_BOUND = 10**6
 
 
 @lru_cache(maxsize=None)
-def factor(n: int, bound: int = FACTOR_BOUND) -> tuple[tuple[int, int], ...]:
+def factor(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of a positive integer as ((p, e), ...), p ascending.
 
-    Trial division, then a surviving cofactor above bound**2 must be a
-    prime or the square of one; otherwise a prime factor may have been
-    missed, so we refuse rather than guess.
+    Trial division up to FACTOR_BOUND, then a surviving cofactor above its
+    square must be a prime or the square of one; otherwise a prime factor
+    may have been missed, so we refuse rather than guess.
     """
     if n <= 0:
         raise DomainError("factor() wants a positive integer")
     out = []
     m = n
-    for p in range(2, bound + 1):
+    for p in range(2, FACTOR_BOUND + 1):
         if p * p > m:
             break
         if m % p:
@@ -145,34 +149,35 @@ def factor(n: int, bound: int = FACTOR_BOUND) -> tuple[tuple[int, int], ...]:
             m //= p
             e += 1
         out.append((p, e))
-    if m > bound * bound:
+    if m > FACTOR_BOUND * FACTOR_BOUND:
         r = isqrt(m)
         if r * r == m and is_prime(r):
             return (*out, (r, 2))
         if not is_prime(m):
-            raise BoundExceeded(f"cofactor {m} not factored within bound {bound}")
+            raise BoundExceeded(f"cofactor {m} not factored within bound "
+                                f"{FACTOR_BOUND}")
     if m > 1:
         out.append((m, 1))
     return tuple(out)
 
 
 def squarefree_part(x: Rational) -> int:
-    """The signed squarefree integer representing the square class of x."""
-    if type(x) is Fraction:
-        n = x.numerator * x.denominator
-    elif isinstance(x, int) and not isinstance(x, bool):
-        n = x
+    """The signed squarefree integer representing the square class of x.
+
+    A fraction's numerator and denominator are coprime, so each is
+    factored on its own and their classes simply multiply."""
+    if type(x) is int:
+        num, den = x, 1
     else:
         f = as_fraction(x)
-        n = f.numerator * f.denominator
-    if n == 0:
+        num, den = f.numerator, f.denominator
+    if num == 0:
         raise DomainError("0 has no square class")
-    sign = -1 if n < 0 else 1
     core = 1
-    for p, e in factor(abs(n)):
+    for p, e in factor(abs(num)) + (factor(den) if den > 1 else ()):
         if e % 2:
             core *= p
-    return sign * core
+    return -core if num < 0 else core
 
 
 def _class_mul(x: int, y: int) -> int:
@@ -182,16 +187,51 @@ def _class_mul(x: int, y: int) -> int:
     return (x // g) * (y // g)
 
 
+def _coprime_base(ns: Sequence[int]) -> list[tuple[int, int]]:
+    # pairwise coprime (b, e), b > 1, with prod(ns) = prod b^e, by gcds
+    # alone: a part shared by two n is split off, never factored
+    base: list[tuple[int, int]] = []
+    todo = [(n, 1) for n in ns]
+    while todo:
+        m, e = todo.pop()
+        if m == 1:
+            continue
+        for i, (b, f) in enumerate(base):
+            g = gcd(m, b)
+            if g > 1:
+                del base[i]
+                todo += [(m // g, e), (b // g, f), (g, e + f)]
+                break
+        else:
+            base.append((m, e))
+    return base
+
+
 def square_class_product(*xs: Rational) -> int:
-    """Squarefree part of a product, taken term by term.
+    """Squarefree part of a product, never taken by factoring the product.
 
     The terms are usually individually within the trial-division budget
-    while their product is far beyond it, so never multiply first.
+    while their product is far beyond it, so never multiply first.  Their
+    numerators and denominators are split by gcds into coprime parts, and
+    only the parts of odd total exponent are factored: each divides the
+    reduced product, and a prime shared by two terms (one numerator and
+    another denominator, say) cancels without being factored.
     """
-    out = 1
+    sign, parts = 1, []
     for x in xs:
-        out = _class_mul(out, squarefree_part(x))
-    return out
+        if type(x) is not int:
+            x = as_fraction(x)
+            parts.append(x.denominator)
+            x = x.numerator
+        if x == 0:
+            raise DomainError("0 has no square class")
+        if x < 0:
+            sign = -sign
+        parts.append(abs(x))
+    for b, e in _coprime_base(parts):
+        if e % 2:
+            sign *= squarefree_part(b)  # coprime parts: classes multiply
+    return sign
 
 
 def _legendre(a: int, p: int) -> int:

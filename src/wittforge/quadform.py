@@ -6,8 +6,8 @@ rediagonalizes exactly over Fraction.  The classifying data over Q is one
 Clifford class), built in one pass over the places that can ramify and
 cached on the form; e1, e2, e3, the Witt index, isometry and hyperbolicity
 are read off it, and Witt classes are compared by its `witt_class`;
-isotropy stops that pass at the first place deciding it (past dim 4, the
-signs do).  Hasse-Minkowski lives in `_kernel_dim` alone.
+isotropy, represented values and kernel peeling read records too, so no
+other pass runs over places.  Hasse-Minkowski lives in `kernel_dim` alone.
 All searches (isotropic vectors, represented values) return exact
 witnesses or raise BoundExceeded; nothing here is approximate.
 """
@@ -15,15 +15,16 @@ witnesses or raise BoundExceeded; nothing here is approximate.
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import Iterable, Sequence
 
 from ._record import Record, set_field
-from .cohomology import (BrauerClass, H3Class, brauer_from_symbol,
-                         brauer_sum, find_quaternion_symbol, second_slot)
+from .cohomology import (BrauerClass, H3Class, find_quaternion_symbol,
+                         second_slot)
 from .errors import BoundExceeded, DomainError, require
 from .qarith import (
     REAL,
+    Place,
     Rational,
     _class_mul,
     _hilbert_core,
@@ -121,27 +122,6 @@ def hyperbolic(m: int = 1) -> QuadForm:
 
 # --- invariants -----------------------------------------------------------
 
-def _kernel_dim(dim: int, e1: int, sig: int, clifford: Iterable) -> int:
-    """The anisotropic kernel dimension of a form from its invariants.
-
-    The Witt index over Q is the least local one (Hasse-Minkowski, one
-    hyperbolic plane at a time), so the kernel is the largest local kernel:
-    |sig| at the real place; at a prime p, for odd dim 3 if the Clifford
-    class c ramifies at p else 1, for even dim 4 if e1 is a square at p and
-    c ramifies there, 2 if e1 is not a square at p (as a squarefree
-    e1 != 1 is at some p), else 0.  clifford, the places where c ramifies,
-    is read only up to the first local kernel of 3 or 4, so it may be lazy.
-    """
-    finite = (v for v in clifford if v != REAL)
-    if dim % 2:
-        local = 1 if next(finite, None) is None else 3
-    elif any(_local_square_core(e1, v) for v in finite):
-        local = 4
-    else:
-        local = 0 if e1 == 1 else 2
-    return max(abs(sig), local)
-
-
 def _e1(dim: int, det: int) -> int:
     return -det if dim % 4 in (2, 3) else det
 
@@ -149,7 +129,9 @@ def _e1(dim: int, det: int) -> int:
 class Invariants(Record):
     """The classifying invariants of a form over Q: the first four settle
     isometry, the Clifford class is the Hasse class with the dimension
-    correction, and e1 and the kernel dimension derive from them."""
+    correction, and e1 and the kernel dimension derive from them.  The
+    support places it was built over stay out of equality and hash, as
+    `places`: <5, 5> and <1, 1> are isometric but have other places."""
 
     dim: int
     det: int
@@ -158,12 +140,14 @@ class Invariants(Record):
     clifford: BrauerClass
 
     def __init__(self, dim: int, det: int, signature: int,
-                 hasse: BrauerClass, clifford: BrauerClass):
+                 hasse: BrauerClass, clifford: BrauerClass,
+                 places: Sequence[Place]):
         set_field(self, "dim", dim)
         set_field(self, "det", det)
         set_field(self, "signature", signature)
         set_field(self, "hasse", hasse)
         set_field(self, "clifford", clifford)
+        set_field(self, "places", tuple(places))
 
     @property
     def e1(self) -> int:
@@ -177,8 +161,24 @@ class Invariants(Record):
 
     @property
     def kernel_dim(self) -> int:
-        return _kernel_dim(self.dim, self.e1, self.signature,
-                           self.clifford.ramified)
+        """The anisotropic kernel dimension.
+
+        The Witt index over Q is the least local one (Hasse-Minkowski, one
+        hyperbolic plane at a time), so the kernel is the largest local
+        kernel: |sig| at the real place; at a prime p, for odd dim 3 if
+        the Clifford class c ramifies at p else 1, for even dim 4 if e1 is
+        a square at p and c ramifies there, 2 if e1 is not a square at p
+        (as a squarefree e1 != 1 is at some p), else 0.
+        """
+        e1 = self.e1
+        finite = [v for v in self.clifford.ramified if v != REAL]
+        if self.dim % 2:
+            local = 3 if finite else 1
+        elif any(_local_square_core(e1, v) for v in finite):
+            local = 4
+        else:
+            local = 0 if e1 == 1 else 2
+        return max(abs(self.signature), local)
 
 
 # The builder below works on a diagonal given by its square classes: a
@@ -216,9 +216,9 @@ def _correction_slot(dim: int, det: int) -> int:
     return 1
 
 
-def _place_bits(s: Sequence[int]):
-    """The det class of the diagonal with square classes s, and a lazy
-    stream of (v, Hasse bit, Clifford bit) over its support places v.
+def _invariants(s: Sequence[int]) -> Invariants:
+    """The record of the diagonal with square classes s, in one pass over
+    its support places.
 
     The Clifford bit at each place is the Hasse bit times the correction
     (-1, b), b = +-1 or +-det (not the signed discriminant; pinned by
@@ -226,22 +226,18 @@ def _place_bits(s: Sequence[int]):
     """
     symbols, det = _hasse_symbols(s)
     b = _correction_slot(len(s), det)
-
-    def bits():
-        for v in _support_places(s):
-            h = _local_hasse(symbols, v)
-            yield v, h, h * _hilbert_core(-1, b, v)
-    return det, bits()
-
-
-def _invariants(s: Sequence[int]) -> Invariants:
-    """The record of the diagonal with square classes s, in one pass."""
-    det, bits = _place_bits(s)
-    bits = list(bits)
+    places = _support_places(s)
+    hasse, clifford = [], []
+    for v in places:
+        h = _local_hasse(symbols, v)
+        if h < 0:
+            hasse.append(v)
+        if h * _hilbert_core(-1, b, v) < 0:
+            clifford.append(v)
     # the classes carry the signs of the entries
     return Invariants(len(s), det, sum(1 if x > 0 else -1 for x in s),
-                      BrauerClass(frozenset(v for v, h, _ in bits if h < 0)),
-                      BrauerClass(frozenset(v for v, _, c in bits if c < 0)))
+                      BrauerClass(frozenset(hasse)),
+                      BrauerClass(frozenset(clifford)), places)
 
 
 def e1(q: QuadForm) -> int:
@@ -284,15 +280,13 @@ def witt_index(q: QuadForm) -> int:
 def _isotropic(s: Sequence[int]) -> bool:
     # isotropic iff the kernel is smaller than the form; the kernel is at
     # least |sig| and local kernels have dim <= 4, so the signs decide for
-    # definite forms and past dim 4; else _kernel_dim reads places lazily
+    # definite forms and past dim 4; else the record's kernel_dim does
     n = len(s)
     if n < 2 or not min(s) < 0 < max(s):
         return False
     if n >= 5:
         return True
-    det, bits = _place_bits(s)
-    return _kernel_dim(n, _e1(n, det), sum(1 if x > 0 else -1 for x in s),
-                       (v for v, _, c in bits if c < 0)) < n
+    return _invariants(s).kernel_dim < n
 
 
 def is_isotropic(q: QuadForm) -> bool:
@@ -412,14 +406,14 @@ def _represents(a: int, b: int):
     signed squarefree a, b and c.
 
     By Hasse-Minkowski that holds exactly when (c, -ab)_v = (a, b)_v at
-    every place v.  The targets are read once, at the support places of
-    (a, b); at a prime p of c outside them (a, b)_p = 1 and the condition
+    every place v.  The targets are read off the record of <a, b>, at its
+    places; at a prime p of c outside them (a, b)_p = 1 and the condition
     is (-ab / p) = 1, with p from factor, so no place is proved prime.
     """
     m = _class_mul(-a, b)
-    places = _support_places((a, b))
-    inside = set(places)
-    targets = [(v, _hilbert_core(a, b, v)) for v in places]
+    rec = _invariants((a, b))
+    inside = set(rec.places)
+    targets = [(v, -1 if v in rec.hasse.ramified else 1) for v in rec.places]
 
     def test(c: int) -> bool:
         return (all(p in inside or _legendre(m, p) == 1
@@ -520,11 +514,13 @@ class WittClass(Record):
         set_field(self, "index", index)
 
 
-def _peel_units(dim0: int, d: int, c: BrauerClass, x: int, m: int,
-                ) -> tuple[int, BrauerClass]:
+def _peel_units(inv: Invariants, x: int, m: int) -> tuple[int, BrauerClass]:
     """Invariants (e1, Clifford) of k with <x, ..., x> (m copies) + k
-    carrying (d, c) in dimension dim0, x = +-1, in closed form."""
-    det = _e1(dim0, d)             # _e1 is its own inverse
+    carrying those of inv in its kernel dimension, x = +-1, in closed
+    form.  Each symbol's slots are +-1 or +-det, so it can ramify only at
+    the record's places and is read there: no det is factored."""
+    dim0 = inv.kernel_dim
+    det = _e1(dim0, inv.e1)        # _e1 is its own inverse
     xm = x ** m
     det_k = det * xm
     # Hasse(K) = Hasse(k) + (x^m, det k) + C(m, 2) (x, x); each Clifford
@@ -533,8 +529,9 @@ def _peel_units(dim0: int, d: int, c: BrauerClass, x: int, m: int,
                (-1, _correction_slot(dim0 - m, det_k))]
     if m * (m - 1) // 2 % 2:
         symbols.append((x, x))
-    return _e1(dim0 - m, det_k), c + brauer_sum(
-        brauer_from_symbol(a, b) for a, b in symbols)
+    ramified = {v for v in inv.places
+                if prod(_hilbert_core(a, b, v) for a, b in symbols) < 0}
+    return _e1(dim0 - m, det_k), BrauerClass(inv.clifford.ramified ^ ramified)
 
 
 def _binary_rep(d: int, c: BrauerClass) -> QuadForm:
@@ -552,10 +549,10 @@ def _ternary_rep(d: int, c: BrauerClass) -> QuadForm:
     return scale(-d, diagonal(-al, -be, al * be))
 
 
-def _anisotropic_rep(dim0: int, d: int, c: BrauerClass,
-                     sig: int) -> QuadForm:
-    """A small-entry anisotropic form of dimension dim0, the kernel
-    dimension of the given invariants."""
+def _anisotropic_rep(inv: Invariants) -> QuadForm:
+    """A small-entry anisotropic form with the e1, Clifford class and
+    signature of inv, of its kernel dimension."""
+    dim0, d, c = inv.kernel_dim, inv.e1, inv.clifford
     if dim0 == 0:
         return diagonal()
     if dim0 == 1:
@@ -567,8 +564,8 @@ def _anisotropic_rep(dim0: int, d: int, c: BrauerClass,
     # an anisotropic K of dim >= 4 represents x = -1 if negative definite,
     # else x = 1 (K + <-x> is indefinite of dim >= 5, so isotropic); past
     # dim 4 K is definite, so every unit split off it is x, down to dim 3
-    x = -1 if sig == -dim0 else 1
-    d3, c3 = _peel_units(dim0, d, c, x, dim0 - 3)
+    x = -1 if inv.signature == -dim0 else 1
+    d3, c3 = _peel_units(inv, x, dim0 - 3)
     return direct_sum(diagonal(*[x] * (dim0 - 3)), _ternary_rep(d3, c3))
 
 
@@ -581,14 +578,13 @@ def witt_decompose(q: QuadForm) -> WittClass:
     before it is returned.
     """
     inv = q.invariants
-    dim0 = inv.kernel_dim
-    kernel = _anisotropic_rep(dim0, inv.e1, inv.clifford, inv.signature)
+    kernel = _anisotropic_rep(inv)
     # the record of the kernel's own entries: same Witt class, and a form
     # whose kernel dimension is its dimension is anisotropic
     k = kernel.invariants
     require(k.witt_class == inv.witt_class and k.kernel_dim == kernel.dim,
             q, kernel)
-    return WittClass(kernel, (q.dim - dim0) // 2)
+    return WittClass(kernel, (q.dim - kernel.dim) // 2)
 
 
 # --- classification -------------------------------------------------------
@@ -636,8 +632,4 @@ def from_json(data: dict) -> QuadForm:
     raw = data["entries"]
     if not isinstance(raw, list):
         raise DomainError("'entries' must be a list")
-    try:
-        entries = tuple(rational_from_json(x) for x in raw)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"bad rational in entries: {exc}") from None
-    return QuadForm(entries)
+    return QuadForm(tuple(rational_from_json(x) for x in raw))

@@ -483,14 +483,27 @@ def test_factoring_failure_is_bound_exceeded(tmp_path, capsys):
 
 
 def test_exists_budget_while_checking_the_witness_is_unknown(capsys):
-    # the witness is found, but checking it factors d = i^2, a 28-digit
-    # number whose primality is past the proven Miller-Rabin range
-    code, out, err = _run(capsys, "alg", "exists", "--h1=15,-46",
-                          "--h2=14,-33")
+    # the witness is found, but checking it takes the class of d0, and
+    # the numerator of one reduced norm leaves the cofactor
+    # 51846043533613103, two primes past the trial division bound
+    code, out, err = _run(capsys, "alg", "exists", "--h1=-11,28",
+                          "--h2=-26,-31")
     assert code == 0 and err == ""
     report = json.loads(out)
     assert report["outputs"] == {"status": "unknown", "presentation": None}
     assert report["checks"] == {"trivial_invariants": None}
+
+
+def test_exists_checks_a_witness_with_a_large_fraction_in_d(capsys):
+    # d = i^2 is a fraction whose numerator times denominator has 28
+    # digits, past the proven Miller-Rabin range; its numerator and
+    # denominator are factored apart, so the witness is checked
+    code, out, err = _run(capsys, "alg", "exists", "--h1=15,-46",
+                          "--h2=14,-33")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["outputs"]["status"] == "witness"
+    assert report["checks"] == {"trivial_invariants": True}
 
 
 def _odd_prime_runs(runs: int, digits: int) -> list[int]:
@@ -614,7 +627,7 @@ def test_kernel_check_survives_python_O():
     # a built kernel with the wrong Clifford class must not escape
     # witt_decompose even with asserts stripped
     script = ("import wittforge.quadform as qf\n"
-              "qf._anisotropic_rep = lambda dim0, d, c, sig: "
+              "qf._anisotropic_rep = lambda inv: "
               "qf.diagonal(1, 2, 15)\n"
               "try:\n"
               "    qf.witt_decompose(qf.diagonal(2, 3, 5))\n"

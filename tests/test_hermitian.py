@@ -52,6 +52,15 @@ def test_disc_rank_three_is_product_of_squares():
     assert disc_adjoint(g) == squarefree_part(-1 * -1 * -3)
 
 
+def test_disc_takes_the_norms_class_by_class():
+    # the reduced norms are the primes 1006007 and 1012031, each within
+    # trial division; their product is a cofactor factor would refuse
+    h = algebra(1, 1)
+    f = skew_form(h, pure(h, 1, 1, 1003), pure(h, 2, 1, 1006), h.i())
+    assert [q.nrd for q in f.entries] == [1006007, 1012031, -1]
+    assert disc_adjoint(f) == 1006007 * 1012031
+
+
 def test_entries_must_be_pure_invertible():
     h = algebra(1, 1)
     with pytest.raises(DomainError):

@@ -26,6 +26,7 @@ from wittforge.qarith import (
     is_prime,
     ramified_places,
     rational_from_json,
+    square_class_product,
     squarefree_part,
 )
 
@@ -92,12 +93,41 @@ def test_squarefree_part_values():
         squarefree_part(0)
 
 
+def test_squarefree_part_factors_numerator_and_denominator_apart():
+    # each part is a prime within trial division, but their product is
+    # a cofactor past FACTOR_BOUND**2 that factor refuses
+    assert squarefree_part(Fraction(1000003, 1000033)) == 1000036000099
+    assert squarefree_part(Fraction(-1000003, 1000033)) == -1000036000099
+    assert squarefree_part(Fraction(-4, 1000033 ** 2)) == -1
+
+
+def test_square_class_product_factors_no_shared_part():
+    # p q is a cofactor factor refuses; shared by two terms it cancels by
+    # gcds, and apart each prime is within the budget
+    p, q = 1000003, 1000033
+    assert square_class_product(Fraction(3 * p * q, 5), Fraction(-7, p * q)) \
+        == -105
+    assert square_class_product(2 * p, Fraction(q, 2), p * p) == p * q
+    assert square_class_product() == 1
+    with pytest.raises(DomainError):
+        square_class_product(3, 0)
+
+
+@given(st.lists(nonzero_rationals, max_size=6))
+@settings(max_examples=200)
+def test_square_class_product_is_the_class_of_the_product(xs):
+    product = Fraction(1)
+    for x in xs:
+        product *= x
+    assert square_class_product(*xs) == squarefree_part(product)
+
+
 @given(st.integers(min_value=-10**6, max_value=10**6).filter(bool),
        st.integers(min_value=1, max_value=10**6))
 @settings(max_examples=100)
 def test_fractions_are_read_as_they_are(n, d):
     # a Fraction is immutable, so it is not wrapped again, and its class
-    # is read off numerator * denominator
+    # is that of numerator * denominator
     x = Fraction(n, d)
     assert as_fraction(x) is x
     assert squarefree_part(x) == squarefree_part(n * d)
@@ -106,7 +136,7 @@ def test_fractions_are_read_as_they_are(n, d):
 
 def test_factor_refuses_unfactored_cofactor():
     with pytest.raises(BoundExceeded):
-        factor((10**7 + 19) * (10**7 + 79), bound=10**3)
+        factor((10**7 + 19) * (10**7 + 79))
 
 
 def test_is_prime_small():
@@ -158,7 +188,7 @@ def test_factor_accepts_a_prime_square_cofactor():
     assert squarefree_part(-3 * p * p) == -3
     # the square of a composite cofactor stays refused
     with pytest.raises(BoundExceeded):
-        factor((10007 * 10009) ** 2, bound=100)
+        factor((1000003 * 1000033) ** 2)
 
 
 def test_rational_from_json_caps_entry_size():

@@ -266,7 +266,7 @@ def test_witt_decompose_refuses_a_wrong_kernel(monkeypatch):
     # another Clifford class, and <1, 1, -1> is isotropic
     for wrong in (diagonal(1, 2, 15), diagonal(1, 1, -1)):
         monkeypatch.setattr("wittforge.quadform._anisotropic_rep",
-                            lambda dim0, d, c, sig, k=wrong: k)
+                            lambda inv, k=wrong: k)
         with pytest.raises(AssertionError):
             witt_decompose(diagonal(2, 3, 5))
 
@@ -312,16 +312,24 @@ def test_witt_decompose_sweep_raises_no_bound():
 @pytest.mark.parametrize("n", [*range(4, 13), 400])
 @pytest.mark.parametrize("s", [1, -1])
 def test_definite_kernels_peel_in_one_step(monkeypatch, s, n):
-    # the units split off a definite kernel are peeled in closed form: at
-    # most 4 symbols whatever the dim (dims 4-12 cover every count of
-    # units mod 4, so the (x, x) term shows for negative definite kernels)
-    calls = []
-    symbol = brauer_from_symbol
-    monkeypatch.setattr(quadform, "brauer_from_symbol",
-                        lambda a, b: calls.append((a, b)) or symbol(a, b))
+    # the units split off a definite kernel are peeled in closed form, by
+    # at most 4 symbols read at the record's places, whatever the dim
+    # (dims 4-12 cover every count of units mod 4, so the (x, x) term
+    # shows for negative definite kernels): peeling factors nothing
+    peeled, factored = [], []
+    peel, factor = quadform._peel_units, qarith.factor
+
+    def watched(*args):
+        with monkeypatch.context() as m:
+            m.setattr(qarith, "factor",
+                      lambda k: factored.append(k) or factor(k))
+            peeled.append(args)
+            return peel(*args)
+
+    monkeypatch.setattr(quadform, "_peel_units", watched)
     w = witt_decompose(diagonal(*[s] * n))
     assert (w.kernel.dim, w.index, signature(w.kernel)) == (n, 0, s * n)
-    assert len(calls) <= 4
+    assert len(peeled) == 1 and factored == []
 
 
 @given(entries_strategy)
@@ -655,12 +663,25 @@ def test_witt_decompose_builds_two_records(monkeypatch):
     assert len(places) == sum(len(_support_places(s)) for s in builds)
 
 
-def test_isotropy_stops_at_the_first_deciding_place(monkeypatch):
-    # <3, 5, -7> is anisotropic, which the place 3 already shows: the
-    # isotropy test reads 2 and 3 only, while the record reads all five
+@pytest.mark.parametrize("entries", [(3, 5, -7), (1, -1), (1, 1, -2),
+                                     (2, -3), (1, 1, 1, -7), (1, 2, -3, -6)])
+def test_isotropy_below_dim_5_reads_one_record(monkeypatch, entries):
+    # past the sign shortcuts, isotropy builds the record of the square
+    # classes once, reads each support place once, and its kernel_dim
+    # decides
     builds, places = _count_record_builds(monkeypatch)
-    q = diagonal(3, 5, -7)
-    assert not is_isotropic(q) and builds == [] and places == [2, 3]
-    assert witt_index(q) == 0 and len(builds) == 1
-    assert places[2:] == _support_places(q.square_classes) == [2, 3, 5, 7,
-                                                               REAL]
+    q = diagonal(*entries)
+    isotropic = is_isotropic(q)
+    assert builds == [q.square_classes]
+    assert places == _support_places(q.square_classes)
+    assert isotropic == (q.invariants.kernel_dim < q.dim)
+
+
+def test_record_places_stay_out_of_equality():
+    # <5, 5> and <1, 1> are isometric, with equal records, but the record
+    # of <5, 5> was built over the place 5 as well
+    q, r = diagonal(5, 5), diagonal(1, 1)
+    assert q.invariants == r.invariants and isometric(q, r)
+    assert hash(q.invariants) == hash(r.invariants)
+    assert q.invariants.places == (2, 5, REAL)
+    assert r.invariants.places == (2, REAL)

@@ -183,3 +183,24 @@ def test_outside_readers_stay_inside_all():
                for module, name in sorted(_package_reads(_parse(path)))
                if name not in declared[module]]
     assert outside == [], f"read from outside __all__: {outside}"
+
+
+_FACTORING = {"factor", "squarefree_part"}
+
+
+@pytest.mark.parametrize("path", LIBRARY,
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_product_is_factored(path):
+    # square classes multiply without factoring (square_class_product),
+    # while a product of two numbers each within trial division can be a
+    # cofactor that factor refuses: no factoring call takes a product
+    calls = [node for node in ast.walk(_parse(path))
+             if isinstance(node, ast.Call) and getattr(
+                 node.func, "id", getattr(node.func, "attr", None))
+             in _FACTORING]
+    lines = sorted({call.lineno for call in calls
+                    for arg in (*call.args, *(k.value for k in call.keywords))
+                    for sub in ast.walk(arg)
+                    if isinstance(sub, ast.BinOp)
+                    and isinstance(sub.op, ast.Mult)})
+    assert lines == [], f"factoring calls on products at lines {lines}"
