@@ -9,7 +9,7 @@ of Q are the real place (the string "real") and the rational primes.
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import BoundExceeded, DomainError, require
 
@@ -161,11 +161,10 @@ def factor(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def squarefree_part(x: Rational) -> int:
-    """The signed squarefree integer representing the square class of x.
-
-    A fraction's numerator and denominator are coprime, so each is
-    factored on its own and their classes simply multiply."""
+def _factored(x: Rational) -> tuple[bool, tuple[tuple[int, int], ...]]:
+    # whether x < 0, and the factorizations of its numerator and its
+    # denominator: coprime, so each is factored on its own (and cached)
+    # and the primes of odd exponent are those of the square class of x
     if type(x) is int:
         num, den = x, 1
     else:
@@ -173,11 +172,23 @@ def squarefree_part(x: Rational) -> int:
         num, den = f.numerator, f.denominator
     if num == 0:
         raise DomainError("0 has no square class")
+    factors = factor(abs(num))
+    return num < 0, (factors + factor(den) if den > 1 else factors)
+
+
+def squarefree_part(x: Rational) -> int:
+    """The signed squarefree integer representing the square class of x."""
+    negative, factors = _factored(x)
     core = 1
-    for p, e in factor(abs(num)) + (factor(den) if den > 1 else ()):
+    for p, e in factors:
         if e % 2:
             core *= p
-    return -core if num < 0 else core
+    return -core if negative else core
+
+
+def _class_primes(x: Rational) -> list[int]:
+    # the primes of the square class of x, with no product factored
+    return [p for p, e in _factored(x)[1] if e % 2]
 
 
 def _class_mul(x: int, y: int) -> int:
@@ -276,18 +287,17 @@ def _sqrt_mod_prime(a: int, p: int) -> int:
     return r
 
 
-def sqrt_mod_squarefree(a: int, m: int) -> int:
-    """A square root of a mod m for squarefree m > 0, by CRT over factors."""
-    if m == 1:
-        return 0
+def sqrt_mod_squarefree(a: int, primes: Iterable[int]) -> int:
+    """A square root of a mod the product of the distinct primes given, by
+    CRT; the caller knows the primes, so its modulus is never factored."""
     root, mod = 0, 1
-    for p, _ in factor(m):
+    for p in primes:
         rp = _sqrt_mod_prime(a, p)
         # lift the pair (root mod mod, rp mod p) to mod*p
         inv = pow(mod % p, -1, p)
         root = root + mod * ((rp - root) * inv % p)
         mod *= p
-    return root % m
+    return root % mod
 
 
 @lru_cache(maxsize=None)
@@ -326,13 +336,10 @@ def hilbert_symbol(a: Rational, b: Rational, v: Place) -> int:
     return _hilbert_core(squarefree_part(a), squarefree_part(b), v)
 
 
-def _support_places(s: Sequence[int]) -> list:
-    # 2, the primes of the classes, then the real place: the only places
-    # where a symbol (x, y) of products of the classes can ramify; each
-    # class is squarefree, so factoring it just lists its primes
-    primes = {2}
-    for x in s:
-        primes.update(p for p, _ in factor(abs(x)))
+def _support_places(xs: Iterable[Rational]) -> list:
+    # 2, the primes of the classes of xs, then the real place: the only
+    # places where a symbol of products of those classes can ramify
+    primes = {2, *(p for x in xs for p, e in _factored(x)[1] if e % 2)}
     return sorted(primes) + [REAL]
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd, isqrt, prod
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from ._record import Record, set_field
 from .cohomology import (BrauerClass, H3Class, find_quaternion_symbol,
@@ -27,6 +27,7 @@ from .qarith import (
     Place,
     Rational,
     _class_mul,
+    _class_primes,
     _hilbert_core,
     _legendre,
     _local_square_core,
@@ -78,8 +79,9 @@ class QuadForm(Record):
 
     @cached_property
     def invariants(self) -> "Invariants":
-        """The invariant record; every public invariant reads it."""
-        return _invariants(self.square_classes)
+        """The invariant record; every public invariant reads it.  Its
+        places are read off the entries, never off a class's product."""
+        return _invariants(self.square_classes, _support_places(self.entries))
 
 
 def diagonal(*entries: Rational) -> QuadForm:
@@ -183,7 +185,8 @@ class Invariants(Record):
 
 # The builder below works on a diagonal given by its square classes: a
 # sequence of signed squarefree ints, as QuadForm.square_classes caches
-# them.  Nothing in it builds a form or factors a product.
+# them, and its support places.  Nothing in it builds a form or factors
+# a number.
 
 def _hasse_symbols(s: Sequence[int]) -> tuple[list, int]:
     # the Hasse class sum_{i<j} (a_i, a_j), grouped by second index, is
@@ -216,9 +219,9 @@ def _correction_slot(dim: int, det: int) -> int:
     return 1
 
 
-def _invariants(s: Sequence[int]) -> Invariants:
+def _invariants(s: Sequence[int], places: Sequence[Place]) -> Invariants:
     """The record of the diagonal with square classes s, in one pass over
-    its support places.
+    its support places, as `_support_places` lists them.
 
     The Clifford bit at each place is the Hasse bit times the correction
     (-1, b), b = +-1 or +-det (not the signed discriminant; pinned by
@@ -226,7 +229,6 @@ def _invariants(s: Sequence[int]) -> Invariants:
     """
     symbols, det = _hasse_symbols(s)
     b = _correction_slot(len(s), det)
-    places = _support_places(s)
     hasse, clifford = [], []
     for v in places:
         h = _local_hasse(symbols, v)
@@ -286,7 +288,7 @@ def _isotropic(s: Sequence[int]) -> bool:
         return False
     if n >= 5:
         return True
-    return _invariants(s).kernel_dim < n
+    return _invariants(s, _support_places(s)).kernel_dim < n
 
 
 def is_isotropic(q: QuadForm) -> bool:
@@ -312,15 +314,6 @@ def _primitive(v: Iterable[Fraction]) -> tuple[int, ...]:
     return tuple(x // g for x in ints) if g else tuple(ints)
 
 
-def _shells(bound: int):
-    """(x, y) integer pairs ordered by sup-norm shell, x >= 0, not both 0."""
-    for h in range(1, bound + 1):
-        for x in range(0, h + 1):
-            for y in range(-h, h + 1):
-                if max(x, abs(y)) == h:
-                    yield x, y
-
-
 def _pair_shortcut(s: list[int]) -> tuple[int, ...] | None:
     for i, j in combinations(range(len(s)), 2):
         w2 = -s[i] * s[j]
@@ -333,33 +326,28 @@ def _pair_shortcut(s: list[int]) -> tuple[int, ...] | None:
     return None
 
 
-def _lagrange_descent(a: int, b: int) -> tuple[int, int, int]:
+def _lagrange_descent(a: int, b: int, pa: Collection[int],
+                      pb: Collection[int]) -> tuple[int, int, int]:
     """A nonzero integer solution of x^2 = a y^2 + b z^2.
 
-    a, b are squarefree and the equation is assumed solvable.  Classical
-    descent: a square root t of a mod |b| factors t^2 - a = b b' w^2 with
-    |b'| < |b|, and a solution for (a, b') combines with t to one for
-    (a, b).  The modulus at least halves each round, so the recursion
-    bottoms out in small brute-forceable pairs after O(log) steps.
+    a, b are squarefree with primes pa, pb, and the equation is assumed
+    solvable.  Classical descent (Cremona-Rusin): a square root t of a mod
+    |b|, taken by CRT over pb, factors t^2 - a = b b' w^2, and a solution
+    for (a, b') combines with t to one for (a, b).  With |a| <= |b| and
+    |t| <= |b|/2, |b'| <= |b|/4 + 1 < |b| for |b| > 1, so the recursion
+    ends after O(log |b|) steps; only each new (t^2 - a)/b is factored.
     """
     if abs(a) > abs(b):
-        x, z, y = _lagrange_descent(b, a)
+        x, z, y = _lagrange_descent(b, a, pb, pa)
         return x, y, z
     if a == 1:
         return 1, 1, 0
     if b == 1:
         return 1, 0, 1
-    # (-1, -1) style pairs are unsolvable
-    require(a < 0 or b < 0 or a > 1, a, b)
-    if abs(b) <= 16:
-        for y, z in _shells(64):
-            x2 = a * y * y + b * z * z
-            if x2 >= 0:
-                x = isqrt(x2)
-                if x * x == x2:
-                    return x, y, z
+    if abs(b) == 1:
+        # |a| <= |b| and neither is 1: (-1, -1), with no real point
         raise DomainError(f"x^2 = {a} y^2 + {b} z^2 has no rational point")
-    t = sqrt_mod_squarefree(a % abs(b), abs(b))
+    t = sqrt_mod_squarefree(a, pb)
     if 2 * t > abs(b):
         t -= abs(b)
     k, r = divmod(t * t - a, b)
@@ -368,7 +356,7 @@ def _lagrange_descent(a: int, b: int) -> tuple[int, int, int]:
         return t, 1, 0
     b2 = squarefree_part(k)
     w = isqrt(k // b2)
-    x2, y2, z2 = _lagrange_descent(a, b2)
+    x2, y2, z2 = _lagrange_descent(a, b2, pa, _class_primes(k))
     # (x2 t + a y2)^2 - a (x2 + t y2)^2 = (t^2 - a)(x2^2 - a y2^2)
     x3, y3, z3 = x2 * t + a * y2, x2 + t * y2, b2 * w * z2
     g = gcd(gcd(abs(x3), abs(y3)), abs(z3))
@@ -376,13 +364,13 @@ def _lagrange_descent(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _ternary_zero(s: list[int]) -> tuple[int, ...]:
-    # scale by -s2: (-s0 s2) x^2 + (-s1 s2) y^2 = (s2 z)^2
-    big_a, big_b = -s[0] * s[2], -s[1] * s[2]
-    al = squarefree_part(big_a)
-    be = squarefree_part(big_b)
-    u = isqrt(big_a // al)
-    v = isqrt(big_b // be)
-    x, y, z = _lagrange_descent(al, be)
+    # scale by -s2: (-s0 s2) x^2 + (-s1 s2) y^2 = (s2 z)^2, where
+    # -s0 s2 = u^2 al with u = gcd(s0, s2), and al has the primes of just
+    # one of s0 and s2; likewise -s1 s2 = v^2 be.  No product is factored
+    p0, p1, p2 = (set(_class_primes(x)) for x in s)
+    u, v = gcd(s[0], s[2]), gcd(s[1], s[2])
+    x, y, z = _lagrange_descent(_class_mul(-s[0], s[2]),
+                                _class_mul(-s[1], s[2]), p0 ^ p2, p1 ^ p2)
     out = _primitive((Fraction(y, u), Fraction(z, v), Fraction(x, s[2])))
     require(any(out) and sum(c * t * t for c, t in zip(s, out)) == 0, s, out)
     return out
@@ -411,7 +399,7 @@ def _represents(a: int, b: int):
     is (-ab / p) = 1, with p from factor, so no place is proved prime.
     """
     m = _class_mul(-a, b)
-    rec = _invariants((a, b))
+    rec = _invariants((a, b), _support_places((a, b)))
     inside = set(rec.places)
     targets = [(v, -1 if v in rec.hasse.ramified else 1) for v in rec.places]
 

@@ -482,12 +482,23 @@ def test_factoring_failure_is_bound_exceeded(tmp_path, capsys):
     assert json.loads(err)["error"] == "bound-exceeded"
 
 
+def test_large_primes_over_each_other(tmp_path, capsys):
+    # the same two primes as numerator and denominator: each is factored
+    # on its own, and the places are read off those factorizations rather
+    # than off the class 1000036000099 they multiply to
+    code, out, err = _run(capsys, "qf", "invariants",
+                          _form_file(tmp_path, ["1000003/1000033", "1"]))
+    assert code == 0 and err == ""
+    outputs = json.loads(out)["outputs"]
+    assert outputs["e1"] == "-1000036000099" and outputs["witt_index"] == 0
+
+
 def test_exists_budget_while_checking_the_witness_is_unknown(capsys):
     # the witness is found, but checking it takes the class of d0, and
     # the numerator of one reduced norm leaves the cofactor
-    # 51846043533613103, two primes past the trial division bound
-    code, out, err = _run(capsys, "alg", "exists", "--h1=-11,28",
-                          "--h2=-26,-31")
+    # 6286199513399716467911, two primes past the trial division bound
+    code, out, err = _run(capsys, "alg", "exists", "--h1=-1581,2158",
+                          "--h2=-2310,-1672")
     assert code == 0 and err == ""
     report = json.loads(out)
     assert report["outputs"] == {"status": "unknown", "presentation": None}

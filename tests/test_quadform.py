@@ -12,7 +12,8 @@ import json
 import sys
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import gcd
 from random import Random
 from unittest import mock
 
@@ -24,12 +25,14 @@ from wittforge import qarith, quadform
 from wittforge.cohomology import ZERO, H3Class, brauer_from_symbol, brauer_sum
 from wittforge.errors import BoundExceeded, DomainError
 from wittforge.cli import main
-from wittforge.qarith import (REAL, _local_square_core, hilbert_symbol,
+from wittforge.qarith import (REAL, _class_primes, _local_square_core,
+                              hilbert_symbol, ramified_places,
                               square_class_product, squarefree_part)
 from wittforge.quadform import (
     QuadForm,
     _hasse_symbols,
     _isotropic,
+    _lagrange_descent,
     _local_hasse,
     _support_places,
     clifford_class,
@@ -132,6 +135,44 @@ def test_represented_values_by_symbols_match_isotropy():
         test = quadform._represents(a, b)
         assert [c for c in values if test(c)] == [
             c for c in values if _isotropic((a, b, -c))], (a, b)
+
+
+def test_descent_solves_every_small_conic():
+    # squarefree |a|, |b| <= 16, where |b'| <= |b|/4 + 1 shrinks least:
+    # descent ends by itself on each solvable pair, and refuses each pair
+    # (a, b) that ramifies somewhere
+    small = [n for n in range(-16, 17) if n and squarefree_part(n) == n]
+    solved = 0
+    for a, b in product(small, repeat=2):
+        primes = _class_primes(a), _class_primes(b)
+        if ramified_places(a, b):
+            with pytest.raises(DomainError):
+                _lagrange_descent(a, b, *primes)
+            continue
+        x, y, z = _lagrange_descent(a, b, *primes)
+        assert (y, z) != (0, 0) and x * x == a * y * y + b * z * z, (a, b)
+        solved += 1
+    assert solved == 139
+
+
+@pytest.mark.parametrize("entries", [(1000003, 5, -1000033),
+                                     (1000039, -2000078, 1000033),
+                                     (5000185, 7000259, -7000231),
+                                     (1000039, 7000021, -1000037)])
+def test_ternary_zero_factors_no_product_of_entries(monkeypatch, entries):
+    # the conic is scaled to (-s0 s2, -s1 s2): their classes come from
+    # gcds and their primes from the entries', so neither product, each
+    # past trial division here, is factored
+    factored = []
+    factor = qarith.factor
+    for module in (qarith, quadform):
+        monkeypatch.setattr(module, "factor",
+                            lambda n: factored.append(n) or factor(n))
+    q = diagonal(*entries)
+    v = isotropic_vector(q)
+    assert q(v) == 0 and gcd(*(int(x) for x in v)) == 1
+    s0, s1, s2 = q.square_classes
+    assert factored and not {abs(s0 * s2), abs(s1 * s2)} & set(factored)
 
 
 @given(entries_strategy)
@@ -634,7 +675,7 @@ def _count_record_builds(monkeypatch) -> tuple[list, list]:
     builds, places = [], []
     build, local_hasse = quadform._invariants, quadform._local_hasse
     monkeypatch.setattr(quadform, "_invariants",
-                        lambda s: builds.append(s) or build(s))
+                        lambda s, at: builds.append(s) or build(s, at))
     monkeypatch.setattr(quadform, "_local_hasse",
                         lambda s, v: places.append(v) or local_hasse(s, v))
     return builds, places

@@ -185,7 +185,66 @@ def test_outside_readers_stay_inside_all():
     assert outside == [], f"read from outside __all__: {outside}"
 
 
-_FACTORING = {"factor", "squarefree_part"}
+_FACTORING = {"factor", "squarefree_part", "_class_primes",
+              "_support_places"}
+
+
+def _is_product(node: ast.AST) -> bool:
+    return any(isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Mult)
+               for sub in ast.walk(node))
+
+
+def _product_names(func: ast.AST) -> set[str]:
+    # the names a function assigns an expression with a product in it,
+    # element by element for a tuple assigned a tuple; a tuple unpacked
+    # from a call is not attributed
+    names = set()
+    for node in ast.walk(func):
+        if not isinstance(node, ast.Assign):
+            continue
+        for whole in node.targets:
+            pairs = (zip(whole.elts, node.value.elts)
+                     if isinstance(whole, ast.Tuple)
+                     and isinstance(node.value, ast.Tuple)
+                     else [(whole, node.value)])
+            names |= {target.id for target, value in pairs
+                      if isinstance(target, ast.Name) and _is_product(value)}
+    return names
+
+
+def _products_factored(tree: ast.Module) -> list[int]:
+    # the lines of factoring calls whose argument holds a product, or a
+    # name its function bound to one
+    lines = set()
+    scopes = [tree, *(node for node in ast.walk(tree)
+                      if isinstance(node, ast.FunctionDef))]
+    for scope in scopes:
+        bound = _product_names(scope) if scope is not tree else set()
+        for call in ast.walk(scope):
+            if not (isinstance(call, ast.Call) and getattr(
+                    call.func, "id", getattr(call.func, "attr", None))
+                    in _FACTORING):
+                continue
+            for arg in (*call.args, *(k.value for k in call.keywords)):
+                if _is_product(arg) or any(
+                        isinstance(sub, ast.Name) and sub.id in bound
+                        for sub in ast.walk(arg)):
+                    lines.add(call.lineno)
+    return sorted(lines)
+
+
+def test_product_check_sees_names_bound_to_products():
+    # a product bound to a name first, as a tuple element too, is seen;
+    # a tuple unpacked from divmod, a new number, is not
+    flagged = ast.parse("def f(s, t, a, b):\n"
+                        "    x, y = -s[0] * s[2], s[1]\n"
+                        "    squarefree_part(x)\n"
+                        "    squarefree_part(y)\n"
+                        "    k, r = divmod(t * t - a, b)\n"
+                        "    squarefree_part(k)\n"
+                        "    m = abs(a * b)\n"
+                        "    factor(m)\n")
+    assert _products_factored(flagged) == [3, 8]
 
 
 @pytest.mark.parametrize("path", LIBRARY,
@@ -193,14 +252,7 @@ _FACTORING = {"factor", "squarefree_part"}
 def test_no_product_is_factored(path):
     # square classes multiply without factoring (square_class_product),
     # while a product of two numbers each within trial division can be a
-    # cofactor that factor refuses: no factoring call takes a product
-    calls = [node for node in ast.walk(_parse(path))
-             if isinstance(node, ast.Call) and getattr(
-                 node.func, "id", getattr(node.func, "attr", None))
-             in _FACTORING]
-    lines = sorted({call.lineno for call in calls
-                    for arg in (*call.args, *(k.value for k in call.keywords))
-                    for sub in ast.walk(arg)
-                    if isinstance(sub, ast.BinOp)
-                    and isinstance(sub.op, ast.Mult)})
+    # cofactor that factor refuses: no factoring call takes a product,
+    # directly or through a name bound to one
+    lines = _products_factored(_parse(path))
     assert lines == [], f"factoring calls on products at lines {lines}"
