@@ -59,7 +59,8 @@ def disc_adjoint(form: SkewHermForm) -> int:
 def _split_module_basis(alg: QuaternionAlgebra) -> tuple[Quat, Quat]:
     """Integral multiples (c e, c nu e) of a basis of the left ideal He, for
     the rank 1 idempotent e = (1 + mu) / 2.  Scaling a basis by one scalar
-    leaves every left multiplication matrix in it unchanged."""
+    leaves every coefficient S(x, q y) unchanged, since conj(x) q y and w
+    both scale by c^2."""
     mu = pure_with_square(alg, 1)
     nu = anticommutant(alg, mu)
     f = alg.one() + mu
@@ -68,60 +69,46 @@ def _split_module_basis(alg: QuaternionAlgebra) -> tuple[Quat, Quat]:
     return f * g.den, g * g.den
 
 
-def _left_mult_matrix(x: Quat, basis: tuple[Quat, Quat]
-                      ) -> tuple[_linalg.Matrix, int]:
-    """(m, d): m / d is the matrix of left multiplication by x on He in
-    the integral basis."""
-    bmat = _linalg.transpose([b.num for b in basis])
-    cols = []
-    for b in basis:
-        target = x * b
-        sol = _linalg.solve(bmat, list(target.num))
-        require(sol is not None, x, basis)
-        v, d = sol
-        cols.append((v, d * target.den))
-    den = lcm(*(d for _, d in cols))
-    return _linalg.transpose([[c * (den // d) for c in v] for v, d in cols]), den
-
-
-_S = [[0, 1], [-1, 0]]
-_S_INV = [[0, -1], [1, 0]]
-
-
 def to_quadratic_form(form: SkewHermForm) -> QuadForm:
     """The 2n-dimensional quadratic form adjoint to the same involution,
     available when the algebra splits.  Well defined up to a scalar, which
     no even-dimensional discriminant ever sees.
 
-    Conjugation transported to the 2-dimensional simple module is the
-    symplectic adjoint for S = [[0,1],[-1,0]], so S times the left
-    multiplication matrix of a pure entry is symmetric and the blocks
+    For the basis (f, g) of He, w = conj(f) g is a multiple of nu (1 + mu),
+    and for x, y in He, conj(x) y lies on the line of w with coefficient
+    S(x, y), the symplectic form with S(f, g) = 1 to which conjugation
+    transports.  So conj(x) q y = S(x, q y) w, and for a pure entry q the
+    block of those coefficients on (f, g) is symmetric.  The blocks
     assemble into a Gram matrix over Q, diagonalized over one common
     denominator.
     """
     if not form.alg.is_split():
         raise DomainError("transport needs a split algebra")
-    basis = _split_module_basis(form.alg)
+    f, g = basis = _split_module_basis(form.alg)
+    w = f.conjugate() * g
+    k = next(i for i, c in enumerate(w.num) if c)
     blocks = []
     for q in form.entries:
-        lm, d = _left_mult_matrix(q, basis)
-        conj, dc = _left_mult_matrix(q.conjugate(), basis)
-        adj = _linalg.mat_mul(_linalg.mat_mul(_S_INV, _linalg.transpose(lm)), _S)
-        require(all(u * d == v * dc for cu, cv in zip(conj, adj)
-                    for u, v in zip(cu, cv)), q, lm)
-        block = _linalg.mat_mul(_S, lm)
-        require(block[0][1] == block[1][0], q)
-        blocks.append((block, d))
-    den = lcm(*(d for _, d in blocks))
+        right = [q * y for y in basis]
+        block = [[x.conjugate() * qy for qy in right] for x in basis]
+        require(block[0][1] == block[1][0]
+                and all(p.num[i] * w.num[k] == p.num[k] * w.num[i]
+                        for row in block for p in row for i in range(4)), q)
+        blocks.append(block)
+    # the coefficient of p on w is p.num[k] w.den / (p.den w.num[k]): over
+    # den |w.num[k]| its numerator is the Gram entry
+    den = lcm(*(p.den for block in blocks for row in block for p in row))
+    scale = w.den if w.num[k] > 0 else -w.den
     n = form.rank
     gram = [[0] * (2 * n) for _ in range(2 * n)]
-    for t, (block, d) in enumerate(blocks):
+    for t, block in enumerate(blocks):
         for r in range(2):
             for c in range(2):
-                gram[2 * t + r][2 * t + c] = block[r][c] * (den // d)
+                p = block[r][c]
+                gram[2 * t + r][2 * t + c] = p.num[k] * (den // p.den) * scale
     diag = _linalg.congruence_diagonalize(gram)
     require(all(x != 0 for x in diag), form)
-    return QuadForm(tuple(x / den for x in diag))
+    return QuadForm(tuple(x / (den * abs(w.num[k])) for x in diag))
 
 
 # --- serialization ---------------------------------------------------------

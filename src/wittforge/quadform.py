@@ -279,21 +279,24 @@ def witt_index(q: QuadForm) -> int:
 
 # --- isotropy over Q ------------------------------------------------------
 
-def _isotropic(s: Sequence[int]) -> bool:
+def _isotropic(s: Sequence[int],
+               entries: Sequence[Rational] | None = None) -> bool:
     # isotropic iff the kernel is smaller than the form; the kernel is at
     # least |sig| and local kernels have dim <= 4, so the signs decide for
-    # definite forms and past dim 4; else the record's kernel_dim does
+    # definite forms and past dim 4; else the record's kernel_dim does,
+    # on the places of the entries whose classes are s, when given
     n = len(s)
     if n < 2 or not min(s) < 0 < max(s):
         return False
     if n >= 5:
         return True
-    return _invariants(s, _support_places(s)).kernel_dim < n
+    places = _support_places(s if entries is None else entries)
+    return _invariants(s, places).kernel_dim < n
 
 
 def is_isotropic(q: QuadForm) -> bool:
     """Whether q represents 0 nontrivially over Q (Hasse-Minkowski)."""
-    return _isotropic(q.square_classes)
+    return _isotropic(q.square_classes, q.entries)
 
 
 def _sqrt_fraction(f: Fraction) -> Fraction:

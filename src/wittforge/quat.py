@@ -5,19 +5,18 @@ ints over one positive denominator, reduced by their gcd, so equal elements
 have equal fields.  Products, norms, inverses and sums are integer
 arithmetic against s, a s, b s and ab s, where s is the product of the
 denominators of a and b, read once per algebra; a and b themselves stay
-as given.  `coeffs` is the rational view for serialization; the linear
-algebra below reads the integer numerators.  Elements carry their algebra
-so cross-algebra arithmetic fails loudly.  The reduced norm on pure
-quaternions is the diagonal form <-a, -b, ab>, and two pures anticommute
-exactly when they are orthogonal for it; that is what the constructive
-helpers below exploit.
+as given.  `coeffs` is the rational view for serialization.  Elements
+carry their algebra so cross-algebra arithmetic fails loudly.  The reduced
+norm on pure quaternions is the diagonal form <-a, -b, ab>, and two pures
+anticommute exactly when they are orthogonal for it; that is what the
+constructive helpers below exploit, reading the orthogonal pures off the
+integer numerators in closed form.
 """
 
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from . import _linalg
 from ._record import Record, set_field
 from .cohomology import BrauerClass, brauer_from_symbol, find_quaternion_symbol
 from .errors import DomainError, require
@@ -231,8 +230,19 @@ def _orthogonal_pure(alg: QuaternionAlgebra, p: Quat) -> Quat:
     """
     _, sa, sb, sab = alg._weights
     _, x, y, z = p.num
-    # the row (-a x, -b y, ab z) times s den(p) > 0: the same kernel
-    (w1, w2, *_), den = _linalg.kernel_basis([[-sa * x, -sb * y, sab * z]])
+    # the row r = (-a x, -b y, ab z) times s den(p) > 0: the same kernel.
+    # Off its first nonzero column c, made positive, each other column f
+    # gives e_f - (r[f] / r[c]) e_c, kept as ints over r[c]
+    row = [-sa * x, -sb * y, sab * z]
+    c = next((i for i, r in enumerate(row) if r), None)
+    if c is None:
+        w1, w2, den = (1, 0, 0), (0, 1, 0), 1
+    else:
+        if row[c] < 0:
+            row = [-r for r in row]
+        den = row[c]
+        w1, w2 = ([den if i == f else -row[f] if i == c else 0
+                   for i in range(3)] for f in range(3) if f != c)
     for coords in (w1, w2,
                    [s + t for s, t in zip(w1, w2)],
                    [s - t for s, t in zip(w1, w2)]):

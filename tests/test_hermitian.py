@@ -5,6 +5,9 @@ the signed discriminant of the transported quadratic form whenever the
 algebra splits; the two computations share no code path.
 """
 
+from fractions import Fraction
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +22,8 @@ from wittforge.hermitian import (
 )
 from wittforge.qarith import squarefree_part
 from wittforge.quadform import e1, hyperbolic, isometric
-from wittforge.quat import algebra, anticommutant, pure
+from wittforge.quat import algebra, anticommutant, pure, pure_with_square
+from wittforge.sampling import random_skew_form, split_algebra
 
 split_params = st.sampled_from([(1, 1), (1, -1), (2, -2), (3, 6), (1, 5), (-1, 2)])
 any_params = st.sampled_from([(-1, -1), (2, 5), (1, 1), (-1, 2), (-3, -1), (2, -2)])
@@ -109,6 +113,40 @@ def test_split_transport_frozen():
     q = to_quadratic_form(f)
     assert q.dim == 2 and e1(q) == 1
     assert isometric(q, hyperbolic(1))
+
+
+# to_quadratic_form entries frozen from the transport that solved for left
+# multiplication matrices; the form is exact, so the same entries pin it
+FROZEN_TRANSPORTS = {
+    0: ["16", "-27"],
+    1: ["-11/4", "2148/11", "77/16", "-1024/77"],
+    2: ["-33", "1675/33", "-33", "994/33", "132", "-1323/44"],
+    3: ["10", "-23/5"],
+    4: ["-2", "-248", "-5/8", "688/5"],
+    5: ["-7", "270/7", "1", "38", "-7", "-241/7"],
+    6: ["-2", "-52"],
+    7: ["-2067/56", "399056/2067", "975/56", "784/39"],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FROZEN_TRANSPORTS))
+def test_seeded_transports_are_frozen(seed):
+    rng = Random(seed)
+    alg = split_algebra(rng)
+    f = random_skew_form(rng, alg, 1 + seed % 3)
+    q = to_quadratic_form(f)
+    assert [str(x) for x in q.entries] == FROZEN_TRANSPORTS[seed]
+
+
+def test_transport_through_a_block_with_zero_diagonal():
+    # mu with mu^2 = 1 fixes f = (1 + mu) c and negates g = nu f, so its
+    # block of coefficients S(x, mu y) is [[0, -1], [-1, 0]], and the
+    # congruence first adds a column to make its pivot nonzero
+    h = algebra(3, 6)
+    mu = pure_with_square(h, 1)
+    assert mu.coeffs == (0, Fraction(1, 3), Fraction(1, 3), 0)
+    q = to_quadratic_form(skew_form(h, mu, h.i()))
+    assert [str(x) for x in q.entries] == ["-1/3", "9", "-2", "1/2"]
 
 
 def test_json_roundtrip():

@@ -3,9 +3,9 @@ formulas.
 
 The references below are the textbook formulas written over Fraction, kept
 here and nowhere in the package: every quaternion operation, the reduced
-row echelon form with the kernel and solution read off it, and symmetric
-Gaussian elimination.  The package must give the same values, the same
-serialized bytes, and must build no Fraction on its hot path.
+row echelon form with the kernel read off it, and symmetric Gaussian
+elimination.  The package must give the same values, the same serialized
+bytes, and must build no Fraction on its hot path.
 """
 
 import json
@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from wittforge import _linalg
 from wittforge.errors import DomainError
-from wittforge.quat import Quat, algebra, elem_to_json
+from wittforge.quat import Quat, _orthogonal_pure, algebra, elem_to_json, \
+    pure
 
 small = st.integers(min_value=-7, max_value=7)
 dens = st.integers(min_value=1, max_value=6)
@@ -84,17 +85,6 @@ def ref_kernel(m):
             v[pc] = -red[r][fc]
         out.append(v)
     return out
-
-
-def ref_solve(m, b):
-    cols = len(m[0])
-    red, pivots = ref_rref([row + [bv] for row, bv in zip(m, b)])
-    if cols in pivots:
-        return None
-    x = [Fraction(0)] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols]
-    return x
 
 
 def ref_congruence_diagonal(g):
@@ -193,43 +183,24 @@ def test_quaternion_constructor_normalizes_and_refuses():
         h.one() * 1.5
 
 
-# --- linear algebra -----------------------------------------------------------
+# --- orthogonal pures and linear algebra ---------------------------------------
 
-def matrices(max_rows=6, max_cols=6):
-    # small entries with many zeros, so rank drops often
-    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, -5, 7])
-    return st.integers(1, max_rows).flatmap(
-        lambda r: st.integers(1, max_cols).flatmap(
-            lambda c: st.lists(st.lists(entry, min_size=c, max_size=c),
-                               min_size=r, max_size=r)))
-
-
-def _values(vec, den):
-    return [Fraction(x, den) for x in vec]
-
-
-@given(matrices())
+@given(st.data(), params, params)
 @settings(max_examples=300, deadline=None)
-def test_rref_and_kernel_match_the_fraction_reference(m):
-    red, d, pivots = _linalg.rref(m)
-    want, want_pivots = ref_rref(m)
-    assert d > 0 and pivots == want_pivots
-    assert [_values(row, d) for row in red] == want
-    basis, d = _linalg.kernel_basis(m)
-    assert [_values(v, d) for v in basis] == ref_kernel(m)
-
-
-@given(matrices(), st.data())
-@settings(max_examples=300, deadline=None)
-def test_solve_matches_the_fraction_reference(m, data):
-    entry = st.integers(min_value=-9, max_value=9)
-    b = data.draw(st.lists(entry, min_size=len(m), max_size=len(m)))
-    got, want = _linalg.solve(m, b), ref_solve(m, b)
-    if want is None:
-        assert got is None
-    else:
-        x, d = got
-        assert d > 0 and _values(x, d) == want
+def test_orthogonal_pure_is_read_off_the_fraction_kernel(data, a, b):
+    # the first invertible of w1, w2, w1 + w2, w1 - w2, for w1, w2 the
+    # first two kernel vectors of the row (-a x, -b y, ab z); zeros are
+    # drawn often, so scalars and pures on a coordinate axis come up
+    alg = algebra(a, b)
+    coord = st.one_of(st.just(0), rationals)
+    p = alg.element(*(data.draw(coord) for _ in range(4)))
+    _, x, y, z = p.coeffs
+    w1, w2, *_ = ref_kernel([[-a * x, -b * y, a * b * z]])
+    candidates = [pure(alg, *w) for w in (
+        w1, w2, [s + t for s, t in zip(w1, w2)],
+        [s - t for s, t in zip(w1, w2)])]
+    want = next(u for u in candidates if u.is_invertible())
+    assert _orthogonal_pure(alg, p) == want
 
 
 @given(st.integers(1, 6).flatmap(lambda n: st.lists(
@@ -269,16 +240,11 @@ def test_hot_path_builds_no_fraction(monkeypatch):
 
     h = algebra(-3, 7)
     p, q = h.element(1, 2, -3, 4), h.element(-2, 0, 5, 1)
-    m = [[2, -1, 0, 3], [1, 4, -2, 0], [0, 5, 1, 1]]
     monkeypatch.setattr(Fraction, "__new__", counting)
     product = p * q
     norm = product.nrd
     inverse = product.inverse()
-    solution = _linalg.solve(m, [1, -2, 3])
     monkeypatch.undo()
     assert built == []
     assert norm == p.nrd * q.nrd
     assert inverse * product == h.one()
-    x, d = solution
-    assert [sum(a * v for a, v in zip(row, x)) for row in m] == [
-        d * c for c in (1, -2, 3)]

@@ -175,6 +175,14 @@ def test_ternary_zero_factors_no_product_of_entries(monkeypatch, entries):
     assert factored and not {abs(s0 * s2), abs(s1 * s2)} & set(factored)
 
 
+def test_isotropy_reads_its_places_off_the_entries():
+    # the class of 1000003/1000033 is 1000036000099, a cofactor past trial
+    # division; the places come from the entries, each factored on its own
+    r = Fraction(1000003, 1000033)
+    assert isotropic_vector(diagonal(r, 1, -1)) == (0, 1, 1)
+    assert not is_isotropic(diagonal(r, 5, -7))
+
+
 @given(entries_strategy)
 @settings(max_examples=40)
 def test_brute_force_zeros_confirm_isotropy(q):

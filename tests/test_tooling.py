@@ -144,6 +144,20 @@ def test_every_module_declares_its_api(path):
     assert declared <= bound, f"unbound in __all__: {declared - bound}"
 
 
+@pytest.mark.parametrize("path", [p for p in LIBRARY
+                                  if p.stem.startswith("_")
+                                  and p.stem != "__init__"],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_private_modules_export_only_what_the_package_reads(path):
+    # a private module serves the package, so each name its __all__
+    # declares is read by another library module; one that only the
+    # module itself or the tests read is dead code
+    read = set().union(*(_referenced(_parse(other)) for other in LIBRARY
+                         if other != path))
+    unread = sorted(_exported(_parse(path)) - read)
+    assert unread == [], f"declared but read by no other module: {unread}"
+
+
 def _package_reads(tree: ast.Module) -> set[tuple[str, str]]:
     # (module, name) for each public name read from wittforge.<module>,
     # by a from-import or as an attribute of an imported module; names
