@@ -186,11 +186,6 @@ def squarefree_part(x: Rational) -> int:
     return -core if negative else core
 
 
-def _class_primes(x: Rational) -> list[int]:
-    # the primes of the square class of x, with no product factored
-    return [p for p, e in _factored(x)[1] if e % 2]
-
-
 def _class_mul(x: int, y: int) -> int:
     # the square class of xy for signed squarefree x, y: (x/g)(y/g) with
     # g = gcd(x, y), so a running product of classes is never factored
@@ -346,7 +341,7 @@ def _support_places(xs: Iterable[Rational]) -> list:
 def ramified_places(a: Rational, b: Rational) -> frozenset[Place]:
     """All places where (a, b)_v = -1.  Always of even cardinality."""
     sa, sb = squarefree_part(a), squarefree_part(b)
-    ram = frozenset(v for v in _support_places((sa, sb))
+    ram = frozenset(v for v in _support_places((a, b))
                     if _hilbert_core(sa, sb, v) == -1)
     require(len(ram) % 2 == 0, (sa, sb, ram))
     return ram

@@ -3,19 +3,19 @@
 Forms are kept diagonal throughout: every operation that produces a form
 rediagonalizes exactly over Fraction.  The classifying data over Q is one
 `Invariants` record (dim, determinant class, signature, Hasse class,
-Clifford class), built in one pass over the places that can ramify and
-cached on the form; e1, e2, e3, the Witt index, isometry and hyperbolicity
-are read off it, and Witt classes are compared by its `witt_class`;
-isotropy, represented values and kernel peeling read records too, so no
-other pass runs over places.  Hasse-Minkowski lives in `kernel_dim` alone.
-All searches (isotropic vectors, represented values) return exact
-witnesses or raise BoundExceeded; nothing here is approximate.
+Clifford class), built in one pass over the form's places and cached on
+it; e1, e2, e3, the Witt index, isometry and hyperbolicity are read off
+it, and Witt classes are compared by its `witt_class`.  The places (2, the
+primes of the entries' classes, the real place) are read off the entries
+once; isotropy, represented values and kernel peeling take them as given,
+and factor no square class.  Hasse-Minkowski lives in `kernel_dim` alone.
+All searches return exact witnesses or raise BoundExceeded.
 """
 
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 from typing import Collection, Iterable, Sequence
 
 from ._record import Record, set_field
@@ -27,7 +27,6 @@ from .qarith import (
     Place,
     Rational,
     _class_mul,
-    _class_primes,
     _hilbert_core,
     _legendre,
     _local_square_core,
@@ -78,10 +77,14 @@ class QuadForm(Record):
         return tuple(squarefree_part(e) for e in self.entries)
 
     @cached_property
+    def places(self) -> list[Place]:
+        """The support places, read off the entries, never off a class."""
+        return _support_places(self.entries)
+
+    @cached_property
     def invariants(self) -> "Invariants":
-        """The invariant record; every public invariant reads it.  Its
-        places are read off the entries, never off a class's product."""
-        return _invariants(self.square_classes, _support_places(self.entries))
+        """The invariant record; every public invariant reads it."""
+        return _invariants(self.square_classes, self.places)
 
 
 def diagonal(*entries: Rational) -> QuadForm:
@@ -279,24 +282,24 @@ def witt_index(q: QuadForm) -> int:
 
 # --- isotropy over Q ------------------------------------------------------
 
-def _isotropic(s: Sequence[int],
-               entries: Sequence[Rational] | None = None) -> bool:
+# The helpers below take square classes s and places that hold 2, the real
+# place and every prime of s, such as QuadForm.places; more change nothing.
+
+def _isotropic(s: Sequence[int], places: Sequence[Place]) -> bool:
     # isotropic iff the kernel is smaller than the form; the kernel is at
     # least |sig| and local kernels have dim <= 4, so the signs decide for
-    # definite forms and past dim 4; else the record's kernel_dim does,
-    # on the places of the entries whose classes are s, when given
+    # definite forms and past dim 4; else the record's kernel_dim does
     n = len(s)
     if n < 2 or not min(s) < 0 < max(s):
         return False
     if n >= 5:
         return True
-    places = _support_places(s if entries is None else entries)
     return _invariants(s, places).kernel_dim < n
 
 
 def is_isotropic(q: QuadForm) -> bool:
     """Whether q represents 0 nontrivially over Q (Hasse-Minkowski)."""
-    return _isotropic(q.square_classes, q.entries)
+    return _isotropic(q.square_classes, q.places)
 
 
 def _sqrt_fraction(f: Fraction) -> Fraction:
@@ -307,13 +310,9 @@ def _sqrt_fraction(f: Fraction) -> Fraction:
 
 def _primitive(v: Iterable[Fraction]) -> tuple[int, ...]:
     vs = list(v)
-    lcm = 1
-    for x in vs:
-        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in vs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    den = lcm(*(x.denominator for x in vs))
+    ints = [int(x * den) for x in vs]
+    g = gcd(*ints)
     return tuple(x // g for x in ints) if g else tuple(ints)
 
 
@@ -359,21 +358,24 @@ def _lagrange_descent(a: int, b: int, pa: Collection[int],
         return t, 1, 0
     b2 = squarefree_part(k)
     w = isqrt(k // b2)
-    x2, y2, z2 = _lagrange_descent(a, b2, pa, _class_primes(k))
+    x2, y2, z2 = _lagrange_descent(
+        a, b2, pa, [p for p, e in factor(abs(k)) if e % 2])
     # (x2 t + a y2)^2 - a (x2 + t y2)^2 = (t^2 - a)(x2^2 - a y2^2)
     x3, y3, z3 = x2 * t + a * y2, x2 + t * y2, b2 * w * z2
     g = gcd(gcd(abs(x3), abs(y3)), abs(z3))
     return x3 // g, y3 // g, z3 // g
 
 
-def _ternary_zero(s: list[int]) -> tuple[int, ...]:
-    # scale by -s2: (-s0 s2) x^2 + (-s1 s2) y^2 = (s2 z)^2, where
-    # -s0 s2 = u^2 al with u = gcd(s0, s2), and al has the primes of just
-    # one of s0 and s2; likewise -s1 s2 = v^2 be.  No product is factored
-    p0, p1, p2 = (set(_class_primes(x)) for x in s)
+def _ternary_zero(s: list[int], places: Sequence[Place]) -> tuple[int, ...]:
+    """A primitive zero of the isotropic ternary s: scaled by -s2 it is
+    (-s0 s2) x^2 + (-s1 s2) y^2 = (s2 z)^2, where -s0 s2 = u^2 al for
+    u = gcd(s0, s2), and -s1 s2 = v^2 be.  The classes al, be come from
+    gcds and their primes are the places that divide them."""
+    al, be = _class_mul(-s[0], s[2]), _class_mul(-s[1], s[2])
+    pa, pb = ([p for p in places if p != REAL and x % p == 0]
+              for x in (al, be))
     u, v = gcd(s[0], s[2]), gcd(s[1], s[2])
-    x, y, z = _lagrange_descent(_class_mul(-s[0], s[2]),
-                                _class_mul(-s[1], s[2]), p0 ^ p2, p1 ^ p2)
+    x, y, z = _lagrange_descent(al, be, pa, pb)
     out = _primitive((Fraction(y, u), Fraction(z, v), Fraction(x, s[2])))
     require(any(out) and sum(c * t * t for c, t in zip(s, out)) == 0, s, out)
     return out
@@ -392,19 +394,18 @@ def _signed_squarefree_by_height(limit: int):
             yield -n
 
 
-def _represents(a: int, b: int):
+def _represents(a: int, b: int, places: Sequence[Place]):
     """A test of whether the anisotropic binary <a, b> represents c, for
     signed squarefree a, b and c.
 
     By Hasse-Minkowski that holds exactly when (c, -ab)_v = (a, b)_v at
-    every place v.  The targets are read off the record of <a, b>, at its
-    places; at a prime p of c outside them (a, b)_p = 1 and the condition
-    is (-ab / p) = 1, with p from factor, so no place is proved prime.
+    every place v.  The targets are (a, b)_v at the places given; at a
+    prime p of c outside them (a, b)_p = 1 and the condition is
+    (-ab / p) = 1, with p from factor, so no place is proved prime.
     """
     m = _class_mul(-a, b)
-    rec = _invariants((a, b), _support_places((a, b)))
-    inside = set(rec.places)
-    targets = [(v, -1 if v in rec.hasse.ramified else 1) for v in rec.places]
+    inside = set(places)
+    targets = [(v, _hilbert_core(a, b, v)) for v in places]
 
     def test(c: int) -> bool:
         return (all(p in inside or _legendre(m, p) == 1
@@ -413,7 +414,7 @@ def _represents(a: int, b: int):
     return test
 
 
-def _int_isotropic(s: list[int]) -> tuple[int, ...]:
+def _int_isotropic(s: list[int], places: Sequence[Place]) -> tuple[int, ...]:
     """An isotropic integer vector for the signed squarefree diagonal s.
 
     Caller guarantees isotropy; ternary instances go through the descent
@@ -423,7 +424,8 @@ def _int_isotropic(s: list[int]) -> tuple[int, ...]:
     decided by Hilbert symbols (`_represents`): first whether <s0, s1>
     represents c, then, for rest = <r0, r1>, whether <-r0, -r1> does; a
     longer rest is tested by `_isotropic` on rest + <c>, and only for
-    candidates that pass the first test.
+    candidates that pass the first test.  Only c adds places, from the
+    factor(|c|) the first test took.
     """
     short = _pair_shortcut(s)
     if short is not None:
@@ -431,22 +433,24 @@ def _int_isotropic(s: list[int]) -> tuple[int, ...]:
     n = len(s)
     require(n >= 3, s)
     if n == 3:
-        return _ternary_zero(s)
+        return _ternary_zero(s, places)
     rest = s[2:]
-    if _isotropic(rest):
-        return (0, 0) + _int_isotropic(rest)
+    if _isotropic(rest, places):
+        return (0, 0) + _int_isotropic(rest, places)
     # both halves anisotropic (no pair is, by the shortcut): find c with
     # <s0, s1, -c> and rest + <c> both isotropic, then stitch the two exact
     # witnesses
-    first = _represents(s[0], s[1])
-    second = (_represents(-rest[0], -rest[1]) if n == 4
-              else lambda c: _isotropic((*rest, c)))
+    first = _represents(s[0], s[1], places)
+    second = _represents(-rest[0], -rest[1], places) if n == 4 else None
     for c in _signed_squarefree_by_height(_SPLIT_BOUND):
-        if not (first(c) and second(c)):
+        if not first(c):
             continue
-        x, y, w = _ternary_zero([s[0], s[1], -c])
+        at = [*places, *(p for p, _ in factor(abs(c)) if p not in places)]
+        if not (second(c) if second else _isotropic((*rest, c), at)):
+            continue
+        x, y, w = _ternary_zero([s[0], s[1], -c], at)
         require(w != 0, s, c)  # the binary part is anisotropic
-        sub = _int_isotropic(rest + [c])
+        sub = _int_isotropic(rest + [c], at)
         t = sub[-1]
         require(t != 0, s, c, sub)  # as is rest
         full = ([Fraction(x * t, w), Fraction(y * t, w)]
@@ -461,7 +465,7 @@ def isotropic_vector(q: QuadForm) -> tuple[Fraction, ...]:
         raise DomainError("form is anisotropic over Q")
     s = list(q.square_classes)
     t = [_sqrt_fraction(e / sf) for e, sf in zip(q.entries, s)]
-    y = _int_isotropic(s)
+    y = _int_isotropic(s, q.places)
     v = _primitive(Fraction(yi) / ti for yi, ti in zip(y, t))
     out = tuple(Fraction(x) for x in v)
     require(q(out) == 0 and any(out), q, out)

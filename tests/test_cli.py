@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from wittforge import invol12, quadform, ramlattice
+from wittforge import cohomology, invol12, qarith, quadform, ramlattice
 from wittforge.cli import main
 from wittforge.errors import DomainError
 
@@ -517,6 +517,27 @@ def test_exists_checks_a_witness_with_a_large_fraction_in_d(capsys):
     assert report["checks"] == {"trivial_invariants": True}
 
 
+def test_exists_with_a_fraction_slot_chains_into_f3(tmp_path, capsys,
+                                                     monkeypatch):
+    # the class 1000036000099 of 1000003/1000033 is past trial division;
+    # the isotropy search and the Brauer symbols read their places off the
+    # slots, so the witness is found and checked and f3 answers
+    seen, factor = [], qarith.factor
+    for module in (qarith, quadform, cohomology):
+        monkeypatch.setattr(module, "factor", lambda n: (
+            seen.append(n) if n == 1000036000099 else None) or factor(n))
+    code, out, err = _run(capsys, "alg", "exists",
+                          "--h1=1000003/1000033,-30", "--h2=5,-7")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["outputs"]["status"] == "witness"
+    assert report["checks"] == {"trivial_invariants": True}
+    pres = _write(tmp_path, "pres.json", report["outputs"]["presentation"])
+    code, out, err = _run(capsys, "alg", "f3", pres)
+    assert code == 0 and err == "" and json.loads(out)["outputs"]["agree"]
+    assert seen == []
+
+
 def _odd_prime_runs(runs: int, digits: int) -> list[int]:
     # products of consecutive odd primes from 3, each run cut as soon as
     # its product passes `digits` digits
@@ -624,7 +645,7 @@ def test_witness_check_survives_python_O():
     # a wrong vector from the search must not escape isotropic_vector
     # even with asserts stripped
     script = ("import wittforge.quadform as qf\n"
-              "qf._int_isotropic = lambda s: (1,) * len(s)\n"
+              "qf._int_isotropic = lambda s, places: (1,) * len(s)\n"
               "try:\n"
               "    qf.isotropic_vector(qf.diagonal(1, -1, 3))\n"
               "except AssertionError:\n"

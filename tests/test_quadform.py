@@ -21,11 +21,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittforge import qarith, quadform
+from wittforge import cohomology, qarith, quadform
 from wittforge.cohomology import ZERO, H3Class, brauer_from_symbol, brauer_sum
 from wittforge.errors import BoundExceeded, DomainError
 from wittforge.cli import main
-from wittforge.qarith import (REAL, _class_primes, _local_square_core,
+from wittforge.qarith import (REAL, _local_square_core, factor,
                               hilbert_symbol, ramified_places,
                               square_class_product, squarefree_part)
 from wittforge.quadform import (
@@ -58,6 +58,7 @@ from wittforge.quadform import (
     witt_equivalent,
     witt_index,
 )
+from wittforge.quat import algebra
 
 entries_strategy = st.lists(
     st.integers(min_value=-30, max_value=30).filter(lambda n: n != 0),
@@ -129,12 +130,14 @@ def test_represented_values_by_symbols_match_isotropy():
     while binaries < 30:
         a, b = (squarefree_part(rng.choice((1, -1)) * rng.randint(1, 400))
                 for _ in range(2))
-        if _isotropic((a, b)):
+        places = _support_places((a, b))
+        if _isotropic((a, b), places):
             continue
         binaries += 1
-        test = quadform._represents(a, b)
+        test = quadform._represents(a, b, places)
         assert [c for c in values if test(c)] == [
-            c for c in values if _isotropic((a, b, -c))], (a, b)
+            c for c in values
+            if _isotropic((a, b, -c), _support_places((a, b, c)))], (a, b)
 
 
 def test_descent_solves_every_small_conic():
@@ -144,7 +147,7 @@ def test_descent_solves_every_small_conic():
     small = [n for n in range(-16, 17) if n and squarefree_part(n) == n]
     solved = 0
     for a, b in product(small, repeat=2):
-        primes = _class_primes(a), _class_primes(b)
+        primes = [[p for p, _ in factor(abs(x))] for x in (a, b)]
         if ramified_places(a, b):
             with pytest.raises(DomainError):
                 _lagrange_descent(a, b, *primes)
@@ -181,6 +184,59 @@ def test_isotropy_reads_its_places_off_the_entries():
     r = Fraction(1000003, 1000033)
     assert isotropic_vector(diagonal(r, 1, -1)) == (0, 1, 1)
     assert not is_isotropic(diagonal(r, 5, -7))
+
+
+def _factoring_of(monkeypatch, number: int) -> list[int]:
+    # qarith.factor wrapped wherever the isotropy path and the Brauer
+    # symbols read it; records each call on `number`
+    seen = []
+    factor = qarith.factor
+    for module in (qarith, quadform, cohomology):
+        monkeypatch.setattr(module, "factor", lambda n: (
+            seen.append(n) if n == number else None) or factor(n))
+    return seen
+
+
+BIG = Fraction(1000003, 1000033)   # its class 1000036000099 is past factor
+
+
+@pytest.mark.parametrize("entries", [(BIG, -30, 5), (BIG, 5, -7, 11)])
+def test_isotropic_vectors_read_places_off_the_entries(monkeypatch, entries):
+    # the descent and the splitting walk take the primes of every class
+    # from the entries' places, and c's from factor(|c|)
+    seen = _factoring_of(monkeypatch, 1000036000099)
+    q = diagonal(*entries)
+    v = isotropic_vector(q)
+    assert q(v) == 0 and any(v) and seen == []
+
+
+def test_represented_values_read_places_off_the_entries(monkeypatch):
+    seen = _factoring_of(monkeypatch, 1000036000099)
+    q = diagonal(BIG, 1, 1)
+    assert q(represent_value(q, 6)) == 6 and seen == []
+
+
+def test_brauer_class_reads_places_off_the_slots(monkeypatch):
+    # ramified_places reads its places off a and b, not off their classes
+    seen = _factoring_of(monkeypatch, 1000036000099)
+    assert algebra(BIG, -30).brauer.ramified == {2, 1000033}
+    assert seen == []
+
+
+@given(st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=400, deadline=None)
+def test_isotropic_search_ignores_places_that_divide_no_entry(seed):
+    # the helpers filter the places they are given, so a caller may pass
+    # the entries' places down: primes that divide no entry change nothing
+    rng = Random(seed)
+    q = diagonal()
+    while not is_isotropic(q):
+        q = diagonal(*(rng.choice((1, -1)) * rng.randint(1, 60)
+                       for _ in range(rng.randint(3, 6))))
+    s, places = list(q.square_classes), q.places
+    more = sorted({*places[:-1], 61, 67, 1000003}) + [REAL]
+    assert quadform._int_isotropic(s, more) == quadform._int_isotropic(
+        s, places), q
 
 
 @given(entries_strategy)

@@ -270,3 +270,56 @@ def test_no_product_is_factored(path):
     # directly or through a name bound to one
     lines = _products_factored(_parse(path))
     assert lines == [], f"factoring calls on products at lines {lines}"
+
+
+def _places_misread(tree: ast.Module, module: str) -> list[str]:
+    # the functions whose `_support_places` call reads places off anything
+    # but a form's entries (quadform) or the function's own parameters
+    # (qarith): a square class built from them may be past trial division
+    flagged = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        params = {a.arg for a in (*func.args.args, *func.args.kwonlyargs)}
+        for call in ast.walk(func):
+            if not (isinstance(call, ast.Call)
+                    and getattr(call.func, "id", None) == "_support_places"):
+                continue
+            arg = call.args[0]
+            if module == "quadform":
+                ok = isinstance(arg, ast.Attribute) and arg.attr == "entries"
+            else:
+                ok = {node.id for node in ast.walk(arg)
+                      if isinstance(node, ast.Name)} <= params
+            if not ok:
+                flagged.add(f"{module}.{func.name}")
+    return sorted(flagged)
+
+
+def test_places_check_sees_places_read_off_classes():
+    # the shapes that read places off square classes: a fork between
+    # classes and entries, a pair of classes, names bound to classes
+    quadform = ast.parse(
+        "def _isotropic(s, entries=None):\n"
+        "    return _support_places(s if entries is None else entries)\n"
+        "def _represents(a, b):\n"
+        "    return _support_places((a, b))\n"
+        "def invariants(self):\n"
+        "    return _support_places(self.entries)\n")
+    qarith = ast.parse(
+        "def ramified_places(a, b):\n"
+        "    sa, sb = squarefree_part(a), squarefree_part(b)\n"
+        "    return _support_places((sa, sb))\n"
+        "def own(a, b):\n"
+        "    return _support_places((a, b))\n")
+    assert _places_misread(quadform, "quadform") == ["quadform._isotropic",
+                                                     "quadform._represents"]
+    assert _places_misread(qarith, "qarith") == ["qarith.ramified_places"]
+
+
+@pytest.mark.parametrize("module", ["quadform", "qarith"])
+def test_places_are_read_off_entries(module):
+    # a form's places come from its entries, and qarith's from the raw
+    # arguments; no helper re-derives them from square classes
+    path = ROOT / "src" / "wittforge" / f"{module}.py"
+    assert _places_misread(_parse(path), module) == []
