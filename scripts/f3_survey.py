@@ -3,10 +3,11 @@
 For every sampled pair of quaternion algebras the existence search returns
 a presentation with trivial discriminant and Clifford invariant; this
 script evaluates f3 on each witness by both routes and tallies the bits.
-Every run to date reports f3 = 0 across the board, which shows less than
-it seems: both routes work from Brauer classes and discriminants alone,
-never see the signature of the degree 6 factor, and so miss the real
-place together.  Vanishing is not a theorem for a split full algebra in
+Every run reports f3 = 0 across the board, which shows less than it
+seems: both routes read only the sign of d and the Brauer classes at the
+real place, are identically 0 on their domain (README "Scripts" has the
+case analysis), never see the signature of the degree 6 factor, and so
+miss the real place together.  Vanishing is not a theorem for a split full algebra in
 general: Split6(<1, 1, 1, 1, 1, -1>) with H = (1, 1) and
 rho = Int(i + j + 2k) o conj has f3 = 1.  The tests pin f3 = 0 only on
 the three degenerate presentations frozen in tests/test_invol12.py.

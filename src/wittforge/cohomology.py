@@ -20,6 +20,7 @@ from .qarith import (
     _hilbert_core,
     _legendre,
     _local_square_core,
+    as_fraction,
     check_place,
     factor,
     is_prime,
@@ -27,9 +28,8 @@ from .qarith import (
     squarefree_part,
 )
 
-__all__ = ["BrauerClass", "H3Class", "ZERO", "brauer_from_symbol",
-           "brauer_sum", "cup_h3", "find_quaternion_symbol", "nonsquare_slot",
-           "second_slot"]
+__all__ = ["BrauerClass", "H3Class", "ZERO", "brauer_from_symbol", "cup_h3",
+           "find_quaternion_symbol", "nonsquare_slot", "second_slot"]
 
 
 class BrauerClass(Record):
@@ -67,13 +67,6 @@ ZERO = BrauerClass(frozenset())
 def brauer_from_symbol(a: Rational, b: Rational) -> BrauerClass:
     """The class of the quaternion symbol (a, b)."""
     return BrauerClass(ramified_places(a, b))
-
-
-def brauer_sum(classes: Iterable[BrauerClass]) -> BrauerClass:
-    total = ZERO
-    for c in classes:
-        total = total + c
-    return total
 
 
 def nonsquare_slot(places: Iterable[Place]) -> int:
@@ -176,7 +169,9 @@ def cup_h3(a: Rational, q: BrauerClass) -> H3Class:
     """The cup product (a) . q in H^3(Q, mu_2).
 
     At every finite place H^3 of the completion vanishes, so the class is the
-    real component: nonzero iff a < 0 and q ramifies at the real place.
+    real component: nonzero iff a < 0 and q ramifies at the real place.  Only
+    the sign of a is read, so nothing is factored.
     """
-    s = squarefree_part(a)
-    return H3Class(1 if (s < 0 and q.is_ramified_at(REAL)) else 0)
+    if not as_fraction(a):
+        raise DomainError("0 has no square class")
+    return H3Class(1 if (a < 0 and q.is_ramified_at(REAL)) else 0)

@@ -35,9 +35,7 @@ from .quadform import (
     direct_sum,
     e1,
     e2,
-    e3,
     isometric,
-    neg,
     pfister,
     scale,
     signature,
@@ -48,8 +46,6 @@ from .quadform import to_json as quad_to_json
 from .quat import (
     Quat,
     QuaternionAlgebra,
-    algebra,
-    algebra_from_class,
     algebra_from_json,
     algebra_to_json,
     anticommutant,
@@ -187,8 +183,8 @@ def _f3_domain(p: ProductPresentation) -> None:
     # (d, d0) = [A0] gets there by changing d0 alone: scaling one entry of
     # phi by c = u^2, for a pure u anticommuting with i_elem, leaves the
     # involution alone and moves the symbol to (d, c d0) = [H].  Neither
-    # route reads d0 (only d, [H], [A0] = 0, [A] and the type of the
-    # degree 6 factor), so both compute on p itself.
+    # route reads d0, only the sign of d and whether [H], [A0] (= 0 here)
+    # and [A] ramify at the real place, so both compute on p itself.
     if not has_trivial_invariants(p):
         raise DomainError("f3 needs trivial discriminant and Clifford "
                           "invariant")
@@ -254,31 +250,25 @@ def decomposition_group(p: ProductPresentation) -> list[BrauerClass]:
     return out
 
 
-# the norm form of the split quaternion algebra, H' of a split degree 6
-# factor
-_SPLIT_NORM_FORM = algebra(1, 1).norm_form
-
-
 def f3_via_norms(p: ProductPresentation) -> H3Class:
-    """f3 as the Arason invariant of n_Q - n_H - <d> n_{H'}.
+    """f3 as the Arason invariant of n_Q - n_H - <d> n_{H'}, for Q a
+    quaternion algebra of class [A].
 
-    Q is a quaternion representative of the full degree 12 class; the
-    difference form is 12-dimensional and lands in I^3 because the three
-    classes sum to zero, which is asserted rather than trusted.
+    The difference form is 12-dimensional with trivial e1, and lands in
+    I^3 because the three classes sum to zero.  Over Q, I^3 is detected by
+    the signature, so its e3 is sig/8 mod 2.  A norm form <1, -a, -b, ab>
+    has signature 4 where its algebra ramifies at the real place and 0
+    elsewhere, so sig = 4 ([A]_R - [H]_R - sgn(d) [H']_R), read off the
+    three classes with no algebra or form built.  [H'] is [A0], split for
+    a split degree 6 factor.  That [A] agrees with [H] + [H'] at R, so
+    that sig is a multiple of 8, is asserted rather than trusted.
     """
     _f3_domain(p)
-    h_alg = p.hrho.alg
-    # a symbol representative of [A]; finding one is the index <= 2 check
-    q_alg = algebra_from_class(p.a_class())
-    if isinstance(p.a0, M3H):
-        hp_norm = p.a0.h.alg.norm_form
-    else:
-        hp_norm = _SPLIT_NORM_FORM
-    phi = direct_sum(q_alg.norm_form,
-                     neg(h_alg.norm_form),
-                     neg(scale(p.d, hp_norm)))
-    require(e1(phi) == 1 and e2(phi).is_zero(), p)
-    return e3(phi)
+    a_r, h_r, hp_r = (cls.is_ramified_at(REAL) for cls in
+                      (p.a_class(), p.hrho.alg.brauer, p.a0.brauer))
+    sig = 4 * (a_r - h_r - (1 if p.d > 0 else -1) * hp_r)
+    require(sig % 8 == 0, p, sig)
+    return H3Class(sig // 8 % 2)
 
 
 def f3_via_symbol(p: ProductPresentation) -> H3Class:

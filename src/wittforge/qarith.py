@@ -295,7 +295,9 @@ def sqrt_mod_squarefree(a: int, primes: Iterable[int]) -> int:
     return root % mod
 
 
-@lru_cache(maxsize=None)
+# bounded: a large form's invariants evaluate one (prefix, entry, place)
+# key per symbol, and keeping them all grows with dimension times places
+@lru_cache(maxsize=1 << 14)
 def _hilbert_core(a: int, b: int, v: Place) -> int:
     # a, b signed squarefree, so valuations are 0 or 1 and the unit parts
     # stay integers; everything runs on ints.  v is a place the caller

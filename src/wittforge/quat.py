@@ -18,16 +18,16 @@ from functools import cached_property
 from math import gcd, lcm
 
 from ._record import Record, set_field
-from .cohomology import BrauerClass, brauer_from_symbol, find_quaternion_symbol
+from .cohomology import BrauerClass, brauer_from_symbol
 from .errors import DomainError, require
 from .qarith import Rational, as_fraction, rational_from_json
 from .quadform import QuadForm, diagonal, direct_sum, isotropic_vector, \
     neg, represent_value
 
-__all__ = ["Quat", "QuaternionAlgebra", "algebra", "algebra_from_class",
-           "algebra_from_json", "algebra_to_json", "anticommutant",
-           "common_value_witness", "elem_from_json", "elem_to_json", "pure",
-           "pure_with_square", "three_pure_product"]
+__all__ = ["Quat", "QuaternionAlgebra", "algebra", "algebra_from_json",
+           "algebra_to_json", "anticommutant", "common_value_witness",
+           "elem_from_json", "elem_to_json", "pure", "pure_with_square",
+           "three_pure_product"]
 
 
 def _ratio(x: Rational) -> tuple[int, int]:
@@ -92,12 +92,6 @@ class QuaternionAlgebra(Record):
 
 def algebra(a: Rational, b: Rational) -> QuaternionAlgebra:
     return QuaternionAlgebra(a, b)
-
-
-def algebra_from_class(cls: BrauerClass) -> QuaternionAlgebra:
-    """A quaternion algebra in the given Brauer class."""
-    a, b = find_quaternion_symbol(cls)
-    return algebra(a, b)
 
 
 class Quat(Record):

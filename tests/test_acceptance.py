@@ -19,7 +19,8 @@ from random import Random
 
 from wittforge import invol12, sampling
 from wittforge.cli import main as cli_main
-from wittforge.cohomology import brauer_from_symbol, brauer_sum
+from wittforge.cohomology import (ZERO, brauer_from_symbol,
+                                  find_quaternion_symbol)
 from wittforge.hermitian import disc_adjoint, skew_form, to_quadratic_form
 from wittforge.invol12 import (
     M3H,
@@ -50,7 +51,7 @@ from wittforge.quadform import (
     witt_decompose,
     witt_equivalent,
 )
-from wittforge.quat import algebra, algebra_from_class, pure_with_square
+from wittforge.quat import algebra, pure_with_square
 from wittforge.ramlattice import analyze_obstruction, obstruction_check
 
 from slots import change_of_base_data
@@ -111,7 +112,7 @@ def _a0_split_case():
 def _a0_split_by_own_disc_case():
     hp = algebra(-3, -1)  # ramified {real, 3}, so split by Q(sqrt(-3))
     a0 = M3H(skew_form(hp, hp.i(), hp.j(), hp.j()))
-    h = algebra_from_class(brauer_from_symbol(2, -3))
+    h = algebra(*find_quaternion_symbol(brauer_from_symbol(2, -3)))
     return ProductPresentation(a0, QuatInvol(h, pure_with_square(h, 2)))
 
 
@@ -292,8 +293,8 @@ def test_hasse_class_with_entries_near_a_million():
     # products of two or more entries are past the trial division budget,
     # so the running product in the n - 1 symbol sum must never be factored
     def pairwise(q):
-        return brauer_sum(brauer_from_symbol(a, b)
-                          for a, b in itertools.combinations(q.entries, 2))
+        return sum((brauer_from_symbol(a, b)
+                    for a, b in itertools.combinations(q.entries, 2)), ZERO)
 
     two = diagonal(1000003, 1000033, 1)
     six = diagonal(999983, -999979, 999961, 999953, -999931, 999917)
@@ -313,8 +314,8 @@ def test_clifford_class_and_isotropy_with_entries_near_a_million():
         for c in (1, -1):
             form = diagonal(p, q, c)
             # dim 3: the correction (-1, -pqc) split by bilinearity
-            correction = brauer_sum(brauer_from_symbol(-1, x)
-                                    for x in (-c, p, q))
+            correction = sum((brauer_from_symbol(-1, x)
+                              for x in (-c, p, q)), ZERO)
             assert clifford_class(form) == form.invariants.hasse + correction
             # <p, q, c> is isotropic iff (-pc, -qc) splits
             assert is_isotropic(form) == brauer_from_symbol(
@@ -323,7 +324,7 @@ def test_clifford_class_and_isotropy_with_entries_near_a_million():
         assert not is_isotropic(diagonal(p, q, 1, 1))
         assert clifford_class(diagonal(p, q, 1, 1)) == (
             diagonal(p, q, 1, 1).invariants.hasse
-            + brauer_sum(brauer_from_symbol(-1, x) for x in (-1, p, q)))
+            + sum((brauer_from_symbol(-1, x) for x in (-1, p, q)), ZERO))
 
 
 # forms on which `qf invariants` once ran out of budget building a Witt

@@ -726,35 +726,36 @@ EXISTS_PRESENTATION = {
 
 
 def test_factor_base_cap_diagnostic_ignores_the_hash_seed():
-    # f3 by norms builds the quaternion algebra of A's class, ramified at
-    # {5, real}, from a symbol (-5, b); the generator -1 alone misses it,
-    # so a factor base capped below 2 runs out, and the exit-4 diagnostic
-    # lists the places in a fixed order, whatever the string hash seed
-    script = ("import sys\n"
-              "from wittforge import cohomology\n"
-              "from wittforge.cli import main\n"
+    # the Witt kernel of <-2, -5> is a binary form <b, 10 b> with (b, -10)
+    # ramified at {real, 5}; the generator -1 alone misses it, so a factor
+    # base capped below 2 runs out, and the diagnostic lists the places in
+    # a fixed order, whatever the string hash seed
+    script = ("from wittforge import cohomology\n"
+              "from wittforge.errors import BoundExceeded\n"
+              "from wittforge.quadform import diagonal, witt_decompose\n"
               "cohomology.FACTOR_BOUND = 1\n"
-              "sys.exit(main(['alg', 'f3', '-']))\n")
-    presentation = json.dumps(EXISTS_PRESENTATION)
-    proc = _python("-c", script, stdin=presentation, PYTHONHASHSEED="0")
-    assert proc.returncode == 4 and proc.stdout == ""
-    diagnostic = json.loads(proc.stderr)
-    assert diagnostic["error"] == "bound-exceeded"
-    assert "primes up to 1 " in diagnostic["message"]
-    assert diagnostic["message"].endswith("{real, 5}")
+              "try:\n"
+              "    witt_decompose(diagonal(-2, -5))\n"
+              "except BoundExceeded as exc:\n"
+              "    print(exc)\n")
+    proc = _python("-c", script, PYTHONHASHSEED="0")
+    assert proc.returncode == 0, proc.stderr
+    assert "primes up to 1 " in proc.stdout
+    assert proc.stdout.endswith("{real, 5}\n")
     for seed in "123":
-        again = _python("-c", script, stdin=presentation,
-                        PYTHONHASHSEED=seed)
-        assert again.stderr == proc.stderr, seed
+        again = _python("-c", script, PYTHONHASHSEED=seed)
+        assert again.stdout == proc.stdout, seed
 
 
 def test_f3_norms_check_survives_python_O():
-    # a difference of norm forms outside I^3 must not reach e3 even with
-    # asserts stripped
+    # a class [A] that disagrees with [H] + [H'] at the real place puts the
+    # difference of norm forms outside I^3 (signature -4 here); that must
+    # be refused even with asserts stripped
     script = ("import json, sys\n"
               "import wittforge.invol12 as invol12\n"
+              "from wittforge.cohomology import ZERO\n"
               "p = invol12.presentation_from_json(json.load(sys.stdin))\n"
-              "invol12.e1 = lambda q: 2\n"
+              "invol12.ProductPresentation.a_class = lambda self: ZERO\n"
               "try:\n"
               "    invol12.f3_via_norms(p)\n"
               "except AssertionError:\n"

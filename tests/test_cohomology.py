@@ -13,7 +13,6 @@ from wittforge.cohomology import (
     ZERO,
     BrauerClass,
     brauer_from_symbol,
-    brauer_sum,
     cup_h3,
     find_quaternion_symbol,
     nonsquare_slot,
@@ -64,7 +63,7 @@ def test_brauer_addition_is_symmetric_difference():
     b = brauer_from_symbol(2, 5)     # {2, 5}
     assert (a + b).ramified == frozenset({REAL, 5})
     assert (a + a).is_zero()
-    assert brauer_sum([a, b, a, b]).is_zero()
+    assert sum([a, b, a, b], ZERO).is_zero()
 
 
 def test_known_symbols():
@@ -159,6 +158,15 @@ def test_cup_product_values():
     assert cup_h3(-3, q_finite) == H3Class(0)
     assert cup_h3(-1, ZERO) == H3Class(0)
     assert cup_h3(Fraction(-4, 9), q_ram_real) == H3Class(1)
+    with pytest.raises(DomainError):
+        cup_h3(0, q_ram_real)
+
+
+def test_cup_product_reads_only_the_sign():
+    # a product of three primes past trial division: factoring it would
+    # run out of budget, and the cup needs only its sign
+    a = -(1000003 * 1000033 * 1000037)
+    assert cup_h3(a, brauer_from_symbol(-1, -1)) == H3Class(1)
 
 
 @given(nonzero, nonzero)

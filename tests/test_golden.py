@@ -29,7 +29,7 @@ from random import Random
 import pytest
 
 from split12 import split12_with_primes
-from wittforge import cohomology, invol12, quat
+from wittforge import cohomology, invol12, quadform, quat
 from wittforge.cli import main
 from wittforge.quadform import diagonal, isotropic_vector, witt_decompose
 
@@ -313,16 +313,20 @@ def test_golden_reports_survive_python_O(tmp_path):
     assert got == GOLDEN
 
 
-def test_f3_symbol_runs_no_slot_walk(monkeypatch):
-    # f3 by symbol reads the sign of its slot off [H] at the real place,
-    # so it answers with every second-slot solve broken
-    def walk(a, cls):
-        raise RuntimeError("second_slot called")
+def test_f3_symbol_runs_no_slot_walk(tmp_path, monkeypatch):
+    # both f3 routes read Brauer classes at the real place, and no command
+    # builds a Witt kernel, so every golden report and both routes answer
+    # the same with the symbol solver refused wherever it is bound
+    def solve(*args):
+        raise RuntimeError("symbol solver called")
 
-    monkeypatch.setattr(cohomology, "second_slot", walk)
-    monkeypatch.setattr(invol12, "second_slot", walk, raising=False)
-    for pres in (PRESENTATIONS["exists--2,-5-7,-3"], SPLIT6):
+    for module in (cohomology, quadform, quat, invol12):
+        for name in ("second_slot", "find_quaternion_symbol"):
+            monkeypatch.setattr(module, name, solve, raising=False)
+    assert _replay(tmp_path) == GOLDEN
+    for pres in (*PRESENTATIONS.values(), SPLIT6):
         p = invol12.presentation_from_json(pres)
+        assert invol12.f3_via_norms(p).bit == 0
         assert invol12.f3_via_symbol(p).bit == 0
 
 

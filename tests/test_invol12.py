@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittforge import qarith
-from wittforge.cohomology import ZERO, brauer_from_symbol
+from wittforge import cohomology, qarith, quadform
+from wittforge.cohomology import (ZERO, brauer_from_symbol,
+                                  find_quaternion_symbol)
 from wittforge.errors import DomainError
 from wittforge.hermitian import skew_form, to_quadratic_form
 from wittforge.invol12 import (
@@ -53,11 +54,11 @@ from wittforge.quadform import (
 )
 from wittforge.quat import (
     algebra,
-    algebra_from_class,
     pure,
     pure_with_square,
 )
-from wittforge.sampling import random_algebra
+from wittforge.sampling import (pure_invertible, random_algebra, random_form,
+                                random_skew_form)
 
 from slots import change_of_base_data, complement_slot
 from split12 import split12_with_primes
@@ -364,7 +365,7 @@ def _case_a0_split_by_sqrt_d0():
     # algebra is split by adjoining a root of its own discriminant
     hp = algebra(-3, -1)
     a0 = M3H(skew_form(hp, hp.i(), hp.j(), hp.j()))
-    h = algebra_from_class(brauer_from_symbol(2, -3))
+    h = algebra(*find_quaternion_symbol(brauer_from_symbol(2, -3)))
     return ProductPresentation(a0, QuatInvol(h, pure_with_square(h, 2)))
 
 
@@ -511,6 +512,79 @@ def test_norm_difference_chain(c, e, ep, d):
                      neg(scale(d, pfister(c, ep))))
     rhs = scale(e, pfister(c, ep, d * e))
     assert witt_equivalent(lhs, rhs)
+
+
+# --- the norm difference f3 by norms reads at the real place --------------
+
+def _norm_difference(p):
+    # n_Q - n_H - <d> n_H' built, with Q from a symbol of class [A] and H'
+    # split for a split degree 6 factor: the form f3_via_norms no longer
+    # builds
+    q_alg = algebra(*find_quaternion_symbol(p.a_class()))
+    hp = p.a0.h.alg if isinstance(p.a0, M3H) else algebra(1, 1)
+    return direct_sum(q_alg.norm_form, neg(p.hrho.alg.norm_form),
+                      neg(scale(p.d, hp.norm_form)))
+
+
+def _real_place_signature(p):
+    # 4 ([A]_R - [H]_R - sgn(d) [H']_R), each norm form's signature
+    a_r, h_r, hp_r = (cls.is_ramified_at(REAL) for cls in
+                      (p.a_class(), p.hrho.alg.brauer, p.a0.brauer))
+    return 4 * (a_r - h_r - (1 if p.d > 0 else -1) * hp_r)
+
+
+def test_f3_via_norms_is_e3_of_the_built_norm_difference():
+    builds = (_case_a_split, _case_a0_split, _case_a0_split_by_sqrt_d0,
+              _item1_split, _item1_witness, *HERMITIAN_BUILDERS)
+    presentations = ([build() for build in builds]
+                     + _split6_draws(Random(515), 10)
+                     + _seeded_witnesses(24, 10))
+    for p in presentations:
+        phi = _norm_difference(p)
+        assert phi.dim == 12 and e1(phi) == 1 and e2(phi).is_zero(), p
+        assert signature(phi) == _real_place_signature(p), p
+        assert f3_via_norms(p) == e3(phi), p
+
+
+def _random_presentation(rng):
+    h = random_algebra(rng)
+    hrho = QuatInvol(h, pure_invertible(rng, h))
+    if rng.random() < 0.5:
+        return ProductPresentation(Split6(random_form(rng, 6)), hrho)
+    return ProductPresentation(M3H(random_skew_form(rng, random_algebra(rng),
+                                                    3)), hrho)
+
+
+def test_real_place_signature_on_seeded_presentations():
+    # no domain filter: the closed form is the built form's signature on
+    # every presentation, and where f3 is defined the route reads sig/8
+    rng = Random(24)
+    for _ in range(1500):
+        p = _random_presentation(rng)
+        sig = signature(_norm_difference(p))
+        assert sig == _real_place_signature(p), p
+        try:
+            bit = f3_via_norms(p).bit
+        except DomainError:
+            continue
+        assert bit == sig // 8 % 2, p
+
+
+def test_f3_routes_factor_nothing_after_the_domain_check(monkeypatch):
+    # with d, d0 and the classes read, both routes read signs and real
+    # places only
+    seen = []
+    factor = qarith.factor
+    for module in (qarith, cohomology, quadform):
+        monkeypatch.setattr(module, "factor",
+                            lambda n: seen.append(n) or factor(n))
+    for build in (_case_a0_split_by_sqrt_d0, _item1_split, _item1_witness,
+                  *HERMITIAN_BUILDERS):
+        p = build()
+        p.disc_symbol, p.a_class()   # d, d0 and every class read once
+        seen.clear()
+        f3_via_norms(p), f3_via_symbol(p)
+        assert seen == [], p
 
 
 HERMITIAN_BUILDERS = [

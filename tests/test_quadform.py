@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittforge import cohomology, qarith, quadform
-from wittforge.cohomology import ZERO, H3Class, brauer_from_symbol, brauer_sum
+from wittforge.cohomology import ZERO, H3Class, brauer_from_symbol
 from wittforge.errors import BoundExceeded, DomainError
 from wittforge.cli import main
 from wittforge.qarith import (REAL, _local_square_core, factor,
@@ -676,8 +676,8 @@ def _textbook_clifford(q: QuadForm):
     n = q.dim % 8
     slots = ([-1, *q.entries] if n in (3, 4) else [-1] if n in (5, 6)
              else list(q.entries) if n in (7, 0) else [])
-    return _pairwise_hasse(q) + brauer_sum(brauer_from_symbol(-1, x)
-                                           for x in slots)
+    return _pairwise_hasse(q) + sum((brauer_from_symbol(-1, x)
+                                     for x in slots), ZERO)
 
 
 @given(st.one_of(hasse_forms, large_prime_forms))
@@ -691,8 +691,8 @@ def test_clifford_class_matches_textbook_definition(q):
 def test_ternary_isotropy_matches_its_quaternion_algebra(entries):
     # <a, b, c> is isotropic iff (-ac, -bc) splits; expanded bilinearly
     a, b, c = entries
-    split = brauer_sum(brauer_from_symbol(x, y)
-                       for x in (-1, a, c) for y in (-1, b, c))
+    split = sum((brauer_from_symbol(x, y)
+                 for x in (-1, a, c) for y in (-1, b, c)), ZERO)
     assert is_isotropic(diagonal(a, b, c)) == split.is_zero(), entries
 
 

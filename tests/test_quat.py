@@ -12,7 +12,6 @@ from wittforge.errors import DomainError
 from wittforge.quat import (
     Quat,
     algebra,
-    algebra_from_class,
     anticommutant,
     common_value_witness,
     elem_from_json,
@@ -116,14 +115,6 @@ def test_pure_with_square():
     s = algebra(2, 5)
     u = pure_with_square(s, -2)
     assert u.square_scalar() == -2
-
-
-def test_algebra_from_class_roundtrip():
-    for a, b in [(-1, -1), (2, 5), (-3, -1)]:
-        cls = brauer_from_symbol(a, b)
-        alg = algebra_from_class(cls)
-        assert alg.brauer == cls
-    assert algebra_from_class(BrauerClass(frozenset())).is_split()
 
 
 def test_cross_algebra_arithmetic_rejected():

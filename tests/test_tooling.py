@@ -158,6 +158,23 @@ def test_private_modules_export_only_what_the_package_reads(path):
     assert unread == [], f"declared but read by no other module: {unread}"
 
 
+# the checked primitives that README "Library API" declares for the tests
+# to use as oracles, though nothing in the program reads them
+TEST_ORACLES = {"qarith.hilbert_symbol", "qarith.is_local_square",
+                "quadform.hyperbolic"}
+
+
+def test_declared_names_are_read_by_the_program():
+    # a declared name that neither the package, a script nor the benchmark
+    # reads serves the tests alone, and is dead code unless it is one of
+    # the oracles
+    program = [*SOURCES, *sorted((ROOT / "bench").rglob("*.py"))]
+    read = set().union(*(_referenced(_parse(path)) for path in program))
+    unread = {f"{path.stem}.{name}" for path in LIBRARY
+              for name in _exported(_parse(path)) if name not in read}
+    assert unread - TEST_ORACLES == set(), "declared, read by tests only"
+
+
 def _package_reads(tree: ast.Module) -> set[tuple[str, str]]:
     # (module, name) for each public name read from wittforge.<module>,
     # by a from-import or as an attribute of an imported module; names
@@ -199,8 +216,7 @@ def test_outside_readers_stay_inside_all():
     assert outside == [], f"read from outside __all__: {outside}"
 
 
-_FACTORING = {"factor", "squarefree_part", "_class_primes",
-              "_support_places"}
+_FACTORING = {"factor", "squarefree_part", "_support_places"}
 
 
 def _is_product(node: ast.AST) -> bool:
