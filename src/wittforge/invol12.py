@@ -223,20 +223,17 @@ def additive_decomposition(p: ProductPresentation,
                            ) -> list[tuple[BrauerClass, BrauerClass]]:
     """The three (H_i, Q_i) = ((a_i d0, d), (a_i, b_i d)) symbol pairs of a
     hermitian <q1, q2, q3> over H', a_i = q_i^2, b_i any slot with
-    (a_i, b_i) = [H']: Q_i = [H'] + (a_i, d), so no b_i is built."""
+    (a_i, b_i) = [H'].  By bilinearity, with s_i = (a_i, d) read off the
+    rational q_i^2, H_i = s_i + (d, d0) and Q_i = [H'] + s_i: no product
+    class a_i d0 is built, and no b_i."""
     if not isinstance(p.a0, M3H):
         raise DomainError("additive decomposition needs a hermitian "
                           "degree 6 factor")
-    base = p.a0.h.alg
-    d0, d = p.d0, p.d
+    base = p.a0.h.alg.brauer
     out = []
     for q in p.a0.h.entries:
-        a = squarefree_part(q.square_scalar())
-        h_i = brauer_from_symbol(square_class_product(a, d0), d)
-        q_i = base.brauer + brauer_from_symbol(a, d)
-        # (a d0, d) + (a, d) = (d0, d): each pair sums to [H'] + (d, d0)
-        require(h_i + q_i == base.brauer + p.disc_symbol, p, a)
-        out.append((h_i, q_i))
+        s_i = brauer_from_symbol(q.square_scalar(), p.d)
+        out.append((s_i + p.disc_symbol, base + s_i))
     return out
 
 

@@ -9,7 +9,9 @@ it, and Witt classes are compared by its `witt_class`.  The places (2, the
 primes of the entries' classes, the real place) are read off the entries
 once; isotropy, represented values and kernel peeling take them as given,
 and factor no square class.  Hasse-Minkowski lives in `kernel_dim` alone.
-All searches return exact witnesses or raise BoundExceeded.
+All searches return exact witnesses or raise BoundExceeded.  Isotropic
+vectors are found, stitched and checked in ints, from the descent to the
+zero of the cleared diagonal, and returned as Fractions.
 """
 
 from fractions import Fraction
@@ -302,18 +304,10 @@ def is_isotropic(q: QuadForm) -> bool:
     return _isotropic(q.square_classes, q.places)
 
 
-def _sqrt_fraction(f: Fraction) -> Fraction:
-    rn, rd = isqrt(f.numerator), isqrt(f.denominator)
-    require(rn * rn == f.numerator and rd * rd == f.denominator, f)
-    return Fraction(rn, rd)
-
-
-def _primitive(v: Iterable[Fraction]) -> tuple[int, ...]:
-    vs = list(v)
-    den = lcm(*(x.denominator for x in vs))
-    ints = [int(x * den) for x in vs]
-    g = gcd(*ints)
-    return tuple(x // g for x in ints) if g else tuple(ints)
+def _over_gcd(v: Sequence[int]) -> tuple[int, ...]:
+    # v divided by the gcd of its entries: the primitive vector on its ray
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g else tuple(v)
 
 
 def _pair_shortcut(s: list[int]) -> tuple[int, ...] | None:
@@ -376,7 +370,9 @@ def _ternary_zero(s: list[int], places: Sequence[Place]) -> tuple[int, ...]:
               for x in (al, be))
     u, v = gcd(s[0], s[2]), gcd(s[1], s[2])
     x, y, z = _lagrange_descent(al, be, pa, pb)
-    out = _primitive((Fraction(y, u), Fraction(z, v), Fraction(x, s[2])))
+    # (y/u, z/v, x/s2), scaled by the positive u v |s2|
+    w = abs(s[2])
+    out = _over_gcd((y * v * w, z * u * w, (x if s[2] > 0 else -x) * u * v))
     require(any(out) and sum(c * t * t for c, t in zip(s, out)) == 0, s, out)
     return out
 
@@ -399,18 +395,23 @@ def _represents(a: int, b: int, places: Sequence[Place]):
     signed squarefree a, b and c.
 
     By Hasse-Minkowski that holds exactly when (c, -ab)_v = (a, b)_v at
-    every place v.  The targets are (a, b)_v at the places given; at a
-    prime p of c outside them (a, b)_p = 1 and the condition is
-    (-ab / p) = 1, with p from factor, so no place is proved prime.
+    every place v.  The targets are (a, b)_v at the places given, and
+    each c is decided there first, the real place (where about half the
+    candidates fail on sign) before the primes.  Only then is c factored:
+    at a prime p of c outside the places (a, b)_p = 1 and the condition
+    is (-ab / p) = 1, with p from factor, so no place is proved prime.
     """
     m = _class_mul(-a, b)
     inside = set(places)
-    targets = [(v, _hilbert_core(a, b, v)) for v in places]
+    # (c, m)_R = -1 exactly when c < 0 and m < 0
+    real = _hilbert_core(a, b, REAL)
+    targets = [(v, _hilbert_core(a, b, v)) for v in places if v != REAL]
 
     def test(c: int) -> bool:
-        return (all(p in inside or _legendre(m, p) == 1
-                    for p, _ in factor(abs(c)))
-                and all(_hilbert_core(c, m, v) == t for v, t in targets))
+        return ((-1 if c < 0 and m < 0 else 1) == real
+                and all(_hilbert_core(c, m, v) == t for v, t in targets)
+                and all(p in inside or _legendre(m, p) == 1
+                        for p, _ in factor(abs(c))))
     return test
 
 
@@ -453,23 +454,47 @@ def _int_isotropic(s: list[int], places: Sequence[Place]) -> tuple[int, ...]:
         sub = _int_isotropic(rest + [c], at)
         t = sub[-1]
         require(t != 0, s, c, sub)  # as is rest
-        full = ([Fraction(x * t, w), Fraction(y * t, w)]
-                + [Fraction(z) for z in sub[:-1]])
-        return _primitive(full)
+        # (x t / w, y t / w, sub[:-1]), scaled by the positive |w|
+        sign = 1 if w > 0 else -1
+        return _over_gcd((sign * x * t, sign * y * t,
+                           *(abs(w) * z for z in sub[:-1])))
     raise BoundExceeded(f"no splitting value of height <= {_SPLIT_BOUND}")
 
 
+def _cleared(entries: Sequence[Fraction]) -> list[int]:
+    # the integer diagonal D q, D the lcm of the entries' denominators:
+    # n_i D / d_i for the entry n_i / d_i
+    den = lcm(*(e.denominator for e in entries))
+    return [e.numerator * (den // e.denominator) for e in entries]
+
+
 def isotropic_vector(q: QuadForm) -> tuple[Fraction, ...]:
-    """An exact nonzero vector with q(v) = 0, primitive integral entries."""
+    """An exact nonzero vector with q(v) = 0, primitive integral entries.
+
+    Each entry is its class s_i times a square, e_i / s_i = (rn_i / rd_i)^2,
+    so a zero y of the classes gives the zero y_i rd_i / rn_i of q, which
+    is cleared to a primitive int vector and checked as a zero of the
+    integer diagonal D q.
+    """
     if q.dim == 0 or not is_isotropic(q):
         raise DomainError("form is anisotropic over Q")
-    s = list(q.square_classes)
-    t = [_sqrt_fraction(e / sf) for e, sf in zip(q.entries, s)]
-    y = _int_isotropic(s, q.places)
-    v = _primitive(Fraction(yi) / ti for yi, ti in zip(y, t))
-    out = tuple(Fraction(x) for x in v)
-    require(q(out) == 0 and any(out), q, out)
-    return out
+    roots = []
+    for e, sf in zip(q.entries, q.square_classes):
+        # n / (d s) in lowest terms, positive as s has the sign of n: n
+        # and d are coprime, and s is squarefree with the primes of odd
+        # exponent in n and d
+        n, s = abs(e.numerator), abs(sf)
+        g = gcd(n, s)
+        num, den = n // g, e.denominator * (s // g)
+        rn, rd = isqrt(num), isqrt(den)
+        require(rn * rn == num and rd * rd == den, e, sf)
+        roots.append((rn, rd))
+    y = _int_isotropic(list(q.square_classes), q.places)
+    m = lcm(*(rn for rn, _ in roots))
+    v = _over_gcd([yi * rd * (m // rn) for yi, (rn, rd) in zip(y, roots)])
+    require(any(v) and sum(a * x * x for a, x in zip(_cleared(q.entries), v))
+            == 0, q, v)
+    return tuple(Fraction(x) for x in v)
 
 
 def represent_value(q: QuadForm, c: Rational) -> tuple[Fraction, ...]:
@@ -477,21 +502,25 @@ def represent_value(q: QuadForm, c: Rational) -> tuple[Fraction, ...]:
     cf = as_fraction(c)
     if cf == 0:
         raise DomainError("representation of 0 is isotropy; use is_isotropic")
+    ext = direct_sum(q, diagonal(-cf))
     try:
-        v = isotropic_vector(direct_sum(q, diagonal(-cf)))
+        v = isotropic_vector(ext)
     except DomainError:
         raise DomainError(f"form does not represent {cf}") from None
-    t = v[-1]
+    *w, t = (x.numerator for x in v)
     if t != 0:
-        out = tuple(x / t for x in v[:-1])
-    else:
-        # v[:n] is a zero of q itself; slide along a hyperbolic direction
-        w = v[:-1]
-        k = next(i for i, x in enumerate(w) if x != 0)
-        dk = q.entries[k]
-        b = dk * w[k]                      # B(w, e_k), nonzero
-        x = (cf - dk) / (2 * b)            # q(x w + e_k) = 2 x b + dk
-        out = tuple(x * wi + (1 if i == k else 0) for i, wi in enumerate(w))
+        # q(w / t) = c, as D q(w) = D c t^2 over the common denominator D
+        # of q and c, checked on the ints that are divided below
+        *coeffs, minus_c = _cleared(ext.entries)
+        require(sum(a * x * x for a, x in zip(coeffs, w))
+                == -minus_c * t * t, q, cf, v)
+        return tuple(Fraction(x, t) for x in w)
+    # w is a zero of q itself; slide along a hyperbolic direction
+    k = next(i for i, x in enumerate(w) if x != 0)
+    dk = q.entries[k]
+    b = dk * w[k]                          # B(w, e_k), nonzero
+    x = (cf - dk) / (2 * b)                # q(x w + e_k) = 2 x b + dk
+    out = tuple(x * wi + (1 if i == k else 0) for i, wi in enumerate(w))
     require(q(out) == cf, q, cf, out)
     return out
 

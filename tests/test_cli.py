@@ -538,6 +538,24 @@ def test_exists_with_a_fraction_slot_chains_into_f3(tmp_path, capsys,
     assert seen == []
 
 
+def test_additive_on_a_witness_with_a_fraction_slot(tmp_path, capsys):
+    # H_i = (a_i, d) + (d, d0) by bilinearity, with (a_i, d) read off the
+    # rational q_i^2: the class 1000036000099 of a_i d0 is never built,
+    # so the command answers instead of exiting 4 on that cofactor
+    code, out, _ = _run(capsys, "alg", "exists",
+                        "--h1=1000003/1000033,-30", "--h2=5,-7")
+    assert code == 0
+    pres = _write(tmp_path, "pres.json",
+                  json.loads(out)["outputs"]["presentation"])
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "alg", "additive", pres)
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert len(report["outputs"]["group"]) == 8
+    assert report["checks"]["group_order"] == 4
+
+
 def _odd_prime_runs(runs: int, digits: int) -> list[int]:
     # products of consecutive odd primes from 3, each run cut as soon as
     # its product passes `digits` digits
@@ -648,6 +666,21 @@ def test_witness_check_survives_python_O():
               "qf._int_isotropic = lambda s, places: (1,) * len(s)\n"
               "try:\n"
               "    qf.isotropic_vector(qf.diagonal(1, -1, 3))\n"
+              "except AssertionError:\n"
+              "    print('refused')\n")
+    proc = _python("-O", "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "refused\n"
+
+
+def test_represented_value_check_survives_python_O():
+    # a wrong vector from isotropic_vector must not escape represent_value
+    # through its integer check q(w) = c t^2, even with asserts stripped
+    script = ("from fractions import Fraction\n"
+              "import wittforge.quadform as qf\n"
+              "qf.isotropic_vector = lambda q: (Fraction(1),) * q.dim\n"
+              "try:\n"
+              "    qf.represent_value(qf.diagonal(1, 1), 3)\n"
               "except AssertionError:\n"
               "    print('refused')\n")
     proc = _python("-O", "-c", script)

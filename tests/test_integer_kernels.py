@@ -1,23 +1,30 @@
-"""The integer quaternion and linear algebra kernels against Fraction
-formulas.
+"""The integer quaternion, linear algebra and isotropy kernels against
+Fraction formulas.
 
 The references below are the textbook formulas written over Fraction, kept
 here and nowhere in the package: every quaternion operation, the reduced
-row echelon form with the kernel read off it, and symmetric Gaussian
-elimination.  The package must give the same values, the same serialized
-bytes, and must build no Fraction on its hot path.
+row echelon form with the kernel read off it, symmetric Gaussian
+elimination, and the isotropic vector finished over Fraction (square roots
+of e_i / s_i, each zero cleared to a primitive vector).  The package must
+give the same values, the same serialized bytes, and must build no
+Fraction on its hot path.
 """
 
 import json
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittforge import _linalg
-from wittforge.errors import DomainError
+from wittforge import _linalg, quadform
+from wittforge.errors import BoundExceeded, DomainError
+from wittforge.qarith import (REAL, _class_mul, _hilbert_core, _legendre,
+                              factor)
+from wittforge.quadform import (diagonal, direct_sum, is_isotropic,
+                                isotropic_vector, represent_value)
 from wittforge.quat import Quat, _orthogonal_pure, algebra, elem_to_json, \
     pure
 
@@ -248,3 +255,129 @@ def test_hot_path_builds_no_fraction(monkeypatch):
     assert built == []
     assert norm == p.nrd * q.nrd
     assert inverse * product == h.one()
+
+
+# --- isotropic vectors against the Fraction finish -----------------------------
+
+def ref_sqrt_fraction(f):
+    rn, rd = isqrt(f.numerator), isqrt(f.denominator)
+    assert rn * rn == f.numerator and rd * rd == f.denominator, f
+    return Fraction(rn, rd)
+
+
+def ref_primitive(v):
+    vs = list(v)
+    den = lcm(*(x.denominator for x in vs))
+    ints = [int(x * den) for x in vs]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g else tuple(ints)
+
+
+def ref_represents(a, b, places):
+    # (c, -ab)_v = (a, b)_v at every place, with c factored first: the
+    # primes of c outside the places, then the listed places
+    m = _class_mul(-a, b)
+    targets = [(v, _hilbert_core(a, b, v)) for v in places]
+    return lambda c: (all(p in places or _legendre(m, p) == 1
+                          for p, _ in factor(abs(c)))
+                      and all(_hilbert_core(c, m, v) == t
+                              for v, t in targets))
+
+
+def ref_ternary_zero(s, places):
+    al, be = _class_mul(-s[0], s[2]), _class_mul(-s[1], s[2])
+    pa, pb = ([p for p in places if p != REAL and x % p == 0]
+              for x in (al, be))
+    u, v = gcd(s[0], s[2]), gcd(s[1], s[2])
+    x, y, z = quadform._lagrange_descent(al, be, pa, pb)
+    return ref_primitive((Fraction(y, u), Fraction(z, v), Fraction(x, s[2])))
+
+
+def ref_int_isotropic(s, places, walks):
+    short = quadform._pair_shortcut(s)
+    if short is not None:
+        return short
+    if len(s) == 3:
+        return ref_ternary_zero(s, places)
+    rest = s[2:]
+    if quadform._isotropic(rest, places):
+        return (0, 0) + ref_int_isotropic(rest, places, walks)
+    first = ref_represents(s[0], s[1], places)
+    for c in quadform._signed_squarefree_by_height(quadform._SPLIT_BOUND):
+        if not first(c):
+            continue
+        at = [*places, *(p for p, _ in factor(abs(c)) if p not in places)]
+        if len(rest) == 2:
+            ok = ref_represents(-rest[0], -rest[1], places)(c)
+        else:
+            ok = quadform._isotropic((*rest, c), at)
+        if not ok:
+            continue
+        walks.append(c)
+        x, y, w = ref_ternary_zero([s[0], s[1], -c], at)
+        sub = ref_int_isotropic(rest + [c], at, walks)
+        t = sub[-1]
+        return ref_primitive([Fraction(x * t, w), Fraction(y * t, w)]
+                             + [Fraction(z) for z in sub[:-1]])
+    raise BoundExceeded("splitting value")
+
+
+def ref_isotropic_vector(q, walks):
+    if not is_isotropic(q):
+        raise DomainError("anisotropic")
+    s = list(q.square_classes)
+    t = [ref_sqrt_fraction(e / sf) for e, sf in zip(q.entries, s)]
+    y = ref_int_isotropic(s, q.places, walks)
+    out = tuple(Fraction(x) for x in ref_primitive(
+        Fraction(yi) / ti for yi, ti in zip(y, t)))
+    assert q(out) == 0 and any(out)
+    return out
+
+
+def ref_represent_value(q, c, walks):
+    try:
+        v = ref_isotropic_vector(direct_sum(q, diagonal(-c)), walks)
+    except DomainError:
+        raise DomainError("not represented") from None
+    t = v[-1]
+    if t != 0:
+        out = tuple(x / t for x in v[:-1])
+    else:
+        w = v[:-1]
+        k = next(i for i, x in enumerate(w) if x != 0)
+        dk = q.entries[k]
+        x = (c - dk) / (2 * dk * w[k])
+        out = tuple(x * wi + (1 if i == k else 0) for i, wi in enumerate(w))
+    assert q(out) == c
+    return out
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except (BoundExceeded, DomainError) as exc:
+        return type(exc)
+
+
+def test_isotropic_vectors_match_the_fraction_finish():
+    # seeded isotropic diagonals with fractional entries, dims 3 to 8:
+    # the integer finish, stitch and ternary scaling give the very vectors
+    # the Fraction ones gave, and represent_value the very same values
+    rng = Random(2025)
+    walks, forms = [], 0
+    while forms < 2000:
+        entries = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 30),
+                            rng.randint(1, 9))
+                   for _ in range(rng.randint(3, 8))]
+        q = diagonal(*entries)
+        if not is_isotropic(q):
+            continue
+        forms += 1
+        assert (_outcome(isotropic_vector, q)
+                == _outcome(ref_isotropic_vector, q, walks)), q
+        c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 30),
+                     rng.randint(1, 5))
+        assert (_outcome(represent_value, q, c)
+                == _outcome(ref_represent_value, q, c, [])), (q, c)
+    # the splitting walk and its stitch are among the cases compared
+    assert len(walks) > 1000

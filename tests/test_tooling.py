@@ -339,3 +339,45 @@ def test_places_are_read_off_entries(module):
     # arguments; no helper re-derives them from square classes
     path = ROOT / "src" / "wittforge" / f"{module}.py"
     assert _places_misread(_parse(path), module) == []
+
+
+# the isotropy search runs on ints from the descent to the stitched vector;
+# only isotropic_vector and represent_value build the Fractions they return
+_INTEGER_SEARCH = ("_lagrange_descent", "_ternary_zero", "_represents",
+                   "_int_isotropic")
+
+
+def _fractions_built(tree: ast.Module, names) -> list[str]:
+    # the named functions that construct a Fraction or call as_fraction,
+    # by name or through a module attribute
+    flagged = set()
+    for func in ast.walk(tree):
+        if not (isinstance(func, ast.FunctionDef) and func.name in names):
+            continue
+        for call in ast.walk(func):
+            if isinstance(call, ast.Call) and getattr(
+                    call.func, "id", getattr(call.func, "attr", None)) in (
+                    "Fraction", "as_fraction"):
+                flagged.add(func.name)
+    return sorted(flagged)
+
+
+def test_fraction_check_sees_fractions_in_nested_calls():
+    tree = ast.parse("def _ternary_zero(s):\n"
+                     "    return f(Fraction(s[0], s[1]))\n"
+                     "def _represents(a, b):\n"
+                     "    def test(c):\n"
+                     "        return qarith.as_fraction(c)\n"
+                     "    return test\n"
+                     "def isotropic_vector(q):\n"
+                     "    return Fraction(1)\n")
+    assert _fractions_built(tree, _INTEGER_SEARCH) == ["_represents",
+                                                       "_ternary_zero"]
+
+
+def test_isotropy_search_builds_no_fraction():
+    tree = _parse(ROOT / "src" / "wittforge" / "quadform.py")
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)}
+    assert set(_INTEGER_SEARCH) <= defined
+    assert _fractions_built(tree, _INTEGER_SEARCH) == []
