@@ -360,8 +360,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    # a usage error, in the subcommand parsers too, is malformed input
+    def error(self, message):
+        raise SystemExit(_diagnose(2, "malformed-input", message))
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wittforge",
         description="Exact invariants of quadratic forms and degree 12 "
                     "involutions over Q.")

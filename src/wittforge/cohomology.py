@@ -7,7 +7,8 @@ the cup product (a) . [Q] has an explicit closed form.
 """
 
 from itertools import chain
-from typing import Iterable
+from math import prod
+from typing import Collection, Iterable
 
 from ._record import Record, set_field
 from .errors import BoundExceeded, DomainError, require
@@ -20,16 +21,16 @@ from .qarith import (
     _hilbert_core,
     _legendre,
     _local_square_core,
+    _support_over,
     as_fraction,
     check_place,
     factor,
     is_prime,
     ramified_places,
-    squarefree_part,
 )
 
 __all__ = ["BrauerClass", "H3Class", "ZERO", "brauer_from_symbol", "cup_h3",
-           "find_quaternion_symbol", "nonsquare_slot", "second_slot"]
+           "nonsquare_slot", "second_slot"]
 
 
 class BrauerClass(Record):
@@ -72,36 +73,33 @@ def brauer_from_symbol(a: Rational, b: Rational) -> BrauerClass:
 def nonsquare_slot(places: Iterable[Place]) -> int:
     """The product of the listed primes, negated when the real place is
     listed: a local nonsquare at every listed place, found by no search."""
-    a = 1
-    for v in places:
-        a *= -1 if v == REAL else v
-    return a
+    return prod(-1 if v == REAL else v for v in places)
 
 
-def second_slot(a: int, cls: BrauerClass) -> int:
-    """A signed squarefree b with (a, b) = cls, solved over F2.
+def second_slot(a: int, cls: BrauerClass, places: Collection[Place]) -> int:
+    """A signed squarefree b with (a, b) = cls, solved over F2, for a
+    signed squarefree a whose primes are among the places given.
 
-    b -> (a, b) is F2-linear, so b is a combination of generators: -1,
-    then the primes in increasing order, where a prime outside the rows
-    (2, the primes of a and of cls, the real place) is admitted only when
-    a is a square mod it, so it ramifies nothing new.  b comes from the
-    first prefix whose span holds the target, cls on the rows.  A match
-    exists exactly when a is a local nonsquare at every place of cls (one
-    with prime support, by Dirichlet), so a local square there is refused
-    up front and the factor base never reaches FACTOR_BOUND in practice.
+    b -> (a, b) is F2-linear.  The rows are 2, the places dividing a, the
+    places of cls and the real place; the generators are -1, the row
+    primes, then the primes up to FACTOR_BOUND outside the rows where a is
+    a square, so each ramifies nothing new.  b comes from the first prefix
+    whose span holds cls; one does exactly when a is a local nonsquare at
+    every place of cls (Dirichlet), so a local square there is refused up
+    front.  Only what the places leave of b is factored, to check b.
     """
-    places = cls.sort_key()
-    sa = squarefree_part(a)
-    for v in places:
+    dividing = {p for p in places if p != REAL and a % p == 0}
+    require(prod(dividing) == abs(a), a, places)
+    primes = {2, *dividing} | (cls.ramified - {REAL})
+    for v in cls.sort_key():
         # a class built from outside may name a non-place; factor proves
         # the primes, and caches those of the package's own classes
         if v != REAL and not (isinstance(v, int) and v > 1
                               and factor(v) == ((v, 1),)):
             raise DomainError(f"not a place of Q: {v!r}")
-        if _local_square_core(sa, v):
+        if _local_square_core(a, v):
             raise DomainError(f"{a} is a local square at {v}, where the "
                               "class ramifies")
-    primes = {2, *(p for p, _ in factor(abs(sa)))} | (cls.ramified - {REAL})
     rows = sorted(primes) + [REAL]
     target = sum(1 << i for i, v in enumerate(rows) if v in cls.ramified)
     # echelon rows by leading bit, each carrying the product that spans it
@@ -116,36 +114,25 @@ def second_slot(a: int, cls: BrauerClass) -> int:
             word, b = word ^ row, _class_mul(b, slot)
         return word, b
 
+    outside = (g for g in range(3, FACTOR_BOUND + 1) if g not in primes
+               and is_prime(g) and _legendre(a, g) == 1)
     rest, b = target, 1
-    for g in chain((-1,), range(2, FACTOR_BOUND + 1)):
+    for g in chain((-1,), rows[:-1], outside):
         if not rest:
             break
-        if g > 0 and (not is_prime(g)
-                      or (g not in primes and _legendre(sa, g) != 1)):
-            continue
         word, slot = reduce(sum(1 << i for i, v in enumerate(rows)
-                                if _hilbert_core(sa, g, v) == -1), g)
+                                if _hilbert_core(a, g, v) == -1), g)
         if word:
             pivots[word.bit_length() - 1] = (word, slot)
             rest, b = reduce(target, 1)
     if rest:
-        listed = ", ".join(str(v) for v in places)
+        listed = ", ".join(str(v) for v in cls.sort_key())
         raise BoundExceeded(f"no symbol over the primes up to "
                             f"{FACTOR_BOUND} for ramification {{{listed}}}")
-    require(ramified_places(sa, b) == cls.ramified, a, cls, b)
+    at = {*rows, *_support_over([b], {*rows, *places})}
+    require({v for v in at if _hilbert_core(a, b, v) == -1} == cls.ramified,
+            a, cls, b)
     return b
-
-
-def find_quaternion_symbol(cls: BrauerClass) -> tuple[int, int]:
-    """A symbol (a, b) representing cls, with signed squarefree entries.
-
-    The first slot is read off the ramification set (nonsquare_slot); the
-    second is solved for over F2 (second_slot).  Entries may involve
-    primes outside the ramified set; that is unavoidable for sets like
-    {17, 89}.
-    """
-    a = nonsquare_slot(cls.ramified)
-    return a, second_slot(a, cls)
 
 
 class H3Class(Record):

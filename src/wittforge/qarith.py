@@ -8,8 +8,8 @@ of Q are the real place (the string "real") and the rational primes.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
-from typing import Iterable, Sequence, Union
+from math import gcd, isqrt, prod
+from typing import Collection, Iterable, Sequence, Union
 
 from .errors import BoundExceeded, DomainError, require
 
@@ -122,8 +122,8 @@ def check_place(v: Place) -> Place:
     raise DomainError(f"not a place of Q: {v!r}")
 
 
-# trial division in factor stops here; past it a cofactor must be proven
-# prime (or the square of one), and second_slot's factor base ends here
+# trial division in factor, and second_slot's generators past its rows,
+# stop here; past it a cofactor must be proven prime (or the square of one)
 FACTOR_BOUND = 10**6
 
 
@@ -337,6 +337,18 @@ def _support_places(xs: Iterable[Rational]) -> list:
     # 2, the primes of the classes of xs, then the real place: the only
     # places where a symbol of products of those classes can ramify
     primes = {2, *(p for x in xs for p, e in _factored(x)[1] if e % 2)}
+    return sorted(primes) + [REAL]
+
+
+def _support_over(xs: Iterable[int], known: Collection[Place]) -> list:
+    # _support_places of signed squarefree ints, refusing any other x: the
+    # known places, each listed once, are divided out, the rest factored
+    primes = {2}
+    for x in xs:
+        ps = [p for p in known if p != REAL and x % p == 0]
+        ps += [p for p, _ in factor(abs(x) // prod(ps))]
+        require(prod(set(ps)) == abs(x), x)
+        primes.update(ps)
     return sorted(primes) + [REAL]
 
 

@@ -7,8 +7,9 @@ Clifford class), built in one pass over the form's places and cached on
 it; e1, e2, e3, the Witt index, isometry and hyperbolicity are read off
 it, and Witt classes are compared by its `witt_class`.  The places (2, the
 primes of the entries' classes, the real place) are read off the entries
-once; isotropy, represented values and kernel peeling take them as given,
-and factor no square class.  Hasse-Minkowski lives in `kernel_dim` alone.
+once; isotropy, represented values and Witt kernels take them as given,
+and a kernel is checked at them, factoring only what they leave of its
+entries.  Hasse-Minkowski lives in `kernel_dim` alone.
 All searches return exact witnesses or raise BoundExceeded.  Isotropic
 vectors are found, stitched and checked in ints, from the descent to the
 zero of the cleared diagonal, and returned as Fractions.
@@ -21,8 +22,7 @@ from math import gcd, isqrt, lcm, prod
 from typing import Collection, Iterable, Sequence
 
 from ._record import Record, set_field
-from .cohomology import (BrauerClass, H3Class, find_quaternion_symbol,
-                         second_slot)
+from .cohomology import BrauerClass, H3Class, nonsquare_slot, second_slot
 from .errors import BoundExceeded, DomainError, require
 from .qarith import (
     REAL,
@@ -32,6 +32,7 @@ from .qarith import (
     _hilbert_core,
     _legendre,
     _local_square_core,
+    _support_over,
     _support_places,
     as_fraction,
     factor,
@@ -538,59 +539,49 @@ class WittClass(Record):
         set_field(self, "index", index)
 
 
-def _peel_units(inv: Invariants, x: int, m: int) -> tuple[int, BrauerClass]:
-    """Invariants (e1, Clifford) of k with <x, ..., x> (m copies) + k
-    carrying those of inv in its kernel dimension, x = +-1, in closed
-    form.  Each symbol's slots are +-1 or +-det, so it can ramify only at
-    the record's places and is read there: no det is factored."""
-    dim0 = inv.kernel_dim
-    det = _e1(dim0, inv.e1)        # _e1 is its own inverse
+def _peel(dim: int, d: int, c: BrauerClass, places: Sequence[Place],
+          x: int, m: int) -> tuple[int, BrauerClass]:
+    """(e1, Clifford class) of k with <x, ..., x> (m copies) + k of dim
+    dim, e1 d and Clifford class c, for x = +-1, or m = 1 and x signed
+    squarefree with its primes in places: each symbol below then ramifies
+    only at the places and is read there, so nothing is factored."""
+    det = _e1(dim, d)              # _e1 is its own inverse
     xm = x ** m
-    det_k = det * xm
+    det_k = _class_mul(det, xm)
     # Hasse(K) = Hasse(k) + (x^m, det k) + C(m, 2) (x, x); each Clifford
     # class is its Hasse class plus the dimension correction (-1, b)
-    symbols = [(-1, _correction_slot(dim0, det)), (xm, det_k),
-               (-1, _correction_slot(dim0 - m, det_k))]
+    symbols = [(-1, _correction_slot(dim, det)), (xm, det_k),
+               (-1, _correction_slot(dim - m, det_k))]
     if m * (m - 1) // 2 % 2:
         symbols.append((x, x))
-    ramified = {v for v in inv.places
+    ramified = {v for v in places
                 if prod(_hilbert_core(a, b, v) for a, b in symbols) < 0}
-    return _e1(dim0 - m, det_k), BrauerClass(inv.clifford.ramified ^ ramified)
-
-
-def _binary_rep(d: int, c: BrauerClass) -> QuadForm:
-    # <b, -bd> has e1 = d and Clifford invariant (b, d); when d < 0, c
-    # fixes the sign of b at the real place, and with it the signature
-    b = second_slot(d, c)
-    return diagonal(b, _class_mul(-b, d))
-
-
-def _ternary_rep(d: int, c: BrauerClass) -> QuadForm:
-    # <-d> times the pure quaternion norm <-al, -be, al be> of the symbol
-    # for c: scaling by -d leaves the Clifford class of a ternary alone,
-    # as C(<d, d, -d>) = (d, -1) + (-1, d) = 0 shows
-    al, be = find_quaternion_symbol(c)
-    return scale(-d, diagonal(-al, -be, al * be))
+    return _e1(dim - m, det_k), BrauerClass(c.ramified ^ ramified)
 
 
 def _anisotropic_rep(inv: Invariants) -> QuadForm:
-    """A small-entry anisotropic form with the e1, Clifford class and
-    signature of inv, of its kernel dimension."""
+    """An anisotropic form with the e1, Clifford class and signature of
+    inv, of its kernel dimension, in signed squarefree ints: values are
+    split off (`_peel`) down to a binary <b, -b e> of Clifford class
+    (b, e), and b is solved for at the record's places.  A kernel K of
+    dim >= 4 represents x = -1 if negative definite, else x = 1 (K + <-x>
+    is indefinite of dim >= 5, so isotropic), and past dim 4 K is
+    definite, so all its units are x; a ternary of e1 d and Clifford class
+    c is -d <-al, -be, al be> for al = nonsquare_slot(c), so it represents
+    d al."""
     dim0, d, c = inv.kernel_dim, inv.e1, inv.clifford
-    if dim0 == 0:
-        return diagonal()
-    if dim0 == 1:
-        return diagonal(d)
-    if dim0 == 2:
-        return _binary_rep(d, c)
-    if dim0 == 3:
-        return _ternary_rep(d, c)
-    # an anisotropic K of dim >= 4 represents x = -1 if negative definite,
-    # else x = 1 (K + <-x> is indefinite of dim >= 5, so isotropic); past
-    # dim 4 K is definite, so every unit split off it is x, down to dim 3
+    if dim0 < 2:
+        return diagonal(*[d] * dim0)
     x = -1 if inv.signature == -dim0 else 1
-    d3, c3 = _peel_units(inv, x, dim0 - 3)
-    return direct_sum(diagonal(*[x] * (dim0 - 3)), _ternary_rep(d3, c3))
+    split = [x] * (dim0 - 3)        # no units below dim 4
+    if split:
+        d, c = _peel(dim0, d, c, inv.places, x, len(split))
+    if dim0 >= 3:
+        y = _class_mul(d, nonsquare_slot(c.ramified))
+        d, c = _peel(3, d, c, inv.places, y, 1)
+        split.append(y)
+    b = second_slot(d, c, inv.places)
+    return diagonal(*split, b, _class_mul(-b, d))
 
 
 def witt_decompose(q: QuadForm) -> WittClass:
@@ -603,6 +594,10 @@ def witt_decompose(q: QuadForm) -> WittClass:
     """
     inv = q.invariants
     kernel = _anisotropic_rep(inv)
+    s = tuple(e.numerator for e in kernel.entries)
+    require(all(e.denominator == 1 for e in kernel.entries), q, kernel)
+    # signed squarefree int entries are their own square classes
+    vars(kernel).update(square_classes=s, places=_support_over(s, inv.places))
     # the record of the kernel's own entries: same Witt class, and a form
     # whose kernel dimension is its dimension is anisotropic
     k = kernel.invariants

@@ -1,12 +1,13 @@
-"""Complementary slots, built from quaternion elements.
+"""Quaternion symbols and complementary slots for the test files.
 
 A helper for the test files, not a test module.  The library reads f3 and
 the additive decomposition off Brauer classes and builds no slot; the
-slot formulas those readings replace are checked against this
-construction.
+slot formulas those readings replace are checked against the construction
+from quaternion elements here.
 """
 
-from wittforge.cohomology import brauer_from_symbol
+from wittforge.cohomology import (brauer_from_symbol, nonsquare_slot,
+                                  second_slot)
 from wittforge.qarith import squarefree_part
 from wittforge.quat import anticommutant
 
@@ -30,3 +31,10 @@ def change_of_base_data(p):
         a = squarefree_part(q.square_scalar())
         out.append((a, complement_slot(base, a, witness=q)))
     return base, p.d0, p.d, out
+
+
+def quaternion_symbol(cls):
+    """A symbol (a, b) of the Brauer class cls: a read off its places, b
+    solved for on them."""
+    a = nonsquare_slot(cls.ramified)
+    return a, second_slot(a, cls, {2, *cls.ramified})

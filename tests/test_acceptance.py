@@ -19,8 +19,7 @@ from random import Random
 
 from wittforge import invol12, sampling
 from wittforge.cli import main as cli_main
-from wittforge.cohomology import (ZERO, brauer_from_symbol,
-                                  find_quaternion_symbol)
+from wittforge.cohomology import ZERO, brauer_from_symbol
 from wittforge.hermitian import disc_adjoint, skew_form, to_quadratic_form
 from wittforge.invol12 import (
     M3H,
@@ -54,7 +53,7 @@ from wittforge.quadform import (
 from wittforge.quat import algebra, pure_with_square
 from wittforge.ramlattice import analyze_obstruction, obstruction_check
 
-from slots import change_of_base_data
+from slots import change_of_base_data, quaternion_symbol
 from split12 import split12_with_primes
 
 
@@ -112,7 +111,7 @@ def _a0_split_case():
 def _a0_split_by_own_disc_case():
     hp = algebra(-3, -1)  # ramified {real, 3}, so split by Q(sqrt(-3))
     a0 = M3H(skew_form(hp, hp.i(), hp.j(), hp.j()))
-    h = algebra(*find_quaternion_symbol(brauer_from_symbol(2, -3)))
+    h = algebra(*quaternion_symbol(brauer_from_symbol(2, -3)))
     return ProductPresentation(a0, QuatInvol(h, pure_with_square(h, 2)))
 
 
@@ -374,8 +373,7 @@ def test_invariants_build_no_kernel(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("qf invariants searched for a kernel")
 
-    for name in ("witt_decompose", "_anisotropic_rep",
-                 "find_quaternion_symbol"):
+    for name in ("witt_decompose", "_anisotropic_rep"):
         monkeypatch.setattr(f"wittforge.quadform.{name}", refuse)
     code, report = _cli_report(tmp_path, ["qf", "invariants"],
                                {"entries": ["1", "1", "1", "7", "5"]})

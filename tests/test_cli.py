@@ -622,6 +622,23 @@ def test_unknown_subcommand_exits_2():
     assert exc.value.code == 2
 
 
+def test_usage_errors_print_one_diagnostic(tmp_path, capsys):
+    # argparse reads "-3/4" after --d as an option, so the value is
+    # missing: a malformed input, reported like any other; the = form
+    # passes a negative value
+    path = _form_file(tmp_path, [1, -1])
+    with pytest.raises(SystemExit) as exc:
+        main(["qf", "hyper-over", path, "--d", "-3/4"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    diagnostic = json.loads(captured.err)
+    assert diagnostic["error"] == "malformed-input"
+    assert set(diagnostic) == {"error", "message"}
+    code, out, err = _run(capsys, "qf", "hyper-over", path, "--d=-3/4")
+    assert code == 0 and err == ""
+    assert json.loads(out)["inputs"]["d"] == "-3/4"
+
+
 def test_selftest_is_deterministic(capsys):
     code, first, _ = _run(capsys, "selftest", "--seed", "3", "--count", "5")
     assert code == 0
@@ -689,18 +706,25 @@ def test_represented_value_check_survives_python_O():
 
 
 def test_kernel_check_survives_python_O():
-    # a built kernel with the wrong Clifford class must not escape
-    # witt_decompose even with asserts stripped
+    # a built kernel with the wrong Clifford class, or with an entry that
+    # is not squarefree (<2, 3, 20> is isometric to <2, 3, 5>), must not
+    # escape witt_decompose even with asserts stripped; nor may the symbol
+    # solve take a slot with a prime outside the places it is given
     script = ("import wittforge.quadform as qf\n"
-              "qf._anisotropic_rep = lambda inv: "
-              "qf.diagonal(1, 2, 15)\n"
+              "from wittforge.cohomology import ZERO, second_slot\n"
+              "for wrong in ((1, 2, 15), (2, 3, 20)):\n"
+              "    qf._anisotropic_rep = lambda inv: qf.diagonal(*wrong)\n"
+              "    try:\n"
+              "        qf.witt_decompose(qf.diagonal(2, 3, 5))\n"
+              "    except AssertionError:\n"
+              "        print('refused')\n"
               "try:\n"
-              "    qf.witt_decompose(qf.diagonal(2, 3, 5))\n"
+              "    second_slot(15, ZERO, [2, 3, 'real'])\n"
               "except AssertionError:\n"
               "    print('refused')\n")
     proc = _python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "refused\n"
+    assert proc.stdout == "refused\n" * 3
 
 
 def test_decompose12_check_survives_python_O():
@@ -759,22 +783,23 @@ EXISTS_PRESENTATION = {
 
 
 def test_factor_base_cap_diagnostic_ignores_the_hash_seed():
-    # the Witt kernel of <-2, -5> is a binary form <b, 10 b> with (b, -10)
-    # ramified at {real, 5}; the generator -1 alone misses it, so a factor
-    # base capped below 2 runs out, and the diagnostic lists the places in
-    # a fixed order, whatever the string hash seed
+    # the Witt kernel of <-6, -21> is a binary form <b, 14 b> with (b, -14)
+    # ramified at {real, 2}; the generators on its rows, -1, 2 and 7, span
+    # only {real, 7}, so a factor base capped below 3 runs out, and the
+    # diagnostic lists the places in a fixed order, whatever the string
+    # hash seed
     script = ("from wittforge import cohomology\n"
               "from wittforge.errors import BoundExceeded\n"
               "from wittforge.quadform import diagonal, witt_decompose\n"
               "cohomology.FACTOR_BOUND = 1\n"
               "try:\n"
-              "    witt_decompose(diagonal(-2, -5))\n"
+              "    witt_decompose(diagonal(-6, -21))\n"
               "except BoundExceeded as exc:\n"
               "    print(exc)\n")
     proc = _python("-c", script, PYTHONHASHSEED="0")
     assert proc.returncode == 0, proc.stderr
     assert "primes up to 1 " in proc.stdout
-    assert proc.stdout.endswith("{real, 5}\n")
+    assert proc.stdout.endswith("{real, 2}\n")
     for seed in "123":
         again = _python("-c", script, PYTHONHASHSEED=seed)
         assert again.stdout == proc.stdout, seed

@@ -14,7 +14,6 @@ from wittforge.cohomology import (
     BrauerClass,
     brauer_from_symbol,
     cup_h3,
-    find_quaternion_symbol,
     nonsquare_slot,
     second_slot,
 )
@@ -23,6 +22,8 @@ from wittforge.qarith import (REAL, check_place, hilbert_symbol,
                               is_local_square, ramified_places,
                               squarefree_part)
 from wittforge.quadform import clifford_class, diagonal, e1
+
+from slots import quaternion_symbol
 
 nonzero = st.fractions(
     min_value=Fraction(-200), max_value=Fraction(200), max_denominator=20
@@ -89,19 +90,19 @@ def test_symbol_bilinearity_in_brauer(a, b, c):
 def test_find_symbol_roundtrip_simple():
     for a, b in [(-1, -1), (2, 5), (3, 5), (-1, 7), (6, -35)]:
         cls = brauer_from_symbol(a, b)
-        fa, fb = find_quaternion_symbol(cls)
+        fa, fb = quaternion_symbol(cls)
         assert ramified_places(fa, fb) == cls.ramified
 
 
 def test_find_symbol_zero():
-    assert find_quaternion_symbol(ZERO) == (1, 1)
+    assert quaternion_symbol(ZERO) == (1, 1)
 
 
 def test_find_symbol_needs_auxiliary_prime():
     # (17, 89) itself splits everywhere, so representing the class ramified
     # exactly at {17, 89} forces a second slot from outside the set.
     cls = BrauerClass(frozenset({17, 89}))
-    a, b = find_quaternion_symbol(cls)
+    a, b = quaternion_symbol(cls)
     assert ramified_places(a, b) == frozenset({17, 89})
     assert hilbert_symbol(a, b, 17) == -1
     assert hilbert_symbol(a, b, 89) == -1
@@ -118,8 +119,7 @@ def test_nonsquare_slot_is_a_nonsquare_at_every_listed_place():
 @settings(max_examples=60)
 def test_second_slot_solves_symbol_classes(x, y):
     cls = brauer_from_symbol(x, y)
-    a = nonsquare_slot(cls.ramified)
-    b = second_slot(a, cls)
+    a, b = quaternion_symbol(cls)
     assert b == squarefree_part(b)
     assert ramified_places(a, b) == cls.ramified
 
@@ -134,9 +134,10 @@ def test_second_slot_on_the_discriminant_of_a_form(entries):
     a, cls = e1(q), clifford_class(q)
     if any(is_local_square(a, v) for v in cls.ramified):
         with pytest.raises(DomainError):
-            second_slot(a, cls)
+            second_slot(a, cls, q.places)
     else:
-        assert ramified_places(a, second_slot(a, cls)) == cls.ramified
+        b = second_slot(a, cls, q.places)
+        assert ramified_places(a, b) == cls.ramified
 
 
 def test_second_slot_refuses_a_non_place():
@@ -146,7 +147,7 @@ def test_second_slot_refuses_a_non_place():
                            (-3, {REAL, 1}, "1")):
         start = time.perf_counter()
         with pytest.raises(DomainError, match=f"not a place of Q: {bad}$"):
-            second_slot(a, BrauerClass(frozenset(places)))
+            second_slot(a, BrauerClass(frozenset(places)), [2, 3, REAL])
         assert time.perf_counter() - start < 0.5
 
 

@@ -15,8 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittforge import cohomology, qarith, quadform
-from wittforge.cohomology import (ZERO, brauer_from_symbol,
-                                  find_quaternion_symbol)
+from wittforge.cohomology import ZERO, brauer_from_symbol
 from wittforge.errors import DomainError
 from wittforge.hermitian import skew_form, to_quadratic_form
 from wittforge.invol12 import (
@@ -60,7 +59,7 @@ from wittforge.quat import (
 from wittforge.sampling import (pure_invertible, random_algebra, random_form,
                                 random_skew_form)
 
-from slots import change_of_base_data, complement_slot
+from slots import change_of_base_data, complement_slot, quaternion_symbol
 from split12 import split12_with_primes
 
 
@@ -365,7 +364,7 @@ def _case_a0_split_by_sqrt_d0():
     # algebra is split by adjoining a root of its own discriminant
     hp = algebra(-3, -1)
     a0 = M3H(skew_form(hp, hp.i(), hp.j(), hp.j()))
-    h = algebra(*find_quaternion_symbol(brauer_from_symbol(2, -3)))
+    h = algebra(*quaternion_symbol(brauer_from_symbol(2, -3)))
     return ProductPresentation(a0, QuatInvol(h, pure_with_square(h, 2)))
 
 
@@ -520,7 +519,7 @@ def _norm_difference(p):
     # n_Q - n_H - <d> n_H' built, with Q from a symbol of class [A] and H'
     # split for a split degree 6 factor: the form f3_via_norms no longer
     # builds
-    q_alg = algebra(*find_quaternion_symbol(p.a_class()))
+    q_alg = algebra(*quaternion_symbol(p.a_class()))
     hp = p.a0.h.alg if isinstance(p.a0, M3H) else algebra(1, 1)
     return direct_sum(q_alg.norm_form, neg(p.hrho.alg.norm_form),
                       neg(scale(p.d, hp.norm_form)))

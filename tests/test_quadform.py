@@ -13,7 +13,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, prod
 from random import Random
 from unittest import mock
 
@@ -393,19 +393,53 @@ def test_witt_decompose_answers_on_fourteen_places():
     assert witt_equivalent(w.kernel, q) and not is_isotropic(w.kernel)
 
 
-def test_witt_decompose_sweep_raises_no_bound():
-    # seeded forms up to dim 50: 55 of them once ran the second-slot
-    # search past its height cap, and now every kernel is solved for
-    rng = Random(7)
-    exceeded = 0
+# forms whose Witt kernels once took a product of their primes to factor,
+# past FACTOR_BOUND squared, or a walk over every prime up to FACTOR_BOUND
+LARGE_PRIME_FORMS = [(1000003, 1000033), (1000003, 1000033, 1),
+                     (1000003, 1000033, 1, 1), (-1000003, 1000033, 5),
+                     (1000003, 1000003)]
+
+
+@pytest.mark.parametrize("entries", LARGE_PRIME_FORMS)
+def test_witt_decompose_factors_nothing_it_built(monkeypatch, entries):
+    # factor sees only the entries, the places the symbol solve proves,
+    # and numbers coprime to the record's places; the kernel's record is
+    # the one its check read
+    seen = []
+    original = qarith.factor
+    for module in list(sys.modules.values()):
+        if getattr(module, "factor", None) is original:
+            monkeypatch.setattr(module, "factor",
+                                lambda n: seen.append(n) or original(n))
+    q = diagonal(*entries)
     start = time.perf_counter()
+    w = witt_decompose(q)
+    assert witt_equivalent(w.kernel, q)
+    assert w.kernel.dim == w.kernel.invariants.kernel_dim
+    assert time.perf_counter() - start < 1
+    assert w.kernel.dim + 2 * w.index == q.dim
+    known = prod(v for v in q.places if v != REAL)
+    assert all(n in {abs(x) for x in entries} or n in q.places
+               or gcd(n, known) == 1 for n in seen), seen
+
+
+def _sweep_forms():
+    # seeded diagonals up to dim 50, entries up to 9, 50 or 200
+    rng = Random(7)
     for k in range(1500):
         dim = rng.randint(1, 50)
         bound = rng.choice((9, 50, 200))
         entries = [rng.choice([-1, 1]) * rng.randint(1, bound)
                    for _ in range(dim)]
-        if k % 7 == 0:
-            entries = [abs(x) for x in entries]
+        yield [abs(x) for x in entries] if k % 7 == 0 else entries
+
+
+def test_witt_decompose_sweep_raises_no_bound():
+    # 55 of these forms once ran the second-slot search past its height
+    # cap, and now every kernel is solved for
+    exceeded = 0
+    start = time.perf_counter()
+    for entries in _sweep_forms():
         try:
             witt_decompose(diagonal(*entries))
         except BoundExceeded:
@@ -414,15 +448,61 @@ def test_witt_decompose_sweep_raises_no_bound():
     assert time.perf_counter() - start < 10
 
 
+def _trial_class(n: int) -> tuple[int, set[int]]:
+    # the signed squarefree class of the int n and its primes, by trial
+    # division
+    m, core, primes, p = abs(n), 1, set(), 2
+    while p * p <= m:
+        e = 0
+        while m % p == 0:
+            m, e = m // p, e + 1
+        if e % 2:
+            core, primes = core * p, primes | {p}
+        p += 1 if p == 2 else 2
+    if m > 1:
+        core, primes = core * m, primes | {m}
+    return (core if n > 0 else -core), primes
+
+
+def _oracle_isometric(xs: list[int], ys: list[int]) -> bool:
+    # dim, det class, signature and the Hasse bit at each place, summed
+    # over the n - 1 symbols (a_1 ... a_{j-1}, a_j) by hilbert_symbol; at
+    # an odd prime dividing neither slot a symbol is 1
+    classes = [[_trial_class(x) for x in zs] for zs in (xs, ys)]
+    places = {2, REAL}.union(*(ps for cs in classes for _, ps in cs))
+
+    def invariants(cs):
+        prefix, hasse = cs[0][0], dict.fromkeys(places, 1)
+        for x, _ in cs[1:]:
+            for v in places:
+                if v in (2, REAL) or prefix % v == 0 or x % v == 0:
+                    hasse[v] *= hilbert_symbol(prefix, x, v)
+            g = gcd(prefix, x)
+            prefix = (prefix // g) * (x // g)
+        return len(cs), prefix, sum(x > 0 for x, _ in cs), hasse
+
+    return invariants(classes[0]) == invariants(classes[1])
+
+
+def test_sweep_kernels_match_an_independent_oracle():
+    # kernel + index H is isometric to q for every sweep form, checked by
+    # classes the test factors itself
+    for entries in _sweep_forms():
+        w = witt_decompose(diagonal(*entries))
+        rebuilt = [int(x) for x in w.kernel.entries] + [1, -1] * w.index
+        assert _oracle_isometric(rebuilt, entries), entries
+
+
 @pytest.mark.parametrize("n", [*range(4, 13), 400])
 @pytest.mark.parametrize("s", [1, -1])
 def test_definite_kernels_peel_in_one_step(monkeypatch, s, n):
     # the units split off a definite kernel are peeled in closed form, by
     # at most 4 symbols read at the record's places, whatever the dim
     # (dims 4-12 cover every count of units mod 4, so the (x, x) term
-    # shows for negative definite kernels): peeling factors nothing
+    # shows for negative definite kernels), and so is the value the
+    # ternary left represents: two peels, and peeling factors nothing
     peeled, factored = [], []
-    peel, factor = quadform._peel_units, qarith.factor
+    peel, factor = quadform._peel, qarith.factor
 
     def watched(*args):
         with monkeypatch.context() as m:
@@ -431,10 +511,10 @@ def test_definite_kernels_peel_in_one_step(monkeypatch, s, n):
             peeled.append(args)
             return peel(*args)
 
-    monkeypatch.setattr(quadform, "_peel_units", watched)
+    monkeypatch.setattr(quadform, "_peel", watched)
     w = witt_decompose(diagonal(*[s] * n))
     assert (w.kernel.dim, w.index, signature(w.kernel)) == (n, 0, s * n)
-    assert len(peeled) == 1 and factored == []
+    assert [m for *_, m in peeled] == [n - 3, 1] and factored == []
 
 
 @given(entries_strategy)

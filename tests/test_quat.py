@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from wittforge import quat
 from wittforge.cohomology import BrauerClass, brauer_from_symbol, second_slot
 from wittforge.errors import DomainError
+from wittforge.qarith import REAL
 from wittforge.quat import (
     Quat,
     algebra,
@@ -125,15 +126,17 @@ def test_cross_algebra_arithmetic_rejected():
 
 def test_second_slot():
     # without a witness pure, the second slot is solved for over F2
-    assert second_slot(-1, algebra(-1, -1).brauer) == -1
+    assert second_slot(-1, algebra(-1, -1).brauer, [2, REAL]) == -1
     h = algebra(2, 5)
     for a in (5, -10):
-        b = second_slot(a, h.brauer)
+        b = second_slot(a, h.brauer, [2, 5, REAL])
         assert brauer_from_symbol(a, b) == h.brauer
     with pytest.raises(DomainError):
-        second_slot(2, algebra(-1, -1).brauer)   # pure squares are negative
+        # pure squares are negative
+        second_slot(2, algebra(-1, -1).brauer, [2, REAL])
     with pytest.raises(DomainError):
-        second_slot(5, BrauerClass(frozenset({2, 11})))   # 4^2 = 5 mod 11
+        # 4^2 = 5 mod 11
+        second_slot(5, BrauerClass(frozenset({2, 11})), [2, 5, REAL])
 
 
 def test_common_value_witness_frozen():
