@@ -21,7 +21,6 @@ from .qarith import (
     _hilbert_core,
     _legendre,
     _local_square_core,
-    _support_over,
     as_fraction,
     check_place,
     factor,
@@ -76,20 +75,22 @@ def nonsquare_slot(places: Iterable[Place]) -> int:
     return prod(-1 if v == REAL else v for v in places)
 
 
-def second_slot(a: int, cls: BrauerClass, places: Collection[Place]) -> int:
-    """A signed squarefree b with (a, b) = cls, solved over F2, for a
-    signed squarefree a whose primes are among the places given.
+def second_slot(a: int, cls: BrauerClass, places: Collection[Place]) -> tuple:
+    """A signed squarefree b with (a, b) = cls, solved over F2, and the
+    primes outside the rows it took, for a signed squarefree a whose
+    primes are among the places given.
 
     b -> (a, b) is F2-linear.  The rows are 2, the places dividing a, the
     places of cls and the real place; the generators are -1, the row
     primes, then the primes up to FACTOR_BOUND outside the rows where a is
-    a square, so each ramifies nothing new.  b comes from the first prefix
-    whose span holds cls; one does exactly when a is a local nonsquare at
-    every place of cls (Dirichlet), so a local square there is refused up
-    front.  Only what the places leave of b is factored, to check b.
+    a square (proved by is_prime), so each ramifies nothing new.  b comes
+    from the first prefix whose span holds cls; one does exactly when a is
+    a local nonsquare at every place of cls (Dirichlet), so a local square
+    there is refused up front.  Nothing is factored to check b: a and b
+    must be the products of the rows and outside primes dividing them,
+    and (a, b) must be cls at those.
     """
     dividing = {p for p in places if p != REAL and a % p == 0}
-    require(prod(dividing) == abs(a), a, places)
     primes = {2, *dividing} | (cls.ramified - {REAL})
     for v in cls.sort_key():
         # a class built from outside may name a non-place; factor proves
@@ -116,7 +117,7 @@ def second_slot(a: int, cls: BrauerClass, places: Collection[Place]) -> int:
 
     outside = (g for g in range(3, FACTOR_BOUND + 1) if g not in primes
                and is_prime(g) and _legendre(a, g) == 1)
-    rest, b = target, 1
+    rest, b, used = target, 1, []
     for g in chain((-1,), rows[:-1], outside):
         if not rest:
             break
@@ -124,15 +125,19 @@ def second_slot(a: int, cls: BrauerClass, places: Collection[Place]) -> int:
                                 if _hilbert_core(a, g, v) == -1), g)
         if word:
             pivots[word.bit_length() - 1] = (word, slot)
+            used.append(g)
             rest, b = reduce(target, 1)
     if rest:
         listed = ", ".join(str(v) for v in cls.sort_key())
         raise BoundExceeded(f"no symbol over the primes up to "
                             f"{FACTOR_BOUND} for ramification {{{listed}}}")
-    at = {*rows, *_support_over([b], {*rows, *places})}
-    require({v for v in at if _hilbert_core(a, b, v) == -1} == cls.ramified,
-            a, cls, b)
-    return b
+    taken = tuple(g for g in used if g > 1 and g not in primes and b % g == 0)
+    at = [*rows, *taken]
+    require(prod(dividing) == abs(a) and prod(
+        p for p in at if p != REAL and b % p == 0) == abs(b)
+        and {v for v in at if _hilbert_core(a, b, v) == -1} == cls.ramified,
+        a, cls, b)
+    return b, taken
 
 
 class H3Class(Record):

@@ -3,13 +3,15 @@
 Everything here works with int and Fraction only.  A square class is
 represented by its unique signed squarefree integer, so two rationals lie in
 the same class of Q*/Q*^2 iff squarefree_part returns the same int.  Places
-of Q are the real place (the string "real") and the rational primes.
+of Q are the real place (the string "real") and the rational primes.  A
+number's class and its primes come from one factorization, `_class_primes`,
+and travel with the number, so no consumer factors it again.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, prod
-from typing import Collection, Iterable, Sequence, Union
+from math import gcd, isqrt
+from typing import Iterable, Sequence, Union
 
 from .errors import BoundExceeded, DomainError, require
 
@@ -161,29 +163,25 @@ def factor(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _factored(x: Rational) -> tuple[bool, tuple[tuple[int, int], ...]]:
-    # whether x < 0, and the factorizations of its numerator and its
-    # denominator: coprime, so each is factored on its own (and cached)
-    # and the primes of odd exponent are those of the square class of x
-    if type(x) is int:
-        num, den = x, 1
-    else:
-        f = as_fraction(x)
-        num, den = f.numerator, f.denominator
+def _class_primes(x: Rational) -> tuple[int, list[int]]:
+    # the signed squarefree class of x and its primes, the one way from a
+    # number to both: x's numerator and denominator are coprime, so each is
+    # factored on its own (cached); the primes of odd exponent make the class
+    f = x if type(x) is int else as_fraction(x)
+    num, den = f.numerator, f.denominator
     if num == 0:
         raise DomainError("0 has no square class")
-    factors = factor(abs(num))
-    return num < 0, (factors + factor(den) if den > 1 else factors)
+    core, primes = 1, []
+    for p, e in factor(abs(num)) + (factor(den) if den > 1 else ()):
+        if e % 2:
+            core *= p
+            primes.append(p)
+    return (-core if num < 0 else core), primes
 
 
 def squarefree_part(x: Rational) -> int:
     """The signed squarefree integer representing the square class of x."""
-    negative, factors = _factored(x)
-    core = 1
-    for p, e in factors:
-        if e % 2:
-            core *= p
-    return -core if negative else core
+    return _class_primes(x)[0]
 
 
 def _class_mul(x: int, y: int) -> int:
@@ -333,30 +331,18 @@ def hilbert_symbol(a: Rational, b: Rational, v: Place) -> int:
     return _hilbert_core(squarefree_part(a), squarefree_part(b), v)
 
 
-def _support_places(xs: Iterable[Rational]) -> list:
-    # 2, the primes of the classes of xs, then the real place: the only
+def _classes_and_places(xs: Iterable[Rational]) -> tuple[tuple, list]:
+    # the classes of xs, and 2, their primes, then the real place: the only
     # places where a symbol of products of those classes can ramify
-    primes = {2, *(p for x in xs for p, e in _factored(x)[1] if e % 2)}
-    return sorted(primes) + [REAL]
-
-
-def _support_over(xs: Iterable[int], known: Collection[Place]) -> list:
-    # _support_places of signed squarefree ints, refusing any other x: the
-    # known places, each listed once, are divided out, the rest factored
-    primes = {2}
-    for x in xs:
-        ps = [p for p in known if p != REAL and x % p == 0]
-        ps += [p for p, _ in factor(abs(x) // prod(ps))]
-        require(prod(set(ps)) == abs(x), x)
-        primes.update(ps)
-    return sorted(primes) + [REAL]
+    pairs = [_class_primes(x) for x in xs]
+    primes = {2, *(p for _, ps in pairs for p in ps)}
+    return tuple(s for s, _ in pairs), sorted(primes) + [REAL]
 
 
 def ramified_places(a: Rational, b: Rational) -> frozenset[Place]:
     """All places where (a, b)_v = -1.  Always of even cardinality."""
-    sa, sb = squarefree_part(a), squarefree_part(b)
-    ram = frozenset(v for v in _support_places((a, b))
-                    if _hilbert_core(sa, sb, v) == -1)
+    (sa, sb), places = _classes_and_places((a, b))
+    ram = frozenset(v for v in places if _hilbert_core(sa, sb, v) == -1)
     require(len(ram) % 2 == 0, (sa, sb, ram))
     return ram
 

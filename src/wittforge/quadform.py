@@ -6,10 +6,10 @@ rediagonalizes exactly over Fraction.  The classifying data over Q is one
 Clifford class), built in one pass over the form's places and cached on
 it; e1, e2, e3, the Witt index, isometry and hyperbolicity are read off
 it, and Witt classes are compared by its `witt_class`.  The places (2, the
-primes of the entries' classes, the real place) are read off the entries
-once; isotropy, represented values and Witt kernels take them as given,
-and a kernel is checked at them, factoring only what they leave of its
-entries.  Hasse-Minkowski lives in `kernel_dim` alone.
+primes of the entries' classes, the real place) come with the classes,
+one factorization per entry; isotropy, represented values and Witt kernels
+take them as given, and every number built on the way carries its primes
+from where it was made.  Hasse-Minkowski lives in `kernel_dim` alone.
 All searches return exact witnesses or raise BoundExceeded.  Isotropic
 vectors are found, stitched and checked in ints, from the descent to the
 zero of the cleared diagonal, and returned as Fractions.
@@ -31,11 +31,10 @@ from .qarith import (
     _class_mul,
     _hilbert_core,
     _legendre,
+    _class_primes,
+    _classes_and_places,
     _local_square_core,
-    _support_over,
-    _support_places,
     as_fraction,
-    factor,
     rational_from_json,
     sqrt_mod_squarefree,
     squarefree_part,
@@ -51,8 +50,9 @@ __all__ = ["QuadForm", "clifford_class", "diagonal", "direct_sum", "e1", "e2",
 class QuadForm(Record):
     """A regular diagonal form <d1, ..., dn>, entries nonzero rationals.
 
-    The square classes of the entries and the invariant record built from
-    them are computed on first use and then kept on the (immutable) form.
+    The square classes and places of the entries, from one factorization
+    each, and the invariant record are computed on first use and then kept
+    on the (immutable) form.
     """
 
     entries: tuple[Fraction, ...]
@@ -75,14 +75,18 @@ class QuadForm(Record):
                    Fraction(0))
 
     @cached_property
+    def _support(self) -> tuple[tuple[int, ...], list[Place]]:
+        return _classes_and_places(self.entries)
+
+    @property
     def square_classes(self) -> tuple[int, ...]:
         """The signed squarefree class of each entry."""
-        return tuple(squarefree_part(e) for e in self.entries)
+        return self._support[0]
 
-    @cached_property
+    @property
     def places(self) -> list[Place]:
         """The support places, read off the entries, never off a class."""
-        return _support_places(self.entries)
+        return self._support[1]
 
     @cached_property
     def invariants(self) -> "Invariants":
@@ -137,9 +141,8 @@ def _e1(dim: int, det: int) -> int:
 class Invariants(Record):
     """The classifying invariants of a form over Q: the first four settle
     isometry, the Clifford class is the Hasse class with the dimension
-    correction, and e1 and the kernel dimension derive from them.  The
-    support places it was built over stay out of equality and hash, as
-    `places`: <5, 5> and <1, 1> are isometric but have other places."""
+    correction, and e1 and the kernel dimension derive from them; the
+    places it is built over stay on the form."""
 
     dim: int
     det: int
@@ -148,14 +151,12 @@ class Invariants(Record):
     clifford: BrauerClass
 
     def __init__(self, dim: int, det: int, signature: int,
-                 hasse: BrauerClass, clifford: BrauerClass,
-                 places: Sequence[Place]):
+                 hasse: BrauerClass, clifford: BrauerClass):
         set_field(self, "dim", dim)
         set_field(self, "det", det)
         set_field(self, "signature", signature)
         set_field(self, "hasse", hasse)
         set_field(self, "clifford", clifford)
-        set_field(self, "places", tuple(places))
 
     @property
     def e1(self) -> int:
@@ -227,7 +228,7 @@ def _correction_slot(dim: int, det: int) -> int:
 
 def _invariants(s: Sequence[int], places: Sequence[Place]) -> Invariants:
     """The record of the diagonal with square classes s, in one pass over
-    its support places, as `_support_places` lists them.
+    its support places, as `_classes_and_places` lists them.
 
     The Clifford bit at each place is the Hasse bit times the correction
     (-1, b), b = +-1 or +-det (not the signed discriminant; pinned by
@@ -245,7 +246,7 @@ def _invariants(s: Sequence[int], places: Sequence[Place]) -> Invariants:
     # the classes carry the signs of the entries
     return Invariants(len(s), det, sum(1 if x > 0 else -1 for x in s),
                       BrauerClass(frozenset(hasse)),
-                      BrauerClass(frozenset(clifford)), places)
+                      BrauerClass(frozenset(clifford)))
 
 
 def e1(q: QuadForm) -> int:
@@ -332,7 +333,7 @@ def _lagrange_descent(a: int, b: int, pa: Collection[int],
     |b|, taken by CRT over pb, factors t^2 - a = b b' w^2, and a solution
     for (a, b') combines with t to one for (a, b).  With |a| <= |b| and
     |t| <= |b|/2, |b'| <= |b|/4 + 1 < |b| for |b| > 1, so the recursion
-    ends after O(log |b|) steps; only each new (t^2 - a)/b is factored.
+    ends after O(log |b|) steps; each new (t^2 - a)/b is factored once.
     """
     if abs(a) > abs(b):
         x, z, y = _lagrange_descent(b, a, pb, pa)
@@ -351,10 +352,9 @@ def _lagrange_descent(a: int, b: int, pa: Collection[int],
     require(r == 0, a, b, t)
     if k == 0:
         return t, 1, 0
-    b2 = squarefree_part(k)
+    b2, pk = _class_primes(k)
     w = isqrt(k // b2)
-    x2, y2, z2 = _lagrange_descent(
-        a, b2, pa, [p for p, e in factor(abs(k)) if e % 2])
+    x2, y2, z2 = _lagrange_descent(a, b2, pa, pk)
     # (x2 t + a y2)^2 - a (x2 + t y2)^2 = (t^2 - a)(x2^2 - a y2^2)
     x3, y3, z3 = x2 * t + a * y2, x2 + t * y2, b2 * w * z2
     g = gcd(gcd(abs(x3), abs(y3)), abs(z3))
@@ -384,23 +384,25 @@ _SPLIT_BOUND = 10**4
 
 
 def _signed_squarefree_by_height(limit: int):
-    """1, -1, 2, -2, 3, -3, 5, ... all signed squarefree ints up to limit."""
+    """(1, []), (-1, []), (2, [2]), (-2, [2]), ...: every signed
+    squarefree int up to limit with its primes, one factor per height."""
     for n in range(1, limit + 1):
-        if squarefree_part(n) == n:
-            yield n
-            yield -n
+        s, primes = _class_primes(n)
+        if s == n:
+            yield n, primes
+            yield -n, primes
 
 
 def _represents(a: int, b: int, places: Sequence[Place]):
     """A test of whether the anisotropic binary <a, b> represents c, for
-    signed squarefree a, b and c.
+    signed squarefree a, b and c, given with the primes of c.
 
     By Hasse-Minkowski that holds exactly when (c, -ab)_v = (a, b)_v at
     every place v.  The targets are (a, b)_v at the places given, and
     each c is decided there first, the real place (where about half the
-    candidates fail on sign) before the primes.  Only then is c factored:
-    at a prime p of c outside the places (a, b)_p = 1 and the condition
-    is (-ab / p) = 1, with p from factor, so no place is proved prime.
+    candidates fail on sign) before the primes.  At a prime p of c outside
+    the places (a, b)_p = 1 and the condition is (-ab / p) = 1, with p
+    from the factorization c came with, so no place is proved prime.
     """
     m = _class_mul(-a, b)
     inside = set(places)
@@ -408,11 +410,10 @@ def _represents(a: int, b: int, places: Sequence[Place]):
     real = _hilbert_core(a, b, REAL)
     targets = [(v, _hilbert_core(a, b, v)) for v in places if v != REAL]
 
-    def test(c: int) -> bool:
+    def test(c: int, primes: Iterable[int]) -> bool:
         return ((-1 if c < 0 and m < 0 else 1) == real
                 and all(_hilbert_core(c, m, v) == t for v, t in targets)
-                and all(p in inside or _legendre(m, p) == 1
-                        for p, _ in factor(abs(c))))
+                and all(p in inside or _legendre(m, p) == 1 for p in primes))
     return test
 
 
@@ -426,8 +427,8 @@ def _int_isotropic(s: list[int], places: Sequence[Place]) -> tuple[int, ...]:
     decided by Hilbert symbols (`_represents`): first whether <s0, s1>
     represents c, then, for rest = <r0, r1>, whether <-r0, -r1> does; a
     longer rest is tested by `_isotropic` on rest + <c>, and only for
-    candidates that pass the first test.  Only c adds places, from the
-    factor(|c|) the first test took.
+    candidates that pass the first test.  Only c adds places, the primes it
+    came with from the walk.
     """
     short = _pair_shortcut(s)
     if short is not None:
@@ -444,11 +445,11 @@ def _int_isotropic(s: list[int], places: Sequence[Place]) -> tuple[int, ...]:
     # witnesses
     first = _represents(s[0], s[1], places)
     second = _represents(-rest[0], -rest[1], places) if n == 4 else None
-    for c in _signed_squarefree_by_height(_SPLIT_BOUND):
-        if not first(c):
+    for c, primes in _signed_squarefree_by_height(_SPLIT_BOUND):
+        if not first(c, primes):
             continue
-        at = [*places, *(p for p, _ in factor(abs(c)) if p not in places)]
-        if not (second(c) if second else _isotropic((*rest, c), at)):
+        at = [*places, *(p for p in primes if p not in places)]
+        if not (second(c, primes) if second else _isotropic((*rest, c), at)):
             continue
         x, y, w = _ternary_zero([s[0], s[1], -c], at)
         require(w != 0, s, c)  # the binary part is anisotropic
@@ -559,29 +560,29 @@ def _peel(dim: int, d: int, c: BrauerClass, places: Sequence[Place],
     return _e1(dim - m, det_k), BrauerClass(c.ramified ^ ramified)
 
 
-def _anisotropic_rep(inv: Invariants) -> QuadForm:
+def _anisotropic_rep(inv: Invariants, places: Sequence[Place]) -> tuple:
     """An anisotropic form with the e1, Clifford class and signature of
-    inv, of its kernel dimension, in signed squarefree ints: values are
-    split off (`_peel`) down to a binary <b, -b e> of Clifford class
-    (b, e), and b is solved for at the record's places.  A kernel K of
-    dim >= 4 represents x = -1 if negative definite, else x = 1 (K + <-x>
-    is indefinite of dim >= 5, so isotropic), and past dim 4 K is
-    definite, so all its units are x; a ternary of e1 d and Clifford class
-    c is -d <-al, -be, al be> for al = nonsquare_slot(c), so it represents
-    d al."""
+    inv, of its kernel dimension, in signed squarefree ints, and places
+    holding its primes: those of inv's form, given, and its slot's.  Values
+    are split off (`_peel`) down to a binary <b, -b e> of Clifford class
+    (b, e), and b is solved for at the places.  A kernel K of dim >= 4
+    represents x = -1 if negative definite, else x = 1 (K + <-x> is
+    indefinite of dim >= 5, so isotropic), and past dim 4 K is definite, so
+    all its units are x; a ternary of e1 d and Clifford class c is
+    -d <-al, -be, al be> for al = nonsquare_slot(c), so it represents d al."""
     dim0, d, c = inv.kernel_dim, inv.e1, inv.clifford
     if dim0 < 2:
-        return diagonal(*[d] * dim0)
+        return diagonal(*[d] * dim0), places
     x = -1 if inv.signature == -dim0 else 1
     split = [x] * (dim0 - 3)        # no units below dim 4
     if split:
-        d, c = _peel(dim0, d, c, inv.places, x, len(split))
+        d, c = _peel(dim0, d, c, places, x, len(split))
     if dim0 >= 3:
         y = _class_mul(d, nonsquare_slot(c.ramified))
-        d, c = _peel(3, d, c, inv.places, y, 1)
+        d, c = _peel(3, d, c, places, y, 1)
         split.append(y)
-    b = second_slot(d, c, inv.places)
-    return diagonal(*split, b, _class_mul(-b, d))
+    b, outside = second_slot(d, c, places)
+    return diagonal(*split, b, _class_mul(-b, d)), [*places, *outside]
 
 
 def witt_decompose(q: QuadForm) -> WittClass:
@@ -590,14 +591,19 @@ def witt_decompose(q: QuadForm) -> WittClass:
     The kernel dimension is read off (e1, Clifford, signature), which
     classify Witt classes over Q; the kernel is then built with those
     invariants rather than peeled off vector by vector, and verified once
-    before it is returned.
+    before it is returned: each entry must be the product of the places
+    it came with that divide it, and the kernel must have q's Witt class.
     """
     inv = q.invariants
-    kernel = _anisotropic_rep(inv)
+    kernel, at = _anisotropic_rep(inv, q.places)
     s = tuple(e.numerator for e in kernel.entries)
-    require(all(e.denominator == 1 for e in kernel.entries), q, kernel)
+    primes = {2}
+    for e, x in zip(kernel.entries, s):
+        ps = {p for p in at if p != REAL and x % p == 0}
+        require(e.denominator == 1 and prod(ps) == abs(x), q, kernel)
+        primes.update(ps)
     # signed squarefree int entries are their own square classes
-    vars(kernel).update(square_classes=s, places=_support_over(s, inv.places))
+    vars(kernel)["_support"] = (s, sorted(primes) + [REAL])
     # the record of the kernel's own entries: same Witt class, and a form
     # whose kernel dimension is its dimension is anisotropic
     k = kernel.invariants

@@ -37,4 +37,4 @@ def quaternion_symbol(cls):
     """A symbol (a, b) of the Brauer class cls: a read off its places, b
     solved for on them."""
     a = nonsquare_slot(cls.ramified)
-    return a, second_slot(a, cls, {2, *cls.ramified})
+    return a, second_slot(a, cls, {2, *cls.ramified})[0]

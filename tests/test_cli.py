@@ -523,7 +523,7 @@ def test_exists_with_a_fraction_slot_chains_into_f3(tmp_path, capsys,
     # the isotropy search and the Brauer symbols read their places off the
     # slots, so the witness is found and checked and f3 answers
     seen, factor = [], qarith.factor
-    for module in (qarith, quadform, cohomology):
+    for module in (qarith, cohomology):
         monkeypatch.setattr(module, "factor", lambda n: (
             seen.append(n) if n == 1000036000099 else None) or factor(n))
     code, out, err = _run(capsys, "alg", "exists",
@@ -709,11 +709,12 @@ def test_kernel_check_survives_python_O():
     # a built kernel with the wrong Clifford class, or with an entry that
     # is not squarefree (<2, 3, 20> is isometric to <2, 3, 5>), must not
     # escape witt_decompose even with asserts stripped; nor may the symbol
-    # solve take a slot with a prime outside the places it is given
+    # solve answer for a slot with a prime outside the places it is given
     script = ("import wittforge.quadform as qf\n"
               "from wittforge.cohomology import ZERO, second_slot\n"
               "for wrong in ((1, 2, 15), (2, 3, 20)):\n"
-              "    qf._anisotropic_rep = lambda inv: qf.diagonal(*wrong)\n"
+              "    kernel = qf.diagonal(*wrong)\n"
+              "    qf._anisotropic_rep = lambda inv, at: (kernel, at)\n"
               "    try:\n"
               "        qf.witt_decompose(qf.diagonal(2, 3, 5))\n"
               "    except AssertionError:\n"

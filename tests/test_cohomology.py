@@ -1,6 +1,7 @@
 """Brauer classes in ramification coordinates and the H^3 cup product."""
 
 import time
+from math import prod
 from fractions import Fraction
 
 import pytest
@@ -136,8 +137,12 @@ def test_second_slot_on_the_discriminant_of_a_form(entries):
         with pytest.raises(DomainError):
             second_slot(a, cls, q.places)
     else:
-        b = second_slot(a, cls, q.places)
+        b, outside = second_slot(a, cls, q.places)
         assert ramified_places(a, b) == cls.ramified
+        # b is the product of the places and the outside primes dividing it
+        assert all(b % p == 0 for p in outside)
+        assert prod({*outside, *(p for p in q.places
+                                 if p != REAL and b % p == 0)}) == abs(b)
 
 
 def test_second_slot_refuses_a_non_place():

@@ -12,7 +12,8 @@ Fraction on its hot path.
 
 import json
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from functools import lru_cache
+from math import gcd, isqrt, lcm, prod
 from random import Random
 
 import pytest
@@ -21,8 +22,7 @@ from hypothesis import strategies as st
 
 from wittforge import _linalg, quadform
 from wittforge.errors import BoundExceeded, DomainError
-from wittforge.qarith import (REAL, _class_mul, _hilbert_core, _legendre,
-                              factor)
+from wittforge.qarith import REAL, _class_mul, _hilbert_core, _legendre
 from wittforge.quadform import (diagonal, direct_sum, is_isotropic,
                                 isotropic_vector, represent_value)
 from wittforge.quat import Quat, _orthogonal_pure, algebra, elem_to_json, \
@@ -273,15 +273,40 @@ def ref_primitive(v):
     return tuple(x // g for x in ints) if g else tuple(ints)
 
 
+@lru_cache(maxsize=None)
+def ref_odd_primes(n):
+    # the primes of odd exponent in n > 0, by trial division
+    out, p = [], 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e % 2:
+            out.append(p)
+        p += 1
+    return out + [n] if n > 1 else out
+
+
+def ref_by_height(limit):
+    # every signed squarefree c up to limit, n before -n, by height, with
+    # the primes of c
+    for n in range(1, limit + 1):
+        primes = ref_odd_primes(n)
+        if prod(primes) == n:
+            yield n, primes
+            yield -n, primes
+
+
 def ref_represents(a, b, places):
-    # (c, -ab)_v = (a, b)_v at every place, with c factored first: the
-    # primes of c outside the places, then the listed places
+    # (c, -ab)_v = (a, b)_v at every place, the primes of c outside the
+    # places first, then the listed places
     m = _class_mul(-a, b)
     targets = [(v, _hilbert_core(a, b, v)) for v in places]
-    return lambda c: (all(p in places or _legendre(m, p) == 1
-                          for p, _ in factor(abs(c)))
-                      and all(_hilbert_core(c, m, v) == t
-                              for v, t in targets))
+    return lambda c, primes: (all(p in places or _legendre(m, p) == 1
+                                  for p in primes)
+                              and all(_hilbert_core(c, m, v) == t
+                                      for v, t in targets))
 
 
 def ref_ternary_zero(s, places):
@@ -303,12 +328,12 @@ def ref_int_isotropic(s, places, walks):
     if quadform._isotropic(rest, places):
         return (0, 0) + ref_int_isotropic(rest, places, walks)
     first = ref_represents(s[0], s[1], places)
-    for c in quadform._signed_squarefree_by_height(quadform._SPLIT_BOUND):
-        if not first(c):
+    for c, primes in ref_by_height(quadform._SPLIT_BOUND):
+        if not first(c, primes):
             continue
-        at = [*places, *(p for p, _ in factor(abs(c)) if p not in places)]
+        at = [*places, *(p for p in primes if p not in places)]
         if len(rest) == 2:
-            ok = ref_represents(-rest[0], -rest[1], places)(c)
+            ok = ref_represents(-rest[0], -rest[1], places)(c, primes)
         else:
             ok = quadform._isotropic((*rest, c), at)
         if not ok:

@@ -574,7 +574,7 @@ def test_f3_routes_factor_nothing_after_the_domain_check(monkeypatch):
     # places only
     seen = []
     factor = qarith.factor
-    for module in (qarith, cohomology, quadform):
+    for module in (qarith, cohomology):
         monkeypatch.setattr(module, "factor",
                             lambda n: seen.append(n) or factor(n))
     for build in (_case_a0_split_by_sqrt_d0, _item1_split, _item1_witness,

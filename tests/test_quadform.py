@@ -4,16 +4,18 @@ Isotropy gets three oracles independent of the library's kernel-dimension
 criterion: the classical two/three-square characterizations for <1,1,-n>
 and <1,1,1,-n>, the per-place Hasse conditions for dims 3 and 4 written
 with pairwise Hilbert symbols, and a brute-force box search on the
-positive side.  The Clifford table is pinned by hypothesis tests of Witt
+positive side.  `oracles` decides isotropy place by place with no code
+from the package.  The Clifford table is pinned by hypothesis tests of Witt
 invariance across every dimension residue.
 """
 
 import json
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, prod
+from math import gcd
 from random import Random
 from unittest import mock
 
@@ -26,15 +28,16 @@ from wittforge.cohomology import ZERO, H3Class, brauer_from_symbol
 from wittforge.errors import BoundExceeded, DomainError
 from wittforge.cli import main
 from wittforge.qarith import (REAL, _local_square_core, factor,
-                              hilbert_symbol, ramified_places,
-                              square_class_product, squarefree_part)
+                              hilbert_symbol, is_local_square,
+                              ramified_places, square_class_product,
+                              squarefree_part)
 from wittforge.quadform import (
     QuadForm,
+    _classes_and_places,
     _hasse_symbols,
     _isotropic,
     _lagrange_descent,
     _local_hasse,
-    _support_places,
     clifford_class,
     diagonal,
     direct_sum,
@@ -59,6 +62,13 @@ from wittforge.quadform import (
     witt_index,
 )
 from wittforge.quat import algebra
+
+import oracles
+
+
+def _support_places(xs):
+    # 2, the primes of the classes of xs, then the real place
+    return _classes_and_places(xs)[1]
 
 entries_strategy = st.lists(
     st.integers(min_value=-30, max_value=30).filter(lambda n: n != 0),
@@ -135,7 +145,8 @@ def test_represented_values_by_symbols_match_isotropy():
             continue
         binaries += 1
         test = quadform._represents(a, b, places)
-        assert [c for c in values if test(c)] == [
+        assert [c for c in values
+                if test(c, [p for p, _ in factor(abs(c))])] == [
             c for c in values
             if _isotropic((a, b, -c), _support_places((a, b, c)))], (a, b)
 
@@ -168,9 +179,8 @@ def test_ternary_zero_factors_no_product_of_entries(monkeypatch, entries):
     # past trial division here, is factored
     factored = []
     factor = qarith.factor
-    for module in (qarith, quadform):
-        monkeypatch.setattr(module, "factor",
-                            lambda n: factored.append(n) or factor(n))
+    monkeypatch.setattr(qarith, "factor",
+                        lambda n: factored.append(n) or factor(n))
     q = diagonal(*entries)
     v = isotropic_vector(q)
     assert q(v) == 0 and gcd(*(int(x) for x in v)) == 1
@@ -191,7 +201,7 @@ def _factoring_of(monkeypatch, number: int) -> list[int]:
     # symbols read it; records each call on `number`
     seen = []
     factor = qarith.factor
-    for module in (qarith, quadform, cohomology):
+    for module in (qarith, cohomology):
         monkeypatch.setattr(module, "factor", lambda n: (
             seen.append(n) if n == number else None) or factor(n))
     return seen
@@ -371,7 +381,7 @@ def test_witt_decompose_refuses_a_wrong_kernel(monkeypatch):
     # another Clifford class, and <1, 1, -1> is isotropic
     for wrong in (diagonal(1, 2, 15), diagonal(1, 1, -1)):
         monkeypatch.setattr("wittforge.quadform._anisotropic_rep",
-                            lambda inv, k=wrong: k)
+                            lambda inv, at, k=wrong: (k, at))
         with pytest.raises(AssertionError):
             witt_decompose(diagonal(2, 3, 5))
 
@@ -400,17 +410,23 @@ LARGE_PRIME_FORMS = [(1000003, 1000033), (1000003, 1000033, 1),
                      (1000003, 1000003)]
 
 
-@pytest.mark.parametrize("entries", LARGE_PRIME_FORMS)
-def test_witt_decompose_factors_nothing_it_built(monkeypatch, entries):
-    # factor sees only the entries, the places the symbol solve proves,
-    # and numbers coprime to the record's places; the kernel's record is
-    # the one its check read
+def _factor_calls(monkeypatch) -> list[int]:
+    # qarith.factor wrapped in every module that binds it: the argument of
+    # each call, in order, cache hits included
     seen = []
     original = qarith.factor
     for module in list(sys.modules.values()):
         if getattr(module, "factor", None) is original:
             monkeypatch.setattr(module, "factor",
                                 lambda n: seen.append(n) or original(n))
+    return seen
+
+
+@pytest.mark.parametrize("entries", LARGE_PRIME_FORMS)
+def test_witt_decompose_factors_nothing_it_built(monkeypatch, entries):
+    # factor sees only the entries and the places the symbol solve proves;
+    # the kernel's record is the one its check read
+    seen = _factor_calls(monkeypatch)
     q = diagonal(*entries)
     start = time.perf_counter()
     w = witt_decompose(q)
@@ -418,9 +434,38 @@ def test_witt_decompose_factors_nothing_it_built(monkeypatch, entries):
     assert w.kernel.dim == w.kernel.invariants.kernel_dim
     assert time.perf_counter() - start < 1
     assert w.kernel.dim + 2 * w.index == q.dim
-    known = prod(v for v in q.places if v != REAL)
-    assert all(n in {abs(x) for x in entries} or n in q.places
-               or gcd(n, known) == 1 for n in seen), seen
+    assert set(seen) <= {abs(x) for x in entries} | set(q.places), seen
+
+
+def test_one_factorization_per_number(monkeypatch):
+    # a number's class and its primes come from one factor call, and the
+    # primes travel with it: a form's classes and places, a symbol's two
+    # slots, and each splitting value the walk tries
+    seen = _factor_calls(monkeypatch)
+    diagonal(6, 10, 15, Fraction(7, 9)).invariants
+    assert Counter(seen) == {6: 1, 10: 1, 15: 1, 7: 1, 9: 1}
+    seen.clear()
+    ramified_places(12, Fraction(18, 5))
+    assert Counter(seen) == {12: 1, 18: 1, 5: 1}
+    # the factor calls from asking for each candidate c to asking for the
+    # next: the walk's own, as the entries and the descent on the last c
+    # fall outside them
+    walk, windows = quadform._signed_squarefree_by_height, []
+
+    def recorded(limit):
+        start = len(seen)
+        for c, primes in walk(limit):
+            yield c, primes
+            windows.append((c, seen[start:]))
+            start = len(seen)
+    monkeypatch.setattr(quadform, "_signed_squarefree_by_height", recorded)
+    q = diagonal(22, 110, -133, 396)
+    assert q(isotropic_vector(q)) == 0
+    assert len(windows) == 2233 - 1
+    per_height = Counter()
+    for c, calls in windows:
+        per_height[abs(c)] += calls.count(abs(c))
+    assert set(per_height.values()) == {1}
 
 
 def _sweep_forms():
@@ -766,6 +811,37 @@ def test_clifford_class_matches_textbook_definition(q):
     assert clifford_class(q) == _textbook_clifford(q), q
 
 
+def test_isotropy_matches_the_independent_local_oracle():
+    # seeded squarefree diagonals of dims 3 and 4, entries |x| <= 30:
+    # `oracles` decides isotropy place by place with no code from the
+    # package.  A form is isotropic iff it is at R, 2 and each odd prime
+    # dividing an entry, and at each of those places it is anisotropic iff
+    # its local kernel is all of it: for dim 3 where the Clifford class
+    # ramifies, for dim 4 where it ramifies and e1 is a local square
+    rng = Random(29)
+    squarefree = [n for n in range(-30, 31)
+                  if n and oracles.is_squarefree(n)]
+    outcomes = Counter()
+    for _ in range(600):
+        entries = [rng.choice(squarefree) for _ in range(rng.randint(3, 4))]
+        q = diagonal(*entries)
+        isotropic = oracles.locally_isotropic(entries)
+        assert is_isotropic(q) == isotropic, entries
+        outcomes[q.dim, isotropic] += 1
+        odd = {p for x in entries for p in oracles.prime_divisors(x)} - {2}
+        ramified = clifford_class(q).ramified
+        for v in (REAL, 2, *odd):
+            assert (not oracles.isotropic_at(entries, v)) == (
+                v in ramified and (q.dim == 3 or is_local_square(e1(q), v))
+            ), (entries, v)
+        # the oracle's premise: unimodular of dim >= 3 at every other p
+        assert all(oracles.isotropic_at(entries, p)
+                   for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+                   if p not in odd), entries
+    # both answers, in both dimensions, are among the cases compared
+    assert min(outcomes.values()) > 50 and len(outcomes) == 4
+
+
 @given(st.lists(large_prime_entries, min_size=3, max_size=3))
 @settings(max_examples=80, deadline=None)
 def test_ternary_isotropy_matches_its_quaternion_algebra(entries):
@@ -864,9 +940,10 @@ def test_isotropy_below_dim_5_reads_one_record(monkeypatch, entries):
 
 def test_record_places_stay_out_of_equality():
     # <5, 5> and <1, 1> are isometric, with equal records, but the record
-    # of <5, 5> was built over the place 5 as well
+    # of <5, 5> was built over the place 5 as well; the places stay on
+    # the form
     q, r = diagonal(5, 5), diagonal(1, 1)
     assert q.invariants == r.invariants and isometric(q, r)
     assert hash(q.invariants) == hash(r.invariants)
-    assert q.invariants.places == (2, 5, REAL)
-    assert r.invariants.places == (2, REAL)
+    assert q.places == [2, 5, REAL] and r.places == [2, REAL]
+    assert not hasattr(q.invariants, "places")

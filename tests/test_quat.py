@@ -126,10 +126,10 @@ def test_cross_algebra_arithmetic_rejected():
 
 def test_second_slot():
     # without a witness pure, the second slot is solved for over F2
-    assert second_slot(-1, algebra(-1, -1).brauer, [2, REAL]) == -1
+    assert second_slot(-1, algebra(-1, -1).brauer, [2, REAL]) == (-1, ())
     h = algebra(2, 5)
     for a in (5, -10):
-        b = second_slot(a, h.brauer, [2, 5, REAL])
+        b, _ = second_slot(a, h.brauer, [2, 5, REAL])
         assert brauer_from_symbol(a, b) == h.brauer
     with pytest.raises(DomainError):
         # pure squares are negative

@@ -216,7 +216,8 @@ def test_outside_readers_stay_inside_all():
     assert outside == [], f"read from outside __all__: {outside}"
 
 
-_FACTORING = {"factor", "squarefree_part", "_support_places"}
+_FACTORING = {"factor", "squarefree_part", "_class_primes",
+              "_classes_and_places"}
 
 
 def _is_product(node: ast.AST) -> bool:
@@ -289,17 +290,18 @@ def test_no_product_is_factored(path):
 
 
 def _places_misread(tree: ast.Module, module: str) -> list[str]:
-    # the functions whose `_support_places` call reads places off anything
-    # but a form's entries (quadform) or the function's own parameters
-    # (qarith): a square class built from them may be past trial division
+    # the functions whose `_classes_and_places` call reads places off
+    # anything but a form's entries (quadform) or the function's own
+    # parameters (qarith): a square class built from them may be past
+    # trial division
     flagged = set()
     for func in ast.walk(tree):
         if not isinstance(func, ast.FunctionDef):
             continue
         params = {a.arg for a in (*func.args.args, *func.args.kwonlyargs)}
         for call in ast.walk(func):
-            if not (isinstance(call, ast.Call)
-                    and getattr(call.func, "id", None) == "_support_places"):
+            if not (isinstance(call, ast.Call) and getattr(
+                    call.func, "id", None) == "_classes_and_places"):
                 continue
             arg = call.args[0]
             if module == "quadform":
@@ -317,17 +319,17 @@ def test_places_check_sees_places_read_off_classes():
     # classes and entries, a pair of classes, names bound to classes
     quadform = ast.parse(
         "def _isotropic(s, entries=None):\n"
-        "    return _support_places(s if entries is None else entries)\n"
+        "    return _classes_and_places(s if entries is None else entries)\n"
         "def _represents(a, b):\n"
-        "    return _support_places((a, b))\n"
+        "    return _classes_and_places((a, b))\n"
         "def invariants(self):\n"
-        "    return _support_places(self.entries)\n")
+        "    return _classes_and_places(self.entries)\n")
     qarith = ast.parse(
         "def ramified_places(a, b):\n"
         "    sa, sb = squarefree_part(a), squarefree_part(b)\n"
-        "    return _support_places((sa, sb))\n"
+        "    return _classes_and_places((sa, sb))\n"
         "def own(a, b):\n"
-        "    return _support_places((a, b))\n")
+        "    return _classes_and_places((a, b))\n")
     assert _places_misread(quadform, "quadform") == ["quadform._isotropic",
                                                      "quadform._represents"]
     assert _places_misread(qarith, "qarith") == ["qarith.ramified_places"]
