@@ -14,7 +14,6 @@ invariant of a difference of norm forms and as a cup product over a common
 quadratic splitting field, and the two must agree.
 """
 
-from fractions import Fraction
 from functools import cached_property
 
 from ._record import Record, set_field
@@ -29,7 +28,7 @@ from .errors import BoundExceeded, DomainError, require
 from .hermitian import SkewHermForm, disc_adjoint, skew_form
 from .hermitian import from_json as herm_from_json
 from .hermitian import to_json as herm_to_json
-from .qarith import REAL, square_class_product, squarefree_part
+from .qarith import REAL, Rational, square_class_product, squarefree_part
 from .quadform import (
     QuadForm,
     direct_sum,
@@ -149,10 +148,10 @@ class PfisterDecomposition(Record):
     """psi = (<a1><<b1>> + <a2><<b2>> + <a3><<b3>>) x <<d>>, b1 b2 b3 = 1."""
 
     d: int
-    alphas: tuple[Fraction, Fraction, Fraction]
+    alphas: tuple[Rational, Rational, Rational]
     betas: tuple[int, int, int]
 
-    def __init__(self, d: int, alphas: tuple[Fraction, Fraction, Fraction],
+    def __init__(self, d: int, alphas: tuple[Rational, Rational, Rational],
                  betas: tuple[int, int, int]):
         if square_class_product(*betas) != 1:
             raise DomainError("beta product must be a square")
@@ -212,7 +211,7 @@ def decompose_split12(psi: QuadForm) -> PfisterDecomposition:
     d = -1
     pos = 3 + signature(psi) // 4
     tau = [1] * pos + [-1] * (6 - pos)
-    alphas = tuple(Fraction(tau[i]) for i in (0, 2, 4))
+    alphas = tuple(tau[i] for i in (0, 2, 4))
     betas = tuple(-tau[i] * tau[i + 1] for i in (0, 2, 4))
     dec = PfisterDecomposition(d, alphas, betas)
     require(isometric(dec.reconstruction(), psi), psi, dec)

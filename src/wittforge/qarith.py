@@ -18,10 +18,10 @@ from .errors import BoundExceeded, DomainError, require
 # hilbert_symbol and is_local_square prove their place first, for places
 # from outside; the package calls their cores with places factor proved
 __all__ = ["FACTOR_BOUND", "MAX_ENTRY_DIGITS", "MILLER_RABIN_BOUND", "Place",
-           "REAL", "Rational", "as_fraction", "check_place", "factor",
-           "hilbert_symbol", "is_local_square", "is_prime", "ramified_places",
-           "rational_from_json", "sqrt_mod_squarefree", "square_class_product",
-           "squarefree_part"]
+           "REAL", "Rational", "as_exact", "as_fraction", "check_place",
+           "factor", "hilbert_symbol", "is_local_square", "is_prime",
+           "ramified_places", "rational_from_json", "sqrt_mod_squarefree",
+           "square_class_product", "squarefree_part"]
 
 Rational = Union[int, Fraction]
 
@@ -36,6 +36,17 @@ def as_fraction(x: Rational) -> Fraction:
     if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise DomainError(f"expected an exact rational, got {type(x).__name__}")
     return Fraction(x)
+
+
+def as_exact(x: Rational) -> Rational:
+    """x in its one stored type: an int when it is integral, else a
+    Fraction; refused as by as_fraction.  Equal values, hashes and str()
+    agree across the two, so the choice never shows in a result."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = as_fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 # Entries are refused past this many decimal digits, or past this decimal
@@ -129,35 +140,50 @@ def check_place(v: Place) -> Place:
 FACTOR_BOUND = 10**6
 
 
+def _strip(m: int, p: int, out: list) -> int:
+    # divide the prime p out of m, recording (p, e) in out
+    e = 0
+    while m % p == 0:
+        m //= p
+        e += 1
+    out.append((p, e))
+    return m
+
+
 @lru_cache(maxsize=None)
 def factor(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of a positive integer as ((p, e), ...), p ascending.
 
-    Trial division up to FACTOR_BOUND, then a surviving cofactor above its
-    square must be a prime or the square of one; otherwise a prime factor
-    may have been missed, so we refuse rather than guess.
+    Trial division up to FACTOR_BOUND by 2, 3 and the k = 6j +- 1, which
+    hold every prime past 3; a composite k never divides, its primes being
+    gone.  Then a surviving cofactor above the bound's square must be a
+    prime or the square of one; otherwise a prime factor may have been
+    missed, so we refuse rather than guess.
     """
     if n <= 0:
         raise DomainError("factor() wants a positive integer")
     out = []
     m = n
-    for p in range(2, FACTOR_BOUND + 1):
-        if p * p > m:
+    bound = FACTOR_BOUND
+    for p in (2, 3):
+        if p <= bound and m % p == 0:
+            m = _strip(m, p, out)
+    # k = 6j - 1 and k + 2 = 6j + 1; a k + 2 that divides m past sqrt(m)
+    # is m itself, stripped here as the cofactor would be appended below
+    for k in range(5, bound + 1, 6):
+        if k * k > m:
             break
-        if m % p:
-            continue
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        out.append((p, e))
-    if m > FACTOR_BOUND * FACTOR_BOUND:
+        if m % k == 0:
+            m = _strip(m, k, out)
+        if m % (k + 2) == 0 and k + 2 <= bound:
+            m = _strip(m, k + 2, out)
+    if m > bound * bound:
         r = isqrt(m)
         if r * r == m and is_prime(r):
             return (*out, (r, 2))
         if not is_prime(m):
             raise BoundExceeded(f"cofactor {m} not factored within bound "
-                                f"{FACTOR_BOUND}")
+                                f"{bound}")
     if m > 1:
         out.append((m, 1))
     return tuple(out)

@@ -1,12 +1,14 @@
 """Regular diagonal quadratic forms over Q and their classifying invariants.
 
-Forms are kept diagonal throughout: every operation that produces a form
-rediagonalizes exactly over Fraction.  The classifying data over Q is one
-`Invariants` record (dim, determinant class, signature, Hasse class,
-Clifford class), built in one pass over the form's places and cached on
-it; e1, e2, e3, the Witt index, isometry and hyperbolicity are read off
-it, and Witt classes are compared by its `witt_class`.  The places (2, the
-primes of the entries' classes, the real place) come with the classes,
+Forms are kept diagonal throughout.  Each entry is stored as an int when
+it is integral and as a Fraction only when it is not (`as_exact`), so a
+form built from ints (tensors, Pfister forms, scalings, Witt kernels)
+stays in int arithmetic.  The classifying data over Q is one `Invariants`
+record (dim, determinant class, signature, Hasse class, Clifford class),
+built in one pass over the form's places and cached on it; e1, e2, e3,
+the Witt index, isometry and hyperbolicity are read off it, and Witt
+classes are compared by its `witt_class`.  The places (2, the primes of
+the entries' classes, the real place) come with the classes,
 one factorization per entry; isotropy, represented values and Witt kernels
 take them as given, and every number built on the way carries its primes
 from where it was made.  Hasse-Minkowski lives in `kernel_dim` alone.
@@ -34,6 +36,7 @@ from .qarith import (
     _class_primes,
     _classes_and_places,
     _local_square_core,
+    as_exact,
     as_fraction,
     rational_from_json,
     sqrt_mod_squarefree,
@@ -48,20 +51,21 @@ __all__ = ["QuadForm", "clifford_class", "diagonal", "direct_sum", "e1", "e2",
 
 
 class QuadForm(Record):
-    """A regular diagonal form <d1, ..., dn>, entries nonzero rationals.
+    """A regular diagonal form <d1, ..., dn>, entries nonzero rationals,
+    each an int when integral and a Fraction otherwise: 3 and Fraction(3)
+    give one form, equal, of one hash and one serialization.
 
     The square classes and places of the entries, from one factorization
     each, and the invariant record are computed on first use and then kept
     on the (immutable) form.
     """
 
-    entries: tuple[Fraction, ...]
+    entries: tuple[Rational, ...]
 
     def __init__(self, entries: Iterable[Rational]):
-        coerced = tuple(as_fraction(e) for e in entries)
-        for e in coerced:
-            if e == 0:
-                raise DomainError("diagonal entries must be nonzero")
+        coerced = tuple(map(as_exact, entries))
+        if 0 in coerced:
+            raise DomainError("diagonal entries must be nonzero")
         set_field(self, "entries", coerced)
 
     @property
@@ -99,17 +103,17 @@ def diagonal(*entries: Rational) -> QuadForm:
 
 
 def direct_sum(*forms: QuadForm) -> QuadForm:
-    out: tuple[Fraction, ...] = ()
+    out: tuple[Rational, ...] = ()
     for q in forms:
         out += q.entries
     return QuadForm(out)
 
 
 def scale(c: Rational, q: QuadForm) -> QuadForm:
-    cf = as_fraction(c)
-    if cf == 0:
+    c = as_exact(c)
+    if c == 0:
         raise DomainError("scaling by zero destroys regularity")
-    return QuadForm(tuple(cf * e for e in q.entries))
+    return QuadForm(tuple(c * e for e in q.entries))
 
 
 def neg(q: QuadForm) -> QuadForm:
@@ -124,12 +128,15 @@ def pfister(*slots: Rational) -> QuadForm:
     """The Pfister form <<a1, ..., ak>> = <1, -a1> x ... x <1, -ak>."""
     out = diagonal(1)
     for a in slots:
-        out = tensor(out, diagonal(1, -as_fraction(a)))
+        out = tensor(out, diagonal(1, -as_exact(a)))
     return out
 
 
 def hyperbolic(m: int = 1) -> QuadForm:
-    return QuadForm((Fraction(1), Fraction(-1)) * m)
+    """m hyperbolic planes <1, -1>, for an int m >= 0."""
+    if type(m) is not int or m < 0:
+        raise DomainError(f"hyperbolic wants an int m >= 0, got {m!r}")
+    return QuadForm((1, -1) * m)
 
 
 # --- invariants -----------------------------------------------------------
@@ -463,7 +470,7 @@ def _int_isotropic(s: list[int], places: Sequence[Place]) -> tuple[int, ...]:
     raise BoundExceeded(f"no splitting value of height <= {_SPLIT_BOUND}")
 
 
-def _cleared(entries: Sequence[Fraction]) -> list[int]:
+def _cleared(entries: Sequence[Rational]) -> list[int]:
     # the integer diagonal D q, D the lcm of the entries' denominators:
     # n_i D / d_i for the entry n_i / d_i
     den = lcm(*(e.denominator for e in entries))
@@ -521,7 +528,7 @@ def represent_value(q: QuadForm, c: Rational) -> tuple[Fraction, ...]:
     k = next(i for i, x in enumerate(w) if x != 0)
     dk = q.entries[k]
     b = dk * w[k]                          # B(w, e_k), nonzero
-    x = (cf - dk) / (2 * b)                # q(x w + e_k) = 2 x b + dk
+    x = Fraction(cf - dk, 2 * b)           # q(x w + e_k) = 2 x b + dk
     out = tuple(x * wi + (1 if i == k else 0) for i, wi in enumerate(w))
     require(q(out) == cf, q, cf, out)
     return out
@@ -596,11 +603,12 @@ def witt_decompose(q: QuadForm) -> WittClass:
     """
     inv = q.invariants
     kernel, at = _anisotropic_rep(inv, q.places)
-    s = tuple(e.numerator for e in kernel.entries)
+    s = kernel.entries
     primes = {2}
-    for e, x in zip(kernel.entries, s):
+    for x in s:
+        require(type(x) is int, q, kernel)
         ps = {p for p in at if p != REAL and x % p == 0}
-        require(e.denominator == 1 and prod(ps) == abs(x), q, kernel)
+        require(prod(ps) == abs(x), q, kernel)
         primes.update(ps)
     # signed squarefree int entries are their own square classes
     vars(kernel)["_support"] = (s, sorted(primes) + [REAL])

@@ -22,11 +22,15 @@ from hypothesis import strategies as st
 
 from wittforge import _linalg, quadform
 from wittforge.errors import BoundExceeded, DomainError
+from wittforge.invol12 import decompose_split12
 from wittforge.qarith import REAL, _class_mul, _hilbert_core, _legendre
-from wittforge.quadform import (diagonal, direct_sum, is_isotropic,
-                                isotropic_vector, represent_value)
+from wittforge.quadform import (diagonal, direct_sum, hyperbolic,
+                                is_hyperbolic_over, is_isotropic,
+                                isotropic_vector, pfister, represent_value,
+                                scale, tensor, witt_decompose)
 from wittforge.quat import Quat, _orthogonal_pure, algebra, elem_to_json, \
     pure
+from split12 import split12_with_primes
 
 small = st.integers(min_value=-7, max_value=7)
 dens = st.integers(min_value=1, max_value=6)
@@ -257,6 +261,38 @@ def test_hot_path_builds_no_fraction(monkeypatch):
     assert inverse * product == h.one()
 
 
+def test_integral_forms_build_no_fraction(monkeypatch):
+    # int entries stay ints through the form's record, its Witt kernel and
+    # that kernel's check, hyperbolicity over Q(sqrt d), and decompose12
+    # with the isometry check of its reconstruction
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    rng = Random(30)
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    forms = [diagonal(*(rng.choice((-1, 1)) * rng.randint(1, 30)
+                        for _ in range(dim))) for dim in (2, 3, 4, 5, 12, 50)]
+    forms += [diagonal(-3, -5, -7, -11), direct_sum(diagonal(6, 10),
+                                                    hyperbolic(2))]
+    records = [q.invariants for q in forms]
+    kernels = [witt_decompose(q) for q in forms]
+    phi = diagonal(2, -3, 5)
+    hyper = (is_hyperbolic_over(tensor(phi, pfister(7)), 7),
+             is_hyperbolic_over(scale(-2, tensor(phi, pfister(-3))), -3),
+             is_hyperbolic_over(diagonal(1, 2, 3, 5), 7))
+    decs = [decompose_split12(split12_with_primes(Random(k), k))
+            for k in (2, 8, 12)]
+    monkeypatch.undo()
+    assert built == []
+    assert len(records) == len(kernels) == len(forms)
+    assert hyper == (True, True, False)
+    assert all(type(a) is int for dec in decs for a in dec.alphas)
+
+
 # --- isotropic vectors against the Fraction finish -----------------------------
 
 def ref_sqrt_fraction(f):
@@ -351,7 +387,7 @@ def ref_isotropic_vector(q, walks):
     if not is_isotropic(q):
         raise DomainError("anisotropic")
     s = list(q.square_classes)
-    t = [ref_sqrt_fraction(e / sf) for e, sf in zip(q.entries, s)]
+    t = [ref_sqrt_fraction(Fraction(e) / sf) for e, sf in zip(q.entries, s)]
     y = ref_int_isotropic(s, q.places, walks)
     out = tuple(Fraction(x) for x in ref_primitive(
         Fraction(yi) / ti for yi, ti in zip(y, t)))

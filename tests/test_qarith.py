@@ -8,17 +8,20 @@ implementation is reused in the oracle.
 
 from fractions import Fraction
 from math import isqrt
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wittforge import qarith
 from wittforge.errors import BoundExceeded, DomainError
 from wittforge.qarith import (
     MAX_ENTRY_DIGITS,
     MILLER_RABIN_BOUND,
     REAL,
     _legendre,
+    as_exact,
     as_fraction,
     factor,
     hilbert_symbol,
@@ -307,3 +310,77 @@ def test_local_square_iff_trivial_symbols(a):
         if is_local_square(a, v):
             for b in (-1, 2, 3, 5, -6):
                 assert hilbert_symbol(a, b, v) == 1
+
+
+def _ref_factor(n: int, bound: int):
+    # trial division by every int up to bound, then the same cofactor rule
+    # as factor: the refusal text is compared too
+    out, m = [], n
+    for p in range(2, bound + 1):
+        if p * p > m:
+            break
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        if e:
+            out.append((p, e))
+    if m > bound * bound:
+        r = isqrt(m)
+        if r * r == m and is_prime(r):
+            return (*out, (r, 2))
+        if not is_prime(m):
+            raise BoundExceeded(f"cofactor {m} not factored within bound "
+                                f"{bound}")
+    if m > 1:
+        out.append((m, 1))
+    return tuple(out)
+
+
+def _factor_outcome(call, n, *bound):
+    try:
+        return call(n, *bound)
+    except BoundExceeded as exc:
+        return str(exc)
+
+
+def test_factor_by_primes_matches_trial_division_by_every_int():
+    # seeded ints up to 10^13 and products of the primes that straddle
+    # FACTOR_BOUND = 10^6: 999983 is the last prime below it, 1000003 the
+    # first above
+    rng = Random(30)
+    bound = qarith.FACTOR_BOUND
+    edges = [999983, 999983 ** 2, 1000003, 1000003 ** 2, 999979 * 999983,
+             999983 * 1000003, 2 * 3 * 5 * 7 * 999983, 6 * 1000003 ** 2,
+             1000003 * 1000033, 10 ** 12, 10 ** 12 + 39, 10 ** 13 - 1]
+    numbers = edges + [rng.randint(1, 10 ** 13) for _ in range(40)] + [
+        rng.randint(1, 10 ** 7) for _ in range(200)]
+    for n in numbers:
+        assert (_factor_outcome(factor, n)
+                == _factor_outcome(_ref_factor, n, bound)), n
+
+
+def test_factor_honours_a_patched_bound(monkeypatch):
+    # every bound from 1 to 40, so the wheel's first candidates 2, 3, 5, 7
+    # and each 6j +- 1 sit on either side of the bound, on every n < 1500
+    factor.cache_clear()
+    try:
+        for bound in range(1, 41):
+            monkeypatch.setattr(qarith, "FACTOR_BOUND", bound)
+            for n in range(1, 1500):
+                assert (_factor_outcome(factor, n)
+                        == _factor_outcome(_ref_factor, n, bound)), (bound, n)
+            factor.cache_clear()
+    finally:
+        monkeypatch.undo()
+        factor.cache_clear()
+
+
+def test_as_exact_stores_integral_values_as_ints():
+    three = as_exact(Fraction(6, 2))
+    assert three == 3 and type(three) is int
+    x = Fraction(7, 2)
+    assert as_exact(x) is x and as_exact(5) == 5
+    for bad in (1.0, True, "3", None):
+        with pytest.raises(DomainError):
+            as_exact(bad)

@@ -947,3 +947,54 @@ def test_record_places_stay_out_of_equality():
     assert hash(q.invariants) == hash(r.invariants)
     assert q.places == [2, 5, REAL] and r.places == [2, REAL]
     assert not hasattr(q.invariants, "places")
+
+
+# --- entry storage -----------------------------------------------------------
+
+def test_entry_storage_never_shows():
+    # integral entries are stored as ints and proper fractions as
+    # Fractions, whatever type they came in; equality, hashing and the
+    # serialization cannot tell the two apart
+    q, r = diagonal(3, -5), diagonal(Fraction(6, 2), -5)
+    assert q == r and hash(q) == hash(r)
+    assert json.dumps(to_json(q)) == json.dumps(to_json(r))
+    assert to_json(r)["entries"] == ["3", "-5"]
+    assert [type(e) for e in r.entries] == [int, int]
+    assert from_json({"entries": ["-12/4", "7/2"]}).entries == (-3,
+                                                               Fraction(7, 2))
+    assert [type(e) for e in diagonal(Fraction(7, 2), 4).entries] == [
+        Fraction, int]
+    for bad in (1.5, 2.0, True, False, "3", None):
+        with pytest.raises(DomainError):
+            diagonal(1, bad)
+    with pytest.raises(DomainError):
+        diagonal(Fraction(0, 5))
+    # scaling by a proper fraction keeps the proper fraction, and an
+    # integral product comes back an int
+    assert scale(Fraction(1, 2), diagonal(3)).entries == (Fraction(3, 2),)
+    assert type(scale(Fraction(1, 2), diagonal(4)).entries[0]) is int
+    assert [type(e) for e in tensor(pfister(2, 3), diagonal(5, -7)).entries
+            ] == [int] * 8
+
+
+@pytest.mark.parametrize("entries, c", [
+    ((1, -1), 3),                  # a zero of q itself: the slide
+    ((1, -1), Fraction(3, 7)),
+    ((2, -2, 5), -1),
+    ((1, 1), 2),                   # anisotropic q: the division
+    ((Fraction(1, 3), 2, -5), Fraction(7, 2)),
+    ((3, 5, -7), 11),
+])
+def test_represent_value_returns_fractions(entries, c):
+    q = diagonal(*entries)
+    v = represent_value(q, c)
+    assert all(type(x) is Fraction for x in v)
+    assert q(v) == c
+
+
+def test_hyperbolic_wants_a_nonnegative_int():
+    assert hyperbolic(2) == diagonal(1, -1, 1, -1)
+    assert hyperbolic(0).dim == 0
+    for bad in (-1, -3, 1.0, 2.5, Fraction(2), "2", True, None):
+        with pytest.raises(DomainError):
+            hyperbolic(bad)

@@ -383,3 +383,34 @@ def test_isotropy_search_builds_no_fraction():
                if isinstance(node, ast.FunctionDef)}
     assert set(_INTEGER_SEARCH) <= defined
     assert _fractions_built(tree, _INTEGER_SEARCH) == []
+
+
+# forms with int entries are built, reduced to their Witt kernels and
+# decomposed in ints: these constructors and builders keep the type they
+# are given (as_exact), so none of them constructs a Fraction
+_INTEGER_FORMS = ("tensor", "direct_sum", "hyperbolic", "scale", "neg",
+                  "pfister", "_peel", "_anisotropic_rep", "witt_decompose",
+                  "decompose_split12")
+
+
+def test_fraction_check_sees_the_form_builders():
+    tree = ast.parse("def tensor(q1, q2):\n"
+                     "    return QuadForm(Fraction(a) for a in q1.entries)\n"
+                     "def scale(c, q):\n"
+                     "    return QuadForm(qarith.as_fraction(c) * e\n"
+                     "                    for e in q.entries)\n"
+                     "def pfister(*slots):\n"
+                     "    return [as_exact(a) for a in slots]\n"
+                     "def isotropic_vector(q):\n"
+                     "    return Fraction(1)\n")
+    assert _fractions_built(tree, _INTEGER_FORMS) == ["scale", "tensor"]
+
+
+def test_integral_form_path_builds_no_fraction():
+    trees = [_parse(ROOT / "src" / "wittforge" / f"{module}.py")
+             for module in ("quadform", "invol12")]
+    defined = {node.name for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)}
+    assert set(_INTEGER_FORMS) <= defined
+    assert [_fractions_built(tree, _INTEGER_FORMS) for tree in trees] == [
+        [], []]
