@@ -4,12 +4,13 @@ A rank n skew-hermitian form <q1, ..., qn> (entries pure and invertible,
 conjugation as the involution) is the coordinate description of an
 orthogonal involution on a degree 2n algebra.  When the algebra splits it
 is transported to an honest 2n-dimensional quadratic form, the independent
-route used to cross-check the closed-form discriminant.
+route used to cross-check the closed-form discriminant.  The transport is
+block diagonal, one symmetric 2x2 block per entry, and each block is
+diagonalized by formula.
 """
 
-from math import lcm
+from fractions import Fraction
 
-from . import _linalg
 from ._record import Record, set_field
 from .errors import DomainError, require
 from .qarith import square_class_product
@@ -57,16 +58,11 @@ def disc_adjoint(form: SkewHermForm) -> int:
 # --- transport to a quadratic form when the algebra splits -----------------
 
 def _split_module_basis(alg: QuaternionAlgebra) -> tuple[Quat, Quat]:
-    """Integral multiples (c e, c nu e) of a basis of the left ideal He, for
-    the rank 1 idempotent e = (1 + mu) / 2.  Scaling a basis by one scalar
-    leaves every coefficient S(x, q y) unchanged, since conj(x) q y and w
-    both scale by c^2."""
+    """The basis (f, nu f) of the left ideal He, for the rank 1 idempotent
+    e = (1 + mu) / 2 and f = 1 + mu."""
     mu = pure_with_square(alg, 1)
-    nu = anticommutant(alg, mu)
     f = alg.one() + mu
-    f = f * f.den
-    g = nu * f
-    return f * g.den, g * g.den
+    return f, anticommutant(alg, mu) * f
 
 
 def to_quadratic_form(form: SkewHermForm) -> QuadForm:
@@ -78,37 +74,35 @@ def to_quadratic_form(form: SkewHermForm) -> QuadForm:
     and for x, y in He, conj(x) y lies on the line of w with coefficient
     S(x, y), the symplectic form with S(f, g) = 1 to which conjugation
     transports.  So conj(x) q y = S(x, q y) w, and for a pure entry q the
-    block of those coefficients on (f, g) is symmetric.  The blocks
-    assemble into a Gram matrix over Q, diagonalized over one common
-    denominator.
+    block [[a, b], [b, c]] of those coefficients on (f, g) is symmetric.
+    Each block is diagonalized in closed form: <a, det / a> when a != 0,
+    else <c, det / c> when c != 0, else <2b, -b / 2> on (f + g, (g - f) / 2),
+    with det = ac - b^2 read off the block itself, never off nrd(q).
     """
     if not form.alg.is_split():
         raise DomainError("transport needs a split algebra")
     f, g = basis = _split_module_basis(form.alg)
     w = f.conjugate() * g
     k = next(i for i, c in enumerate(w.num) if c)
-    blocks = []
+    entries = []
     for q in form.entries:
         right = [q * y for y in basis]
-        block = [[x.conjugate() * qy for qy in right] for x in basis]
-        require(block[0][1] == block[1][0]
+        block = [x.conjugate() * qy for x in basis for qy in right]
+        require(block[1] == block[2]
                 and all(p.num[i] * w.num[k] == p.num[k] * w.num[i]
-                        for row in block for p in row for i in range(4)), q)
-        blocks.append(block)
-    # the coefficient of p on w is p.num[k] w.den / (p.den w.num[k]): over
-    # den |w.num[k]| its numerator is the Gram entry
-    den = lcm(*(p.den for block in blocks for row in block for p in row))
-    scale = w.den if w.num[k] > 0 else -w.den
-    n = form.rank
-    gram = [[0] * (2 * n) for _ in range(2 * n)]
-    for t, block in enumerate(blocks):
-        for r in range(2):
-            for c in range(2):
-                p = block[r][c]
-                gram[2 * t + r][2 * t + c] = p.num[k] * (den // p.den) * scale
-    diag = _linalg.congruence_diagonalize(gram)
-    require(all(x != 0 for x in diag), form)
-    return QuadForm(tuple(x / (den * abs(w.num[k])) for x in diag))
+                        for p in block for i in range(4)), q)
+        # the coefficient of p on w
+        a, b, _, c = (Fraction(p.num[k] * w.den, p.den * w.num[k])
+                      for p in block)
+        det = a * c - b * b
+        require(det != 0, q)
+        if a:
+            entries += [a, det / a]
+        elif c:
+            entries += [c, det / c]
+        else:
+            entries += [2 * b, -b / 2]
+    return QuadForm(tuple(entries))
 
 
 # --- serialization ---------------------------------------------------------

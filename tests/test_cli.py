@@ -728,6 +728,30 @@ def test_kernel_check_survives_python_O():
     assert proc.stdout == "refused\n" * 3
 
 
+def test_transport_check_survives_python_O():
+    # a block off the line of w (g patched out of He), or a block with
+    # ac - b^2 = 0 (an entry of reduced norm 0, set past the constructor),
+    # must not escape to_quadratic_form even with asserts stripped
+    script = ("import wittforge.hermitian as hm\n"
+              "from wittforge._record import set_field\n"
+              "from wittforge.quat import algebra, pure\n"
+              "h = algebra(1, 1)\n"
+              "basis = hm._split_module_basis\n"
+              "singular = hm.skew_form(h, h.i())\n"
+              "set_field(singular, 'entries', (pure(h, 1, 0, 1),))\n"
+              "for patched, form in (\n"
+              "        (lambda alg: (basis(alg)[0], alg.j()),\n"
+              "         hm.skew_form(h, h.i())), (basis, singular)):\n"
+              "    hm._split_module_basis = patched\n"
+              "    try:\n"
+              "        hm.to_quadratic_form(form)\n"
+              "    except AssertionError:\n"
+              "        print('refused')\n")
+    proc = _python("-O", "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "refused\n" * 2
+
+
 def test_decompose12_check_survives_python_O():
     # a reconstruction that fails its isometry check must not escape
     # decompose_split12 even with asserts stripped

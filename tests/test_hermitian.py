@@ -139,14 +139,15 @@ def test_seeded_transports_are_frozen(seed):
 
 
 def test_transport_through_a_block_with_zero_diagonal():
-    # mu with mu^2 = 1 fixes f = (1 + mu) c and negates g = nu f, so its
-    # block of coefficients S(x, mu y) is [[0, -1], [-1, 0]], and the
-    # congruence first adds a column to make its pivot nonzero
+    # mu with mu^2 = 1 fixes f = 1 + mu and negates g = nu f, so its
+    # block of coefficients S(x, mu y) is [[0, -1], [-1, 0]]: with
+    # a = c = 0 and b = -1 it gives <2b, -b/2> = <-2, 1/2> in place, and
+    # the block of i follows
     h = algebra(3, 6)
     mu = pure_with_square(h, 1)
     assert mu.coeffs == (0, Fraction(1, 3), Fraction(1, 3), 0)
     q = to_quadratic_form(skew_form(h, mu, h.i()))
-    assert [str(x) for x in q.entries] == ["-1/3", "9", "-2", "1/2"]
+    assert [str(x) for x in q.entries] == ["-2", "1/2", "-1/3", "9"]
 
 
 def test_json_roundtrip():

@@ -20,16 +20,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittforge import _linalg, quadform
+from wittforge import quadform
 from wittforge.errors import BoundExceeded, DomainError
+from wittforge.hermitian import skew_form, to_quadratic_form
 from wittforge.invol12 import decompose_split12
 from wittforge.qarith import REAL, _class_mul, _hilbert_core, _legendre
 from wittforge.quadform import (diagonal, direct_sum, hyperbolic,
                                 is_hyperbolic_over, is_isotropic,
                                 isotropic_vector, pfister, represent_value,
                                 scale, tensor, witt_decompose)
-from wittforge.quat import Quat, _orthogonal_pure, algebra, elem_to_json, \
-    pure
+from wittforge.quat import Quat, _orthogonal_pure, algebra, anticommutant, \
+    elem_to_json, pure, pure_with_square
+from wittforge.sampling import random_skew_form, split_algebra
 from split12 import split12_with_primes
 
 small = st.integers(min_value=-7, max_value=7)
@@ -214,29 +216,70 @@ def test_orthogonal_pure_is_read_off_the_fraction_kernel(data, a, b):
     assert _orthogonal_pure(alg, p) == want
 
 
-@given(st.integers(1, 6).flatmap(lambda n: st.lists(
-    st.sampled_from([0, 0, 0, 1, -1, 2, -3, 4]),
-    min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2).map(
-        lambda u: (n, u))))
-@settings(max_examples=300, deadline=None)
-def test_congruence_diagonal_matches_the_fraction_reference(case):
-    n, upper = case
-    g = [[0] * n for _ in range(n)]
-    it = iter(upper)
-    for i in range(n):
-        for j in range(i, n):
-            g[i][j] = g[j][i] = next(it)
-    assert _linalg.congruence_diagonalize(g) == ref_congruence_diagonal(g)
+# --- the hermitian transport against the block Gram matrix -------------------
+
+def ref_transport_gram(form):
+    # per entry q, the block of S(x, q y) on (f, g) = (1 + mu, nu f), each
+    # coefficient the ratio of conj(x) q y to w = conj(f) g at a coordinate
+    # where w is nonzero; the blocks sit on the diagonal of one matrix
+    alg = form.alg
+    a, b = alg.a, alg.b
+    mu = pure_with_square(alg, 1)
+    f = (Fraction(1), *mu.coeffs[1:])
+    g = ref_mul(a, b, anticommutant(alg, mu).coeffs, f)
+    w = ref_mul(a, b, ref_conjugate(f), g)
+    k = next(i for i, c in enumerate(w) if c)
+    n = form.rank
+    gram = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
+    for t, q in enumerate(form.entries):
+        for r, x in enumerate((f, g)):
+            left = ref_mul(a, b, ref_conjugate(x), q.coeffs)
+            for c, y in enumerate((f, g)):
+                gram[2 * t + r][2 * t + c] = ref_mul(a, b, left, y)[k] / w[k]
+    return gram
 
 
-def test_congruence_diagonal_through_swaps_and_hyperbolic_pairs():
-    # a zero pivot swapped with a later diagonal entry, a hyperbolic pair
-    # made anisotropic by adding a column, and a zero row passed through
-    for g in ([[0, 1, 0], [1, 0, 2], [0, 2, 3]],
-              [[0, 3], [3, 0]],
-              [[0, 0, 0], [0, 2, 1], [0, 1, 5]],
-              [[0, 2, 0, 0], [2, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 7]]):
-        assert _linalg.congruence_diagonalize(g) == ref_congruence_diagonal(g)
+def _transport_against_the_elimination(form):
+    # the closed form gives the elimination's diagonal as a multiset, and
+    # as a list unless a block has a = c = 0, where the elimination swaps
+    # in a later block's diagonal entry; returns whether they differ
+    gram = ref_transport_gram(form)
+    want = ref_congruence_diagonal(gram)
+    got = list(to_quadratic_form(form).entries)
+    assert sorted(got) == sorted(want)
+    hollow = any(gram[i][i] == gram[i + 1][i + 1] == 0
+                 for i in range(0, len(gram), 2))
+    assert got == want or hollow
+    return got != want
+
+
+def test_transport_matches_the_fraction_elimination():
+    reordered = sum(
+        _transport_against_the_elimination(
+            random_skew_form(rng, split_algebra(rng), 1 + seed % 3))
+        for seed in range(1000) for rng in [Random(seed)])
+    assert 0 < reordered < 10
+
+
+def test_transport_through_zero_diagonals():
+    # over (3, 6), on (f, g): (-1, 2, 1) has the block [[0, -3], [-3, -36]],
+    # (-1, 2, -1) has [[2, -3], [-3, 0]], and (1, 1, 0) has [[0, -3],
+    # [-3, 0]], which gives <2b, -b/2> and no pivot from a later block
+    h = algebra(3, 6)
+    c_only, a_only, hollow = (pure(h, -1, 2, 1), pure(h, -1, 2, -1),
+                              pure(h, 1, 1, 0))
+    for entries, want in (
+            ((c_only,), ["-36", "1/4"]),
+            ((a_only,), ["2", "-9/2"]),
+            ((hollow,), ["-6", "3/2"]),
+            ((c_only, hollow), ["-36", "1/4", "-6", "3/2"]),
+            ((hollow, a_only), ["-6", "3/2", "2", "-9/2"]),
+            ((hollow, hollow, c_only), ["-6", "3/2", "-6", "3/2",
+                                        "-36", "1/4"])):
+        form = skew_form(h, *entries)
+        assert [str(x) for x in to_quadratic_form(form).entries] == want
+        reordered = _transport_against_the_elimination(form)
+        assert reordered == (entries[0] is hollow and len(entries) > 1)
 
 
 # --- no Fraction on the hot path ------------------------------------------------

@@ -15,7 +15,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, isqrt
 from random import Random
 from unittest import mock
 
@@ -536,6 +536,43 @@ def test_sweep_kernels_match_an_independent_oracle():
         w = witt_decompose(diagonal(*entries))
         rebuilt = [int(x) for x in w.kernel.entries] + [1, -1] * w.index
         assert _oracle_isometric(rebuilt, entries), entries
+
+
+def _isometric_pairs(kind):
+    # 750 seeded pairs of isometric diagonals of dims 2-9, entries up to
+    # 60: one entry rescaled by p^2 for a prime p <= 1009, or one binary
+    # rewrite <a, b> -> <v, abv> for a value v = ax^2 + by^2 of <a, b>;
+    # the rewritten side is also shuffled
+    primes = [p for p in range(2, 1010)
+              if all(p % d for d in range(2, isqrt(p) + 1))]
+    rng = Random(f"{kind}-31")
+    for _ in range(750):
+        dim = rng.randint(2, 9)
+        entries = [rng.choice([-1, 1]) * rng.randint(1, 60)
+                   for _ in range(dim)]
+        other = entries[:]
+        i, j = rng.sample(range(dim), 2)
+        if kind == "square":
+            other[i] *= rng.choice(primes) ** 2
+        else:
+            a, b = entries[i], entries[j]
+            v = 0
+            while v == 0:
+                v = a * rng.randint(-9, 9) ** 2 + b * rng.randint(-9, 9) ** 2
+            other[i], other[j] = v, a * b * v
+        rng.shuffle(other)
+        yield entries, other
+
+
+@pytest.mark.parametrize("kind", ["square", "binary"])
+def test_witt_kernels_are_a_normal_form(kind):
+    # the kernel is built from the isometry class alone, so isometric
+    # inputs give the same kernel, entry for entry, and the same index
+    for entries, other in _isometric_pairs(kind):
+        w, w2 = (witt_decompose(diagonal(*xs)) for xs in (entries, other))
+        assert w == w2, (entries, other)
+        assert [str(x) for x in w.kernel.entries] == \
+            [str(x) for x in w2.kernel.entries]
 
 
 @pytest.mark.parametrize("n", [*range(4, 13), 400])
