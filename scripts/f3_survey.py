@@ -55,11 +55,26 @@ def run_survey(seed: int = 0, trials: int = 200,
     }
 
 
+def _at_least(low: int):
+    # an argparse type: an int below low is a usage error, exit 2
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--trials", type=int, default=200)
-    parser.add_argument("--coeff-bound", type=int, default=15,
+    parser.add_argument("--trials", type=_at_least(0), default=200)
+    parser.add_argument("--coeff-bound", type=_at_least(1), default=15,
                         help="sup norm cap on sampled symbol slots")
     args = parser.parse_args()
     print(json.dumps(run_survey(args.seed, args.trials, args.coeff_bound),

@@ -1,4 +1,4 @@
-"""Value-group arithmetic for totally ramified symbol algebras.
+"""Value groups of totally ramified symbol algebras, read in (Z/2)^4.
 
 The base field is an iterated Laurent series field in four variables, so
 its value group is Z^4, ordered with later variables dominant.  Quaternion
@@ -14,22 +14,24 @@ splits the quotient Gamma_D/Gamma_F into two rank 2 subgroups, and the
 norm value groups 2*Gamma_{H'} and 2*Gamma_H then meet exactly in
 2*Gamma_F.  A pure quaternion in the second factor has valuation outside
 Gamma_F, so its norm lands outside 2*Gamma_F and the two factors can never
-share a nonzero norm value.  obstruction_check replays that argument: the
-lattice facts it needs depend on one rank 2 subgroup at a time, so they are
-checked once for each of the 35 subgroups, and every one of the 560
-splittings then meets in exactly 2*Gamma_F.
+share a nonzero norm value.  Every lattice in that argument lies between
+Gamma_F and Gamma_D, or is twice such a lattice, so it is fixed by its
+image in (Z/2)^4 and meets are intersections of subgroups there; no
+integer lattice is reduced or intersected.  obstruction_check checks the
+pure value once for each of the 35 rank 2 subgroups, and every one of the
+560 splittings then meets in exactly 2*Gamma_F.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ._record import Record, set_field
 from .errors import DomainError, require
 
-__all__ = ["ArmatureDecomposition", "GAMMA_F", "TWO_GAMMA_F", "ValueLattice",
+__all__ = ["ArmatureDecomposition", "TWO_GAMMA_F", "ValueLattice",
            "all_armature_decompositions", "analyze_obstruction",
            "armature_valuation", "lex_key", "obstruction_check",
            "slots_from_json", "slots_to_json"]
@@ -67,101 +69,27 @@ def lex_key(vec: Sequence[int]) -> tuple[int, ...]:
     return tuple(reversed(vec))
 
 
-def _row_hnf(rows: Iterable[Sequence[int]], width: int) -> list[list[int]]:
-    # upper triangular, positive pivots, entries above a pivot reduced
-    # into [0, pivot); unique for a given row lattice
-    work = [list(r) for r in rows if any(r)]
-    out: list[list[int]] = []
-    pivot_cols: list[int] = []
-    for col in range(width):
-        live = [r for r in work if r[col] != 0]
-        rest = [r for r in work if r[col] == 0]
-        while len(live) > 1:
-            live.sort(key=lambda r: abs(r[col]))
-            base = live[0]
-            nxt = [base]
-            for r in live[1:]:
-                q = r[col] // base[col]
-                row = [x - q * y for x, y in zip(r, base)]
-                (nxt if row[col] != 0 else rest).append(row)
-            live = nxt
-        if live:
-            pivot = live[0] if live[0][col] > 0 else [-x for x in live[0]]
-            out.append(pivot)
-            pivot_cols.append(col)
-        work = rest
-    for i, col in enumerate(pivot_cols):
-        for j in range(i):
-            q = out[j][col] // out[i][col]
-            if q:
-                out[j] = [x - q * y for x, y in zip(out[j], out[i])]
-    return out
-
-
 class ValueLattice(Record):
-    """Full rank sublattice of Z^4 in doubled coordinates.
+    """Full rank sublattice of Z^4 in doubled coordinates, by its rows.
 
-    rows is the Hermite normal form basis, so equal lattices compare
-    equal structurally.  Value groups proper additionally satisfy
-    Gamma_F <= L <= Gamma_D; scaled copies such as 2*Gamma_H leave that
-    window but reuse the same arithmetic.
+    Every lattice the certificate names lies between Gamma_F and Gamma_D,
+    or is twice such a lattice, so it is fixed by its image in
+    Gamma_D/Gamma_F = (Z/2)^4 and the module reasons there; the rows are
+    only what a report prints.
     """
 
     rows: tuple[Vec, ...]
 
     def __init__(self, rows: tuple[Vec, ...]):
         if len(rows) != DIM:
-            raise DomainError("generators do not span a full rank lattice")
+            raise DomainError(f"a full rank lattice has {DIM} rows, "
+                              f"got {len(rows)}")
         set_field(self, "rows", rows)
 
-    @staticmethod
-    def from_generators(*gens: Sequence[int]) -> "ValueLattice":
-        hnf = _row_hnf([_vec(g) for g in gens], DIM)
-        return ValueLattice(tuple(tuple(r) for r in hnf))
 
-    @staticmethod
-    def value_group(*gens: Sequence[int]) -> "ValueLattice":
-        """Lattice generated by Gamma_F together with the given vectors.
-
-        In doubled coordinates it contains Gamma_F = 2Z^4 and lies in
-        Gamma_D = Z^4 by construction, so it is a value group unchecked."""
-        base = [[2 if i == j else 0 for j in range(DIM)] for i in range(DIM)]
-        return ValueLattice.from_generators(*gens, *base)
-
-    def contains(self, vec: Sequence[int]) -> bool:
-        v = list(_vec(vec))
-        for row in self.rows:
-            col = next(c for c, x in enumerate(row) if x)
-            if v[col] % row[col]:
-                return False
-            q = v[col] // row[col]
-            v = [x - q * y for x, y in zip(v, row)]
-        return not any(v)
-
-    def is_sublattice_of(self, other: "ValueLattice") -> bool:
-        return all(other.contains(r) for r in self.rows)
-
-    def is_value_group(self) -> bool:
-        doubled_gamma_f = ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0),
-                           (0, 0, 0, 2))
-        return all(self.contains(r) for r in doubled_gamma_f)
-
-    def scaled(self, k: int) -> "ValueLattice":
-        if k <= 0:
-            raise DomainError("lattice scaling wants a positive integer")
-        return ValueLattice(tuple(tuple(k * x for x in r) for r in self.rows))
-
-    def intersection(self, other: "ValueLattice") -> "ValueLattice":
-        stacked = [list(r) + list(r) for r in self.rows]
-        stacked += [list(r) + [0] * DIM for r in other.rows]
-        tail = [r[DIM:] for r in _row_hnf(stacked, 2 * DIM)
-                if not any(r[:DIM])]
-        return ValueLattice.from_generators(*tail)
-
-
-GAMMA_F = ValueLattice.value_group()
 # norm values of Gamma_F, where every splitting's two factors meet
-TWO_GAMMA_F = GAMMA_F.scaled(2)
+TWO_GAMMA_F = ValueLattice(((4, 0, 0, 0), (0, 4, 0, 0), (0, 0, 4, 0),
+                            (0, 0, 0, 4)))
 
 
 def armature_valuation(coeff_values: Sequence[Sequence[int] | None],
@@ -233,41 +161,6 @@ def all_armature_decompositions() -> list[ArmatureDecomposition]:
             if s & t == {ZERO_VEC}:
                 out.append(ArmatureDecomposition(s, t))
     return out
-
-
-def _coset_lattice(part: frozenset[Vec]) -> ValueLattice:
-    # Gamma_F plus the lifted half-coset vectors, in doubled coordinates
-    return ValueLattice.value_group(*sorted(part))
-
-
-def _certify_norm_lattice(part: frozenset[Vec]) -> None:
-    """Check the facts about N(P) = 2 (Gamma_F + lift P) that separate
-    every splitting with P as a half.
-
-    Norms of nonzero elements double the valuation, so N(P) holds the
-    norm values of the factor whose value group lifts P.  Its basis rows
-    are even and halve mod 2 into P, so every element of N(S) meet N(T)
-    halves mod 2 into S meet T = 0 and lies in 2 Gamma_F; with 2 Gamma_F
-    inside both, the meet is exactly 2 Gamma_F.  A pure quaternion's
-    value avoids Gamma_F, so its norm avoids 2 Gamma_F: the armature
-    gauge formula makes this exact.
-    """
-    norm = _coset_lattice(part).scaled(2)
-    where = f"norm lattice of {sorted(part)}"
-    require(TWO_GAMMA_F.is_sublattice_of(norm), where,
-            "2 Gamma_F is not inside")
-    for row in norm.rows:
-        require(all(x % 2 == 0 for x in row)
-                and tuple(x // 2 % 2 for x in row) in part, where,
-                f"row {row} does not halve into the subgroup")
-    ones = sorted(v for v in part if v != ZERO_VEC)
-    pure_val = armature_valuation(
-        [None, ZERO_VEC, ZERO_VEC, ZERO_VEC], [ZERO_VEC, *ones])
-    norm_val = tuple(2 * x for x in pure_val)
-    require(any(x % 2 for x in pure_val), where, "pure value is in Gamma_F")
-    require(norm.contains(norm_val), where, "pure norm value is missing")
-    require(not TWO_GAMMA_F.contains(norm_val), where,
-            "pure norm value is in 2 Gamma_F")
 
 
 def _mod2_rank(vectors: Sequence[Vec]) -> int:
@@ -351,11 +244,23 @@ def analyze_obstruction(d: Sequence[Sequence[Sequence[int]]]
 
 @lru_cache(maxsize=1)
 def _separated_checks() -> tuple[SplittingCheck, ...]:
-    # the table does not depend on the slots: certify each rank 2
-    # subgroup once, after which every splitting's halves meet in
-    # exactly 2 Gamma_F (ArmatureDecomposition has checked S meet T = 0)
+    # The table depends on no slot.  Norms double valuations, so the norm
+    # values of the factor whose value group lifts a rank 2 subgroup P
+    # form N(P) = 2 (Gamma_F + lift P).  Each such lattice contains
+    # 2 Gamma_F = 4Z^4 and is fixed by its image 2P mod 4, so meets go to
+    # intersections: N(S) meet N(T) = 2 (Gamma_F + lift(S meet T)), which
+    # is 2 Gamma_F because ArmatureDecomposition has checked S meet T = 0.
+    # What is left to check for each P is that a pure quaternion of its
+    # factor has a value in a nonzero coset of P: then its norm lies in
+    # N(P) and outside 2 Gamma_F, so no nonzero norm value is shared.
     for part in _rank2_subgroups():
-        _certify_norm_lattice(part)
+        ones = sorted(v for v in part if v != ZERO_VEC)
+        pure_val = armature_valuation(
+            [None, ZERO_VEC, ZERO_VEC, ZERO_VEC], [ZERO_VEC, *ones])
+        coset = tuple(x % 2 for x in pure_val)
+        require(coset != ZERO_VEC and coset in part,
+                f"pure value of {sorted(part)}",
+                f"{pure_val} is not in a nonzero coset of the subgroup")
     return tuple(SplittingCheck(dec, TWO_GAMMA_F, True)
                  for dec in all_armature_decompositions())
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from random import Random
 
 from .cohomology import brauer_from_symbol
+from .errors import DomainError
 from .hermitian import SkewHermForm, skew_form
 from .qarith import squarefree_part
 from .quadform import QuadForm, diagonal, e1, pfister, tensor
@@ -21,6 +22,8 @@ __all__ = ["nonzero_int", "pure_invertible", "random_algebra", "random_form",
 
 
 def nonzero_int(rng: Random, bound: int) -> int:
+    if bound < 1:
+        raise DomainError(f"no nonzero integer within the bound {bound}")
     while True:
         n = rng.randint(-bound, bound)
         if n:

@@ -21,9 +21,16 @@ A unimodular form of dim >= 3 is isotropic at every odd p (its reduction
 has a zero over F_p, by Chevalley-Warning, which Hensel lifts), so a form
 of dim >= 3 is isotropic over Q exactly when it is at the real place, at 2
 and at every odd prime dividing an entry (Hasse-Minkowski).
+
+It also reads lattices of Z^n that contain 4Z^n.  Such a lattice L is
+fixed by its image L/4Z^n in (Z/4)^n, and the image of a meet is the meet
+of the images, so a meet of lattices is a set intersection of images.
+The image is found by closing the generators under addition mod 4, by
+brute force.  A lattice given by n rows contains 4Z^n exactly when its
+index |det| times the size of its image is 4^n.
 """
 
-from itertools import product
+from itertools import permutations, product
 
 REAL = "real"
 
@@ -89,3 +96,42 @@ def locally_isotropic(entries: list[int]) -> bool:
     assert len(entries) >= 3, entries
     odd = {p for a in entries for p in prime_divisors(a) if p != 2}
     return all(isotropic_at(entries, v) for v in (REAL, 2, *sorted(odd)))
+
+
+def closure(gens, modulus: int) -> frozenset:
+    """The subgroup of (Z/modulus)^n generated by gens, by brute force."""
+    gens = [tuple(x % modulus for x in g) for g in gens]
+    n = len(gens[0])
+    group = {(0,) * n}
+    frontier = list(group)
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for g in gens:
+                y = tuple((a + b) % modulus for a, b in zip(x, g))
+                if y not in group:
+                    group.add(y)
+                    fresh.append(y)
+        frontier = fresh
+    return frozenset(group)
+
+
+def determinant(rows) -> int:
+    """Leibniz expansion over all permutations of the columns."""
+    n, total = len(rows), 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def image_mod_4(rows) -> frozenset:
+    """The image in (Z/4)^n of the lattice with these n rows, which must
+    contain 4Z^n."""
+    image = closure(rows, 4)
+    assert abs(determinant(rows)) * len(image) == 4 ** len(rows), rows
+    return image

@@ -15,10 +15,12 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from random import Random
 
 import pytest
 
-from wittforge import cohomology, invol12, qarith, quadform, ramlattice
+from wittforge import (cohomology, invol12, qarith, quadform, ramlattice,
+                       sampling)
 from wittforge.cli import main
 from wittforge.errors import DomainError
 
@@ -661,6 +663,45 @@ def test_selftest_refuses_counts_below_1(capsys):
         assert "--count: must be at least 1" in capsys.readouterr().err
 
 
+def test_obstruction_table_script_exit_codes(tmp_path):
+    # as for val obstruction: one JSON diagnostic, nothing on stdout
+    dependent = {"slots": [[[1, 0, 0, 0], [0, 1, 0, 0]],
+                           [[1, 0, 0, 0], [0, 1, 0, 0]]]}
+    (tmp_path / "broken.json").write_text("{\"slots\": [")
+    cases = (
+        (str(tmp_path / "missing.json"), 2, "malformed-input"),
+        (str(tmp_path / "broken.json"), 2, "malformed-input"),
+        (_write(tmp_path, "typed.json", {"slots": [1, 2]}), 2,
+         "malformed-input"),
+        (_write(tmp_path, "dependent.json", dependent), 3, "domain"),
+    )
+    script = str(ROOT / "scripts" / "obstruction_table.py")
+    for path, code, kind in cases:
+        proc = _python(script, "--slots", path)
+        assert (proc.returncode, proc.stdout) == (code, ""), path
+        assert proc.stderr.count("\n") == 1
+        assert json.loads(proc.stderr)["error"] == kind
+
+
+def test_f3_survey_refuses_bounds_below_its_range():
+    # --coeff-bound 0 used to spin in nonzero_int, a negative one to
+    # traceback; both, and a negative --trials, are usage errors
+    script = str(ROOT / "scripts" / "f3_survey.py")
+    for flag, value, low in (("--coeff-bound", "0", 1),
+                             ("--coeff-bound", "-4", 1),
+                             ("--trials", "-1", 0)):
+        proc = _python(script, flag, value)
+        assert (proc.returncode, proc.stdout) == (2, ""), flag
+        assert f"{flag}: must be at least {low}, got {value}" in proc.stderr
+
+
+def test_nonzero_int_refuses_a_bound_below_1():
+    for bound in (0, -3):
+        with pytest.raises(DomainError):
+            sampling.nonzero_int(Random(0), bound)
+    assert sampling.nonzero_int(Random(0), 1) in (-1, 1)
+
+
 def test_selftest_fails_under_python_O():
     # a broken invariant must fail the suite even with asserts stripped
     script = ("import sys\n"
@@ -760,6 +801,22 @@ def test_decompose12_check_survives_python_O():
               "invol12.isometric = lambda q1, q2: False\n"
               "try:\n"
               "    invol12.decompose_split12(hyperbolic(6))\n"
+              "except AssertionError:\n"
+              "    print('refused')\n")
+    proc = _python("-O", "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "refused\n"
+
+
+def test_pure_value_check_survives_python_O():
+    # a pure quaternion whose value lands in Gamma_F would share norm
+    # values with the other factor: the obstruction table must not be
+    # built on it, even with asserts stripped
+    script = ("import wittforge.ramlattice as rl\n"
+              "rl.armature_valuation = lambda coeffs, basis: (2, 0, 0, 0)\n"
+              "try:\n"
+              "    rl.analyze_obstruction([[(1, 0, 0, 0), (0, 1, 0, 0)],\n"
+              "                            [(0, 0, 1, 0), (0, 0, 0, 1)]])\n"
               "except AssertionError:\n"
               "    print('refused')\n")
     proc = _python("-O", "-c", script)

@@ -10,7 +10,8 @@ it: another first candidate, or another descent step, gives another
 vector, so each is also checked to be a primitive zero of its form.  The
 frozen Witt kernels pin the F2 solve for the second slot that builds
 binary and ternary kernels in the same way.  The reports are replayed a
-second time in one `python -O` process, where bare asserts are stripped.
+second time in one `python -O` process, where bare asserts are stripped,
+and once more under each other supported Python found on PATH.
 """
 
 import contextlib
@@ -18,6 +19,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -133,6 +135,10 @@ def _cases() -> dict:
                              None)
     return cases
 
+
+# supported interpreters besides the 3.11 that runs the test suite; the
+# digests must not depend on the version
+OTHER_PYTHONS = ("python3.10", "python3.12", "python3.13")
 
 # name -> (exit code, sha256 of stdout)
 GOLDEN = {
@@ -293,23 +299,62 @@ def test_golden_reports(tmp_path):
     assert got == GOLDEN
 
 
+# the replay of _run in a fresh interpreter, which needs neither pytest nor
+# this file: the case table arrives on stdin as JSON, digests leave on stdout
+_REPLAY = """\
+import contextlib, hashlib, io, json, pathlib, sys
+from wittforge.cli import main
+path = pathlib.Path(sys.argv[1]) / "input.json"
+got = {}
+for name, (argv, payload) in json.load(sys.stdin).items():
+    if payload is not None:
+        path.write_text(json.dumps(payload))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([str(path) if a == "{file}" else a for a in argv])
+    got[name] = (code, hashlib.sha256(out.getvalue().encode()).hexdigest())
+print(json.dumps(got))
+"""
+
+
+def _replay_under(tmp_path, *interpreter) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([*interpreter, "-c", _REPLAY, str(tmp_path)],
+                          input=json.dumps(_cases()), env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return {name: tuple(v) for name, v in json.loads(proc.stdout).items()}
+
+
 def test_golden_reports_survive_python_O(tmp_path):
     # no work a report needs may sit inside an assert: the same digests
     # in one interpreter with asserts stripped
-    script = ("import json, pathlib, sys\n"
-              "import test_golden\n"
-              "got = test_golden._replay(pathlib.Path(sys.argv[1]))\n"
-              "print(json.dumps(got))\n")
-    here = Path(__file__).resolve().parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(here.parent / "src"), str(here)]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-O", "-c", script, str(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    got = {name: tuple(v) for name, v in json.loads(proc.stdout).items()}
-    assert got == GOLDEN
+    assert _replay_under(tmp_path, sys.executable, "-O") == GOLDEN
+
+
+def _runs_a_supported_python(exe: str) -> bool:
+    try:
+        probe = subprocess.run(
+            [exe, "-c", "import sys; print(sys.version_info >= (3, 10))"],
+            capture_output=True, text=True, timeout=20)
+    except (OSError, subprocess.SubprocessError):
+        return False
+    return probe.returncode == 0 and probe.stdout == "True\n"
+
+
+def test_golden_reports_under_the_other_pythons(tmp_path):
+    # the same digests under each other supported interpreter on PATH;
+    # a name that is missing, or that fails its probe (a shim for a
+    # version that is not installed), is skipped
+    found = [exe for exe in map(shutil.which, OTHER_PYTHONS)
+             if exe and _runs_a_supported_python(exe)]
+    if not found:
+        pytest.skip(f"none of {', '.join(OTHER_PYTHONS)} runs here")
+    for exe in found:
+        assert _replay_under(tmp_path, exe) == GOLDEN, exe
 
 
 def test_f3_symbol_runs_no_slot_walk(tmp_path, monkeypatch):

@@ -16,7 +16,7 @@ from wittforge.invol12 import (M3H, ExistsOutcome, PfisterDecomposition,
 from wittforge.qarith import REAL
 from wittforge.quadform import QuadForm, diagonal, witt_decompose
 from wittforge.quat import QuaternionAlgebra, algebra
-from wittforge.ramlattice import (GAMMA_F, ArmatureDecomposition,
+from wittforge.ramlattice import (TWO_GAMMA_F, ArmatureDecomposition,
                                   ValueLattice, analyze_obstruction)
 
 H = algebra(-1, -3)
@@ -39,7 +39,7 @@ RECORDS = [
     ProductPresentation(SPLIT6, QuatInvol(H, H.i())),
     PfisterDecomposition(5, (1, 2, 3), (2, 3, 6)),
     ExistsOutcome("unknown"),
-    GAMMA_F,
+    TWO_GAMMA_F,
     REPORT.checks[0].splitting,
     REPORT.checks[0],
     REPORT,
