@@ -354,7 +354,12 @@ def _cmd_selftest(args) -> tuple[dict, int]:
 # --- driver -----------------------------------------------------------------
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    # argparse would name this function in the message of a ValueError
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value

@@ -11,7 +11,9 @@ classes are compared by its `witt_class`.  The places (2, the primes of
 the entries' classes, the real place) come with the classes,
 one factorization per entry; isotropy, represented values and Witt kernels
 take them as given, and every number built on the way carries its primes
-from where it was made.  Hasse-Minkowski lives in `kernel_dim` alone.
+from where it was made.  Hasse-Minkowski decides isotropy in `kernel_dim`;
+the splitting-value walk of `isotropic_vector` applies it through local
+tests fixed once per walk, to candidates read from one table per process.
 All searches return exact witnesses or raise BoundExceeded.  Isotropic
 vectors are found, stitched and checked in ints, from the descent to the
 zero of the cleared diagonal, and returned as Fractions.
@@ -389,15 +391,36 @@ def _ternary_zero(s: list[int], places: Sequence[Place]) -> tuple[int, ...]:
 # package's one height search
 _SPLIT_BOUND = 10**4
 
+# The candidates of every walk in the process, (c, primes) by height, with
+# c and -c sharing one primes tuple.  The table is filled only as far as
+# some walk has read it, never past _SPLIT_BOUND, and only appends, so a
+# walk's index stays valid while a nested walk extends it.
+_BY_HEIGHT: list[tuple[int, tuple[int, ...]]] = []
+_height = 0          # the last height factored into the table
 
-def _signed_squarefree_by_height(limit: int):
-    """(1, []), (-1, []), (2, [2]), (-2, [2]), ...: every signed
-    squarefree int up to limit with its primes, one factor per height."""
-    for n in range(1, limit + 1):
+
+def _grow_by_height() -> bool:
+    # append the next squarefree height; False once _SPLIT_BOUND is reached
+    global _height
+    while _height < _SPLIT_BOUND:
+        n = _height + 1
         s, primes = _class_primes(n)
+        _height = n
         if s == n:
-            yield n, primes
-            yield -n, primes
+            primes = tuple(primes)
+            _BY_HEIGHT.extend(((n, primes), (-n, primes)))
+            return True
+    return False
+
+
+def _signed_squarefree_by_height():
+    """(1, ()), (-1, ()), (2, (2,)), (-2, (2,)), ...: every signed
+    squarefree int up to _SPLIT_BOUND with its primes, read from the one
+    table of the process, so each height is factored once per process."""
+    i = 0
+    while i < len(_BY_HEIGHT) or _grow_by_height():
+        yield _BY_HEIGHT[i]
+        i += 1
 
 
 def _represents(a: int, b: int, places: Sequence[Place]):
@@ -405,23 +428,69 @@ def _represents(a: int, b: int, places: Sequence[Place]):
     signed squarefree a, b and c, given with the primes of c.
 
     By Hasse-Minkowski that holds exactly when (c, -ab)_v = (a, b)_v at
-    every place v.  The targets are (a, b)_v at the places given, and
-    each c is decided there first, the real place (where about half the
-    candidates fail on sign) before the primes.  At a prime p of c outside
-    the places (a, b)_p = 1 and the condition is (-ab / p) = 1, with p
-    from the factorization c came with, so no place is proved prime.
+    every place v.  The targets (a, b)_v are read once, at the places
+    given.  The real place is a sign test: with m = -ab, (c, m)_R = -1
+    exactly when c < 0 and m < 0, so for m < 0 it fixes the sign of c,
+    and for m > 0 every c passes, as (a, b)_R = 1 there.  Then the listed
+    primes, then each prime p of c outside the places, where (a, b)_p = 1
+    and the condition is (m / p) = 1, with p from the factorization c
+    came with, so no place is proved prime.
     """
     m = _class_mul(-a, b)
     inside = set(places)
-    # (c, m)_R = -1 exactly when c < 0 and m < 0
-    real = _hilbert_core(a, b, REAL)
+    signed = m < 0
+    negative = _hilbert_core(a, b, REAL) < 0
     targets = [(v, _hilbert_core(a, b, v)) for v in places if v != REAL]
 
     def test(c: int, primes: Iterable[int]) -> bool:
-        return ((-1 if c < 0 and m < 0 else 1) == real
-                and all(_hilbert_core(c, m, v) == t for v, t in targets)
-                and all(p in inside or _legendre(m, p) == 1 for p in primes))
+        if signed and (c < 0) != negative:
+            return False
+        for v, t in targets:
+            if _hilbert_core(c, m, v) != t:
+                return False
+        for p in primes:
+            if p not in inside and _legendre(m, p) != 1:
+                return False
+        return True
     return test
+
+
+def _ternary_anisotropic_places(s: Sequence[int], places: Sequence[Place]
+                                ) -> tuple[int, list[Place]]:
+    """The det class d of the ternary s and the places where s is
+    anisotropic: where its Hasse bit is not (-1, -d)_v (Serre, ch. IV
+    2.2, Thm 6), which is where its Clifford class ramifies.  There s
+    represents every local class but -d, so s + <c> is isotropic exactly
+    when c d is a local nonsquare at each of these places."""
+    symbols, d = _hasse_symbols(s)
+    return d, [v for v in places
+               if _local_hasse(symbols, v) != _hilbert_core(-1, -d, v)]
+
+
+def _completes(rest: list[int], places: Sequence[Place]):
+    """None when rest is isotropic, else a test of whether rest + <c> is,
+    for a signed squarefree c with its primes.  A binary rest <r0, r1>
+    needs <-r0, -r1> to represent c (`_represents`); a ternary rest needs
+    c d to be a local nonsquare at each place where it is anisotropic
+    (`_ternary_anisotropic_places`), both read once; a longer rest plus
+    <c> has dim >= 5, so its signs decide."""
+    if len(rest) == 3:
+        d, anisotropic = _ternary_anisotropic_places(rest, places)
+        if not anisotropic:
+            return None
+
+        def test(c: int, primes: Iterable[int]) -> bool:
+            cd = _class_mul(c, d)
+            for v in anisotropic:
+                if _local_square_core(cd, v):
+                    return False
+            return True
+        return test
+    if _isotropic(rest, places):
+        return None
+    if len(rest) == 2:
+        return _represents(-rest[0], -rest[1], places)
+    return lambda c, primes: _isotropic((*rest, c), places)
 
 
 def _int_isotropic(s: list[int], places: Sequence[Place]) -> tuple[int, ...]:
@@ -430,12 +499,11 @@ def _int_isotropic(s: list[int], places: Sequence[Place]) -> tuple[int, ...]:
     Caller guarantees isotropy; ternary instances go through the descent
     solver.  A longer diagonal whose halves <s0, s1> and rest are both
     anisotropic is split at the first signed squarefree c, in order of
-    height, that <s0, s1> and -rest both represent.  Each candidate is
-    decided by Hilbert symbols (`_represents`): first whether <s0, s1>
-    represents c, then, for rest = <r0, r1>, whether <-r0, -r1> does; a
-    longer rest is tested by `_isotropic` on rest + <c>, and only for
-    candidates that pass the first test.  Only c adds places, the primes it
-    came with from the walk.
+    height, that <s0, s1> and -rest both represent.  The candidates come
+    from the one table of the process (`_signed_squarefree_by_height`),
+    and each is decided by tests fixed once per walk: whether <s0, s1>
+    represents c (`_represents`), and then whether rest + <c> is isotropic
+    (`_completes`).  Only c adds places, the primes it came with.
     """
     short = _pair_shortcut(s)
     if short is not None:
@@ -445,19 +513,17 @@ def _int_isotropic(s: list[int], places: Sequence[Place]) -> tuple[int, ...]:
     if n == 3:
         return _ternary_zero(s, places)
     rest = s[2:]
-    if _isotropic(rest, places):
+    second = _completes(rest, places)
+    if second is None:
         return (0, 0) + _int_isotropic(rest, places)
     # both halves anisotropic (no pair is, by the shortcut): find c with
     # <s0, s1, -c> and rest + <c> both isotropic, then stitch the two exact
     # witnesses
     first = _represents(s[0], s[1], places)
-    second = _represents(-rest[0], -rest[1], places) if n == 4 else None
-    for c, primes in _signed_squarefree_by_height(_SPLIT_BOUND):
-        if not first(c, primes):
+    for c, primes in _signed_squarefree_by_height():
+        if not (first(c, primes) and second(c, primes)):
             continue
         at = [*places, *(p for p in primes if p not in places)]
-        if not (second(c, primes) if second else _isotropic((*rest, c), at)):
-            continue
         x, y, w = _ternary_zero([s[0], s[1], -c], at)
         require(w != 0, s, c)  # the binary part is anisotropic
         sub = _int_isotropic(rest + [c], at)

@@ -663,6 +663,21 @@ def test_selftest_refuses_counts_below_1(capsys):
         assert "--count: must be at least 1" in capsys.readouterr().err
 
 
+def test_selftest_count_diagnostic_names_no_function(capsys):
+    # a count that is not an integer: one JSON diagnostic, which does not
+    # name the private type function argparse called
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--count", "x"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "malformed-input",
+        "message": "argument --count: must be an integer, got 'x'"}
+    assert "_positive_int" not in captured.err
+
+
 def test_obstruction_table_script_exit_codes(tmp_path):
     # as for val obstruction: one JSON diagnostic, nothing on stdout
     dependent = {"slots": [[[1, 0, 0, 0], [0, 1, 0, 0]],

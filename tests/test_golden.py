@@ -317,16 +317,44 @@ print(json.dumps(got))
 """
 
 
-def _replay_under(tmp_path, *interpreter) -> dict:
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(__file__).resolve().parents[1] / "src")]
+        [str(ROOT / "src")]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def _replay_under(tmp_path, *interpreter) -> dict:
     proc = subprocess.run([*interpreter, "-c", _REPLAY, str(tmp_path)],
-                          input=json.dumps(_cases()), env=env,
+                          input=json.dumps(_cases()), env=_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return {name: tuple(v) for name, v in json.loads(proc.stdout).items()}
+
+
+# script argv -> sha256 of its stdout; the survey's witnesses pin the
+# choices of the splitting-value walk
+SCRIPT_GOLDEN = {
+    ("f3_survey.py", "--seed", "0", "--trials", "100"):
+        "ed3a2a4cbb82bb29b8e12ec0d019a1c413a8082894327bd5b8e1019e6f497b3e",
+    ("obstruction_table.py", "--limit", "0"):
+        "94e56c11d1138130d3c549be2c8268b00e608ba93258948b7db3e5bbca34aaa0",
+}
+
+
+def _scripts_under(*interpreter) -> dict:
+    got = {}
+    for script, *args in SCRIPT_GOLDEN:
+        proc = subprocess.run(
+            [*interpreter, str(ROOT / "scripts" / script), *args],
+            env=_env(), capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        got[(script, *args)] = hashlib.sha256(proc.stdout).hexdigest()
+    return got
 
 
 def test_golden_reports_survive_python_O(tmp_path):
@@ -346,15 +374,17 @@ def _runs_a_supported_python(exe: str) -> bool:
 
 
 def test_golden_reports_under_the_other_pythons(tmp_path):
-    # the same digests under each other supported interpreter on PATH;
-    # a name that is missing, or that fails its probe (a shim for a
-    # version that is not installed), is skipped
+    # the same digests, of the reports and of both scripts' output, under
+    # each other supported interpreter on PATH; a name that is missing, or
+    # that fails its probe (a shim for a version that is not installed),
+    # is skipped
     found = [exe for exe in map(shutil.which, OTHER_PYTHONS)
              if exe and _runs_a_supported_python(exe)]
     if not found:
         pytest.skip(f"none of {', '.join(OTHER_PYTHONS)} runs here")
     for exe in found:
         assert _replay_under(tmp_path, exe) == GOLDEN, exe
+        assert _scripts_under(exe) == SCRIPT_GOLDEN, exe
 
 
 def test_f3_symbol_runs_no_slot_walk(tmp_path, monkeypatch):

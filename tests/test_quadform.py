@@ -27,10 +27,10 @@ from wittforge import cohomology, qarith, quadform
 from wittforge.cohomology import ZERO, H3Class, brauer_from_symbol
 from wittforge.errors import BoundExceeded, DomainError
 from wittforge.cli import main
-from wittforge.qarith import (REAL, _local_square_core, factor,
-                              hilbert_symbol, is_local_square,
-                              ramified_places, square_class_product,
-                              squarefree_part)
+from wittforge.qarith import (REAL, _class_mul, _hilbert_core, _legendre,
+                              _local_square_core, factor, hilbert_symbol,
+                              is_local_square, ramified_places,
+                              square_class_product, squarefree_part)
 from wittforge.quadform import (
     QuadForm,
     _classes_and_places,
@@ -149,6 +149,96 @@ def test_represented_values_by_symbols_match_isotropy():
                 if test(c, [p for p, _ in factor(abs(c))])] == [
             c for c in values
             if _isotropic((a, b, -c), _support_places((a, b, c)))], (a, b)
+
+
+def _reference_represents(a, b, places):
+    # the walk's binary test before its sign prefilter and loops: the
+    # real place, the listed primes, then the primes of c outside them
+    m = _class_mul(-a, b)
+    inside = set(places)
+    real = _hilbert_core(a, b, REAL)
+    targets = [(v, _hilbert_core(a, b, v)) for v in places if v != REAL]
+
+    def test(c, primes):
+        return ((-1 if c < 0 and m < 0 else 1) == real
+                and all(_hilbert_core(c, m, v) == t for v, t in targets)
+                and all(p in inside or _legendre(m, p) == 1 for p in primes))
+    return test
+
+
+def _seeded_anisotropic(rng, dim):
+    # square classes and places of a seeded anisotropic diagonal, entries
+    # nonzero with |x| <= 60
+    while True:
+        q = diagonal(*(rng.choice((-1, 1)) * rng.randint(1, 60)
+                       for _ in range(dim)))
+        if not is_isotropic(q):
+            return list(q.square_classes), q.places
+
+
+def test_walk_tests_match_the_record_references():
+    # every signed squarefree candidate c up to height 300: the binary
+    # test against the reference closure, and the ternary rule (c d a
+    # local nonsquare at each anisotropic place of the rest) against the
+    # record of rest + <c> at the places with c's primes
+    candidates = [(c, tuple(p for p, _ in factor(abs(c))))
+                  for n in range(1, 301) if squarefree_part(n) == n
+                  for c in (n, -n)]
+    rng = Random(35)
+    binaries = ternaries = 0
+    for _ in range(200):
+        s, places = _seeded_anisotropic(rng, 2)
+        test = quadform._represents(*s, places)
+        reference = _reference_represents(*s, places)
+        for c, primes in candidates:
+            assert test(c, primes) == reference(c, primes), (s, c)
+        binaries += len(candidates)
+    for _ in range(80):
+        rest, places = _seeded_anisotropic(rng, 3)
+        test = quadform._completes(rest, places)
+        for c, primes in candidates:
+            at = [*places, *(p for p in primes if p not in places)]
+            assert test(c, primes) == _isotropic((*rest, c), at), (rest, c)
+        ternaries += len(candidates)
+    assert (binaries, ternaries) == (200 * 366, 80 * 366)
+
+
+def test_ternary_rule_matches_the_independent_local_oracle():
+    # the places where a ternary is anisotropic, and so whether it is
+    # isotropic at all, against `oracles`, place by place
+    rng = Random(36)
+    squarefree = [n for n in range(-40, 41)
+                  if n and oracles.is_squarefree(n)]
+    outcomes = Counter()
+    for _ in range(400):
+        s = [rng.choice(squarefree) for _ in range(3)]
+        places = _support_places(s)
+        d, anisotropic = quadform._ternary_anisotropic_places(s, places)
+        assert d == squarefree_part(s[0] * s[1] * s[2])
+        assert anisotropic == [v for v in places
+                               if not oracles.isotropic_at(s, v)], s
+        assert (not anisotropic) == oracles.locally_isotropic(s)
+        assert (quadform._completes(s, places) is None) == is_isotropic(
+            diagonal(*s))
+        outcomes[not anisotropic] += 1
+    assert min(outcomes.values()) > 40
+
+
+@pytest.mark.parametrize("entries", [
+    (1510, 1145, 1921, Fraction(-1162, 3)),
+    (-137, Fraction(548, 3), Fraction(-832, 3), -418)])
+def test_exhausted_walk_raises_its_bound(entries):
+    # isotropic forms whose first splitting value lies past the height cap
+    q = diagonal(*entries)
+    assert is_isotropic(q)
+    start = time.perf_counter()
+    with pytest.raises(BoundExceeded) as exc:
+        isotropic_vector(q)
+    assert time.perf_counter() - start < 1
+    assert str(exc.value) == "no splitting value of height <= 10000"
+    # the walk read the whole candidate table, which stops at the cap
+    heights = [abs(c) for c, _ in quadform._BY_HEIGHT]
+    assert max(heights) == 9998 and quadform._height == 10000
 
 
 def test_descent_solves_every_small_conic():
@@ -447,25 +537,45 @@ def test_one_factorization_per_number(monkeypatch):
     seen.clear()
     ramified_places(12, Fraction(18, 5))
     assert Counter(seen) == {12: 1, 18: 1, 5: 1}
-    # the factor calls from asking for each candidate c to asking for the
-    # next: the walk's own, as the entries and the descent on the last c
-    # fall outside them
-    walk, windows = quadform._signed_squarefree_by_height, []
+    # the walk's candidates come from one table per process, so a height
+    # is factored at most once per process: the first walk on an empty
+    # table factors each height it reaches once, and a second, different
+    # walk that stops below that reach factors none.  The factor calls from
+    # asking for each candidate c to asking for the next are the walk's
+    # own, as the entries and the descent on the last c fall outside them
+    monkeypatch.setattr(quadform, "_BY_HEIGHT", [])
+    monkeypatch.setattr(quadform, "_height", 0)
+    walk = quadform._signed_squarefree_by_height
 
-    def recorded(limit):
-        start = len(seen)
-        for c, primes in walk(limit):
-            yield c, primes
-            windows.append((c, seen[start:]))
+    def windows_of(q):
+        windows = []
+
+        def recorded():
             start = len(seen)
-    monkeypatch.setattr(quadform, "_signed_squarefree_by_height", recorded)
-    q = diagonal(22, 110, -133, 396)
-    assert q(isotropic_vector(q)) == 0
-    assert len(windows) == 2233 - 1
+            for c, primes in walk():
+                yield c, primes
+                windows.append((c, seen[start:]))
+                start = len(seen)
+        with monkeypatch.context() as m:
+            m.setattr(quadform, "_signed_squarefree_by_height", recorded)
+            assert q(isotropic_vector(q)) == 0
+        return windows
+
+    first = windows_of(diagonal(22, 110, -133, 396))
+    assert len(first) == 2233 - 1
     per_height = Counter()
-    for c, calls in windows:
+    for c, calls in first:
         per_height[abs(c)] += calls.count(abs(c))
     assert set(per_height.values()) == {1}
+    second = windows_of(diagonal(3, 7, -5, -11))
+    assert len(second) == 39 - 1
+    assert all(calls == [] for _, calls in second)
+    # the table holds 1, -1, 2, -2, ... with c and -c sharing one primes
+    # tuple, and no height past the walk's cap
+    table = quadform._BY_HEIGHT
+    assert [c for c, _ in table[:8]] == [1, -1, 2, -2, 3, -3, 5, -5]
+    assert all(p is r for (_, p), (_, r) in zip(table[::2], table[1::2]))
+    assert max(c for c, _ in table) <= quadform._SPLIT_BOUND
 
 
 def _sweep_forms():
