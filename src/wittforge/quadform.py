@@ -391,36 +391,28 @@ def _ternary_zero(s: list[int], places: Sequence[Place]) -> tuple[int, ...]:
 # package's one height search
 _SPLIT_BOUND = 10**4
 
-# The candidates of every walk in the process, (c, primes) by height, with
-# c and -c sharing one primes tuple.  The table is filled only as far as
-# some walk has read it, never past _SPLIT_BOUND, and only appends, so a
-# walk's index stays valid while a nested walk extends it.
-_BY_HEIGHT: list[tuple[int, tuple[int, ...]]] = []
-_height = 0          # the last height factored into the table
-
-
-def _grow_by_height() -> bool:
-    # append the next squarefree height; False once _SPLIT_BOUND is reached
-    global _height
-    while _height < _SPLIT_BOUND:
-        n = _height + 1
-        s, primes = _class_primes(n)
-        _height = n
-        if s == n:
-            primes = tuple(primes)
-            _BY_HEIGHT.extend(((n, primes), (-n, primes)))
-            return True
-    return False
+# The primes of each height n that some walk in the process has reached,
+# at index n - 1: a tuple when n is squarefree, None when it is not, so
+# each height is factored once per process.  The table grows one height
+# per append, never past _SPLIT_BOUND, so an exception raised in a walk
+# leaves it without a gap or a repeat, and a walk's height stays valid
+# while a nested walk extends it.
+_PRIMES_BY_HEIGHT: list[tuple[int, ...] | None] = []
 
 
 def _signed_squarefree_by_height():
     """(1, ()), (-1, ()), (2, (2,)), (-2, (2,)), ...: every signed
-    squarefree int up to _SPLIT_BOUND with its primes, read from the one
-    table of the process, so each height is factored once per process."""
-    i = 0
-    while i < len(_BY_HEIGHT) or _grow_by_height():
-        yield _BY_HEIGHT[i]
-        i += 1
+    squarefree int up to _SPLIT_BOUND with its primes, c and -c with one
+    tuple, read from the table of the process and factored only past it."""
+    table = _PRIMES_BY_HEIGHT
+    for n in range(1, _SPLIT_BOUND + 1):
+        if n > len(table):
+            s, primes = _class_primes(n)
+            table.append(tuple(primes) if s == n else None)
+        primes = table[n - 1]
+        if primes is not None:
+            yield n, primes
+            yield -n, primes
 
 
 def _represents(a: int, b: int, places: Sequence[Place]):
@@ -429,21 +421,21 @@ def _represents(a: int, b: int, places: Sequence[Place]):
 
     By Hasse-Minkowski that holds exactly when (c, -ab)_v = (a, b)_v at
     every place v.  The targets (a, b)_v are read once, at the places
-    given.  The real place is a sign test: with m = -ab, (c, m)_R = -1
-    exactly when c < 0 and m < 0, so for m < 0 it fixes the sign of c,
-    and for m > 0 every c passes, as (a, b)_R = 1 there.  Then the listed
-    primes, then each prime p of c outside the places, where (a, b)_p = 1
-    and the condition is (m / p) = 1, with p from the factorization c
-    came with, so no place is proved prime.
+    given, and each c is decided there first, the real place (a sign
+    test, where about half the candidates fail) before the primes.  At a
+    prime p of c outside the places (a, b)_p = 1 and the condition is
+    (-ab / p) = 1, with p from the factorization c came with, so no place
+    is proved prime.
     """
     m = _class_mul(-a, b)
     inside = set(places)
-    signed = m < 0
+    # (c, m)_R = -1 exactly when c < 0 and m < 0
     negative = _hilbert_core(a, b, REAL) < 0
     targets = [(v, _hilbert_core(a, b, v)) for v in places if v != REAL]
 
     def test(c: int, primes: Iterable[int]) -> bool:
-        if signed and (c < 0) != negative:
+        # loops, not all(): no generator is built per candidate
+        if (c < 0 and m < 0) != negative:
             return False
         for v, t in targets:
             if _hilbert_core(c, m, v) != t:
@@ -455,37 +447,22 @@ def _represents(a: int, b: int, places: Sequence[Place]):
     return test
 
 
-def _ternary_anisotropic_places(s: Sequence[int], places: Sequence[Place]
-                                ) -> tuple[int, list[Place]]:
-    """The det class d of the ternary s and the places where s is
-    anisotropic: where its Hasse bit is not (-1, -d)_v (Serre, ch. IV
-    2.2, Thm 6), which is where its Clifford class ramifies.  There s
-    represents every local class but -d, so s + <c> is isotropic exactly
-    when c d is a local nonsquare at each of these places."""
-    symbols, d = _hasse_symbols(s)
-    return d, [v for v in places
-               if _local_hasse(symbols, v) != _hilbert_core(-1, -d, v)]
-
-
 def _completes(rest: list[int], places: Sequence[Place]):
     """None when rest is isotropic, else a test of whether rest + <c> is,
     for a signed squarefree c with its primes.  A binary rest <r0, r1>
-    needs <-r0, -r1> to represent c (`_represents`); a ternary rest needs
-    c d to be a local nonsquare at each place where it is anisotropic
-    (`_ternary_anisotropic_places`), both read once; a longer rest plus
-    <c> has dim >= 5, so its signs decide."""
+    needs <-r0, -r1> to represent c (`_represents`).  A ternary rest of
+    det d is anisotropic exactly at the places where its Clifford class
+    ramifies, and there represents every local class but -d (Serre, ch.
+    IV 2.2), so it needs c d to be a local nonsquare at each of them, read
+    from one record per walk.  A longer rest plus <c> has dim >= 5, so
+    its signs decide."""
     if len(rest) == 3:
-        d, anisotropic = _ternary_anisotropic_places(rest, places)
+        inv = _invariants(rest, places)
+        d, anisotropic = inv.det, inv.clifford.ramified
         if not anisotropic:
             return None
-
-        def test(c: int, primes: Iterable[int]) -> bool:
-            cd = _class_mul(c, d)
-            for v in anisotropic:
-                if _local_square_core(cd, v):
-                    return False
-            return True
-        return test
+        return lambda c, primes: not any(
+            _local_square_core(_class_mul(c, d), v) for v in anisotropic)
     if _isotropic(rest, places):
         return None
     if len(rest) == 2:

@@ -152,8 +152,8 @@ def test_represented_values_by_symbols_match_isotropy():
 
 
 def _reference_represents(a, b, places):
-    # the walk's binary test before its sign prefilter and loops: the
-    # real place, the listed primes, then the primes of c outside them
+    # the walk's binary test as one conjunction of all(): the real place,
+    # the listed primes, then the primes of c outside them
     m = _class_mul(-a, b)
     inside = set(places)
     real = _hilbert_core(a, b, REAL)
@@ -179,8 +179,8 @@ def _seeded_anisotropic(rng, dim):
 def test_walk_tests_match_the_record_references():
     # every signed squarefree candidate c up to height 300: the binary
     # test against the reference closure, and the ternary rule (c d a
-    # local nonsquare at each anisotropic place of the rest) against the
-    # record of rest + <c> at the places with c's primes
+    # local nonsquare where the Clifford class of the rest ramifies)
+    # against the record of rest + <c> at the places with c's primes
     candidates = [(c, tuple(p for p, _ in factor(abs(c))))
                   for n in range(1, 301) if squarefree_part(n) == n
                   for c in (n, -n)]
@@ -203,27 +203,6 @@ def test_walk_tests_match_the_record_references():
     assert (binaries, ternaries) == (200 * 366, 80 * 366)
 
 
-def test_ternary_rule_matches_the_independent_local_oracle():
-    # the places where a ternary is anisotropic, and so whether it is
-    # isotropic at all, against `oracles`, place by place
-    rng = Random(36)
-    squarefree = [n for n in range(-40, 41)
-                  if n and oracles.is_squarefree(n)]
-    outcomes = Counter()
-    for _ in range(400):
-        s = [rng.choice(squarefree) for _ in range(3)]
-        places = _support_places(s)
-        d, anisotropic = quadform._ternary_anisotropic_places(s, places)
-        assert d == squarefree_part(s[0] * s[1] * s[2])
-        assert anisotropic == [v for v in places
-                               if not oracles.isotropic_at(s, v)], s
-        assert (not anisotropic) == oracles.locally_isotropic(s)
-        assert (quadform._completes(s, places) is None) == is_isotropic(
-            diagonal(*s))
-        outcomes[not anisotropic] += 1
-    assert min(outcomes.values()) > 40
-
-
 @pytest.mark.parametrize("entries", [
     (1510, 1145, 1921, Fraction(-1162, 3)),
     (-137, Fraction(548, 3), Fraction(-832, 3), -418)])
@@ -237,8 +216,42 @@ def test_exhausted_walk_raises_its_bound(entries):
     assert time.perf_counter() - start < 1
     assert str(exc.value) == "no splitting value of height <= 10000"
     # the walk read the whole candidate table, which stops at the cap
-    heights = [abs(c) for c, _ in quadform._BY_HEIGHT]
-    assert max(heights) == 9998 and quadform._height == 10000
+    table = quadform._PRIMES_BY_HEIGHT
+    assert len(table) == quadform._SPLIT_BOUND == 10000
+    assert table[-3:] == [(2, 4999), None, None]
+
+
+def test_an_exception_in_a_walk_leaves_the_table_whole(monkeypatch):
+    # an exception raised while the table grows (a timeout, an interrupt)
+    # leaves neither a gap nor a repeat: the next walk reads every height
+    # once, and the table is what one uninterrupted walk builds
+    monkeypatch.setattr(quadform, "_PRIMES_BY_HEIGHT", [])
+    class_primes = quadform._class_primes
+
+    class Interrupted(Exception):
+        pass
+
+    def interrupted_at(stop):
+        def patched(n):
+            if n == stop:
+                raise Interrupted
+            return class_primes(n)
+        return patched
+
+    for stop in (30, 31, 61):
+        with monkeypatch.context() as m:
+            m.setattr(quadform, "_class_primes", interrupted_at(stop))
+            with pytest.raises(Interrupted):
+                for _ in quadform._signed_squarefree_by_height():
+                    pass
+        assert len(quadform._PRIMES_BY_HEIGHT) == stop - 1
+    candidates = list(zip(quadform._signed_squarefree_by_height(), range(80)))
+    assert [c for (c, _), _ in candidates] == [
+        c for n in range(1, 131) if squarefree_part(n) == n
+        for c in (n, -n)][:80]
+    assert quadform._PRIMES_BY_HEIGHT == [
+        tuple(p for p, _ in factor(n)) if squarefree_part(n) == n else None
+        for n in range(1, len(quadform._PRIMES_BY_HEIGHT) + 1)]
 
 
 def test_descent_solves_every_small_conic():
@@ -543,8 +556,7 @@ def test_one_factorization_per_number(monkeypatch):
     # walk that stops below that reach factors none.  The factor calls from
     # asking for each candidate c to asking for the next are the walk's
     # own, as the entries and the descent on the last c fall outside them
-    monkeypatch.setattr(quadform, "_BY_HEIGHT", [])
-    monkeypatch.setattr(quadform, "_height", 0)
+    monkeypatch.setattr(quadform, "_PRIMES_BY_HEIGHT", [])
     walk = quadform._signed_squarefree_by_height
 
     def windows_of(q):
@@ -570,12 +582,12 @@ def test_one_factorization_per_number(monkeypatch):
     second = windows_of(diagonal(3, 7, -5, -11))
     assert len(second) == 39 - 1
     assert all(calls == [] for _, calls in second)
-    # the table holds 1, -1, 2, -2, ... with c and -c sharing one primes
-    # tuple, and no height past the walk's cap
-    table = quadform._BY_HEIGHT
-    assert [c for c, _ in table[:8]] == [1, -1, 2, -2, 3, -3, 5, -5]
-    assert all(p is r for (_, p), (_, r) in zip(table[::2], table[1::2]))
-    assert max(c for c, _ in table) <= quadform._SPLIT_BOUND
+    # the walk reads 1, -1, 2, -2, ... with c and -c sharing one primes
+    # tuple, from a table of one entry per height reached
+    stream = list(walk())
+    assert [c for c, _ in stream[:8]] == [1, -1, 2, -2, 3, -3, 5, -5]
+    assert all(p is r for (_, p), (_, r) in zip(stream[::2], stream[1::2]))
+    assert len(quadform._PRIMES_BY_HEIGHT) == quadform._SPLIT_BOUND
 
 
 def _sweep_forms():
